@@ -79,6 +79,12 @@ class RepairEngine:
 
         Missing cells are always repaired (they are sentinel outliers by
         construction); other cells only when flagged in ``report``.
+
+        Proposals are computed only for *touched rows* — rows holding a
+        flagged or missing cell — since no other row is written. Rows are
+        independent through the model, so each touched row's proposals
+        are bit-identical to a pass over the whole table; a table with
+        nothing to repair never reaches the model.
         """
         if table.schema != self.preprocessor.schema:
             raise SchemaError("table schema does not match the trained pipeline")
@@ -90,45 +96,54 @@ class RepairEngine:
             )
         # Missing values are always in scope for repair.
         cell_flags = cell_flags | table.missing_mask()
+        touched = np.flatnonzero(cell_flags.any(axis=1))
 
-        matrix = self.preprocessor.compile().transform(table)
-        masked = matrix.copy()
-        masked[cell_flags] = np.broadcast_to(self.clean_column_centers, matrix.shape)[cell_flags]
-        if self.engine is not None:
-            proposals = self.engine.repair_values(masked)
-        else:
-            proposals = self.model.repair_values(masked)
-
-        repaired_columns: dict[str, np.ndarray] = {}
+        # Every column is a copy of an already-normalized column, so the
+        # result adopts them without the constructor's normalization pass.
+        columns = {spec.name: table.column(spec.name).copy() for spec in table.schema}
         repairs_by_column: dict[str, int] = {}
-        for j, spec in enumerate(table.schema):
-            rows = np.flatnonzero(cell_flags[:, j])
-            column = table.column(spec.name).copy()
-            if rows.size:
-                if spec.is_categorical:
-                    snapped = self._snap_categorical(spec.name, proposals[rows, j])
-                    for row, value in zip(rows, snapped):
-                        column[row] = value
-                else:
-                    normalizer = self.preprocessor.normalizer(spec.name)
-                    column[rows] = normalizer.inverse_transform(proposals[rows, j])
-                repairs_by_column[spec.name] = int(rows.size)
-            repaired_columns[spec.name] = column
+        if touched.size:
+            flags = cell_flags[touched]
+            touched_table = Table._wrap(
+                table.schema,
+                {name: column[touched] for name, column in columns.items()},
+                touched.size,
+            )
+            masked = self.preprocessor.compile().transform(touched_table)
+            masked[flags] = np.broadcast_to(self.clean_column_centers, masked.shape)[flags]
+            if self.engine is not None:
+                proposals = self.engine.repair_values(masked)
+            else:
+                proposals = self.model.repair_values(masked)
 
-        repaired = Table(table.schema, repaired_columns)
+            for j, spec in enumerate(table.schema):
+                local = np.flatnonzero(flags[:, j])
+                if not local.size:
+                    continue
+                values = proposals[local, j]
+                if spec.is_categorical:
+                    values = self._snap_categorical(spec.name, values)
+                else:
+                    values = self.preprocessor.normalizer(spec.name).inverse_transform(values)
+                columns[spec.name][touched[local]] = values
+                repairs_by_column[spec.name] = int(local.size)
+
+        repaired = Table._wrap(table.schema, columns, table.n_rows)
         summary = RepairSummary(
-            n_rows_touched=int(cell_flags.any(axis=1).sum()),
+            n_rows_touched=int(touched.size),
             n_cells_repaired=int(cell_flags.sum()),
             repairs_by_column=repairs_by_column,
         )
         return repaired, summary
 
-    def _snap_categorical(self, name: str, scaled_values: np.ndarray) -> list[str]:
-        """Map model-space proposals to the nearest valid category."""
+    def _snap_categorical(self, name: str, scaled_values: np.ndarray) -> np.ndarray:
+        """Map model-space proposals to the nearest valid category.
+
+        Ties go to the lowest code and a NaN proposal to code 0, as
+        ``np.argmin`` resolves them.
+        """
         positions = self.preprocessor.valid_code_positions(name)
-        encoder = self.preprocessor.label_encoder(name)
-        snapped: list[str] = []
-        for value in scaled_values:
-            nearest = int(np.argmin(np.abs(positions - value)))
-            snapped.append(encoder.classes_[nearest])
-        return snapped
+        classes = np.empty(len(positions), dtype=object)
+        classes[:] = self.preprocessor.label_encoder(name).classes_
+        nearest = np.argmin(np.abs(positions - scaled_values[:, None]), axis=1)
+        return classes[nearest]

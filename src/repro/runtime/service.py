@@ -129,6 +129,10 @@ class ValidationService:
         self._entries: "OrderedDict[str, PipelineEntry]" = OrderedDict()
         self._lock = threading.RLock()
         self._load_locks: dict[str, threading.Lock] = {}
+        #: the latest load a re-registration invalidated, per name, with
+        #: the generation it was loaded at: get() callers that asked
+        #: before it began are served it instead of repeating it
+        self._invalidated_loads: dict[str, tuple[int, DQuaG]] = {}
         #: lifetime per-pipeline counters; survive eviction
         self._counters: dict[str, dict[str, int]] = {}
         self._pool = ThreadPoolExecutor(max_workers=max_workers, thread_name_prefix="dquag-validate")
@@ -230,6 +234,14 @@ class ValidationService:
         Archive loading (disk read + kernel compile) happens *outside*
         the registry lock, behind a per-name loading lock — a cache miss
         on one pipeline must not stall requests to resident ones.
+
+        A load that a re-registration invalidates while it runs is never
+        cached — that would resurrect the old weights — but it still
+        serves this call, uncached: it began after the call did, so it
+        read a registration that was current during the call. Callers
+        queued behind it that asked before it began share it the same
+        way. Nothing is retried, so a call finishes after at most one
+        load however fast the name is re-registered.
         """
         with self._lock:
             entry = self._entries.get(name)
@@ -237,43 +249,43 @@ class ValidationService:
                 entry.hits += 1
                 self._entries.move_to_end(name)
                 return entry.pipeline
-            source = self._sources.get(name)
-            if source is None:
+            if name not in self._sources:
                 raise ReproError(
                     f"unknown pipeline {name!r}; registered: {self.registered}"
                 )
-            generation = self._generations.get(name, 0)
+            asked = self._generations.get(name, 0)
             load_lock = self._load_locks.setdefault(name, threading.Lock())
 
         with load_lock:
-            # Another thread may have finished the same load meanwhile.
             with self._lock:
+                # Another thread may have finished the same load meanwhile.
                 entry = self._entries.get(name)
                 if entry is not None:
                     entry.hits += 1
                     self._entries.move_to_end(name)
                     return entry.pipeline
+                shared = self._invalidated_loads.get(name)
+                if shared is not None and shared[0] >= asked:
+                    return shared[1]
+                source = self._sources[name]
+                generation = self._generations.get(name, 0)
             pipeline = DQuaG().load_weights(source)
             with self._lock:
+                # A re-registration while we were loading (generations
+                # catch even a same-path re-register of an archive
+                # overwritten in place) makes this load stale: caching
+                # it would resurrect the old weights.
                 if self._generations.get(name, 0) != generation:
-                    # The name was re-registered while we were loading
-                    # (generations catch even a same-path re-register of
-                    # an archive overwritten in place): caching this
-                    # stale pipeline would resurrect the old weights.
-                    # Discard and retry against the current source.
-                    stale = True
-                    victims: list[str] = []
-                else:
-                    stale = False
-                    self.n_loads += 1
-                    self._counter(name)["loads"] += 1
-                    self._entries[name] = PipelineEntry(
-                        name=name, pipeline=pipeline, source=source, hits=1
-                    )
-                    self._entries.move_to_end(name)
-                    victims = self._evict_over_capacity()
-        if stale:
-            return self.get(name)
+                    self._invalidated_loads[name] = (generation, pipeline)
+                    return pipeline
+                self.n_loads += 1
+                self._counter(name)["loads"] += 1
+                self._entries[name] = PipelineEntry(
+                    name=name, pipeline=pipeline, source=source, hits=1
+                )
+                self._entries.move_to_end(name)
+                self._invalidated_loads.pop(name, None)
+                victims = self._evict_over_capacity()
         # Shard pools of LRU-evicted pipelines hold a full pipeline copy
         # per worker process; keeping them alive would defeat the
         # capacity bound. Closed outside the registry lock (slow).
@@ -631,32 +643,33 @@ class ValidationService:
         against new weights can fail — e.g. a category the new encoder
         was not fitted with — and that :class:`RuleConfigError`
         deliberately surfaces on the request rather than silently
-        validating without rules.
+        validating without rules. Like :meth:`get`, a compile that a
+        re-registration or ``set_rules()``/``clear_rules()`` races serves
+        this call uncached, and the next call compiles against the
+        current state.
         """
-        while True:
-            with self._lock:
-                ruleset = self._rules.get(name)
-                if ruleset is None:
-                    return None
-                generation = self._generations.get(name, 0)
-                cached = self._rule_plans.get(name)
-                if cached is not None and cached[0] == generation:
-                    return cached[1]
-            # Load + compile happen outside the registry lock.
-            pipeline = self.get(name)
-            plan = ruleset.compile(pipeline._require_validator().preprocessor)
-            with self._lock:
-                if self._generations.get(name, 0) != generation:
-                    continue
-                if self._rules.get(name) is not ruleset:
-                    # set_rules()/clear_rules() raced the compile; loop to
-                    # resolve against the current rule set.
-                    continue
-                cached = self._rule_plans.get(name)
-                if cached is not None and cached[0] == generation:
-                    return cached[1]
-                self._rule_plans[name] = (generation, plan)
+        with self._lock:
+            ruleset = self._rules.get(name)
+            if ruleset is None:
+                return None
+            generation = self._generations.get(name, 0)
+            cached = self._rule_plans.get(name)
+            if cached is not None and cached[0] == generation:
+                return cached[1]
+        # Load + compile happen outside the registry lock.
+        pipeline = self.get(name)
+        plan = ruleset.compile(pipeline._require_validator().preprocessor)
+        with self._lock:
+            if (
+                self._generations.get(name, 0) != generation
+                or self._rules.get(name) is not ruleset
+            ):
                 return plan
+            cached = self._rule_plans.get(name)
+            if cached is not None and cached[0] == generation:
+                return cached[1]
+            self._rule_plans[name] = (generation, plan)
+            return plan
 
     # -- drift monitoring --------------------------------------------------
     def monitor_for(self, name: str) -> "DriftMonitor | None":
@@ -669,37 +682,38 @@ class ValidationService:
         change, so neither did the baseline). Returns ``None`` when
         monitoring is disabled (``monitor_window=0``) or the pipeline's
         archive predates monitoring baselines.
+
+        Like :meth:`get`, a build that a re-registration races serves
+        this call uncached: what the call observes is then dropped, as
+        it would be by a monitor of a superseded generation.
         """
         if self.monitor_window < 1:
             return None
-        while True:
-            with self._lock:
-                generation = self._generations.get(name, 0)
-                cached = self._monitors.get(name)
-                if cached is not None and cached[0] == generation:
-                    return cached[1]
-            # Load + baseline build happen outside the registry lock.
-            pipeline = self.get(name)
-            try:
-                monitor = pipeline.monitor(window_chunks=self.monitor_window)
-            except ReproError:
-                return None
-            with self._lock:
-                current = self._generations.get(name, 0)
-                if current != generation:
-                    # The pipeline was re-registered while we were
-                    # building: our monitor may watch the *old* weights'
-                    # baseline. Discard and retry against the current
-                    # registration — mirroring the stale-load guard in
-                    # get().
-                    continue
-                cached = self._monitors.get(name)
-                if cached is not None and cached[0] == generation:
-                    # Another thread won the build race; keep its monitor
-                    # (and the observations it already folded in).
-                    return cached[1]
-                self._monitors[name] = (generation, monitor)
+        with self._lock:
+            generation = self._generations.get(name, 0)
+            cached = self._monitors.get(name)
+            if cached is not None and cached[0] == generation:
+                return cached[1]
+        # Load + baseline build happen outside the registry lock.
+        pipeline = self.get(name)
+        try:
+            monitor = pipeline.monitor(window_chunks=self.monitor_window)
+        except ReproError:
+            return None
+        with self._lock:
+            if self._generations.get(name, 0) != generation:
+                # The pipeline was re-registered while we were building:
+                # our monitor may watch the *old* weights' baseline, so
+                # caching it would resurrect it — mirroring the
+                # stale-load guard in get().
                 return monitor
+            cached = self._monitors.get(name)
+            if cached is not None and cached[0] == generation:
+                # Another thread won the build race; keep its monitor
+                # (and the observations it already folded in).
+                return cached[1]
+            self._monitors[name] = (generation, monitor)
+            return monitor
 
     def monitor_snapshot(self, name: str) -> "MonitorSnapshot | None":
         """Wire-serializable state of the named pipeline's monitor."""

@@ -7,11 +7,15 @@ demonstrating detection, cell localization, and repair.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import DQuaG, DQuaGConfig
+from repro.core.repair import RepairEngine, RepairSummary
 from repro.data import ColumnKind, ColumnSpec, Table, TableSchema
+from repro.data.preprocess import TablePreprocessor
 from repro.errors import MissingValueInjector, NumericAnomalyInjector, RowRuleConflictInjector
 from repro.exceptions import NotFittedError, SchemaError
 
@@ -175,6 +179,153 @@ class TestRepair:
         pipeline, holdout = fitted
         with pytest.raises(ValueError):
             pipeline.repair(holdout, iterations=0)
+
+
+def loop_snap(preprocessor: TablePreprocessor, name: str, scaled_values) -> list[str]:
+    """Reference snap: the nearest valid category, one value at a time."""
+    positions = preprocessor.valid_code_positions(name)
+    classes = preprocessor.label_encoder(name).classes_
+    return [classes[int(np.argmin(np.abs(positions - value)))] for value in scaled_values]
+
+
+def full_matrix_repair(repairer: RepairEngine, table: Table, report) -> tuple[Table, RepairSummary]:
+    """Reference repair: proposals for every row of the table, categorical
+    proposals snapped by :func:`loop_snap`, the result re-normalized by
+    the ``Table`` constructor."""
+    cell_flags = np.asarray(report.cell_flags, dtype=bool) | table.missing_mask()
+    matrix = repairer.preprocessor.compile().transform(table)
+    masked = matrix.copy()
+    masked[cell_flags] = np.broadcast_to(repairer.clean_column_centers, matrix.shape)[cell_flags]
+    model = repairer.model if repairer.engine is None else repairer.engine
+    proposals = model.repair_values(masked)
+    columns: dict[str, np.ndarray] = {}
+    by_column: dict[str, int] = {}
+    for j, spec in enumerate(table.schema):
+        rows = np.flatnonzero(cell_flags[:, j])
+        column = table.column(spec.name).copy()
+        if rows.size:
+            if spec.is_categorical:
+                snapped = loop_snap(repairer.preprocessor, spec.name, proposals[rows, j])
+                for row, value in zip(rows, snapped):
+                    column[row] = value
+            else:
+                normalizer = repairer.preprocessor.normalizer(spec.name)
+                column[rows] = normalizer.inverse_transform(proposals[rows, j])
+            by_column[spec.name] = int(rows.size)
+        columns[spec.name] = column
+    summary = RepairSummary(
+        n_rows_touched=int(cell_flags.any(axis=1).sum()),
+        n_cells_repaired=int(cell_flags.sum()),
+        repairs_by_column=by_column,
+    )
+    return Table(table.schema, columns), summary
+
+
+def assert_same_repair(actual, expected) -> None:
+    """Bit-identical tables (cell types included) and equal summaries."""
+    (table, summary), (want_table, want_summary) = actual, expected
+    assert table.schema == want_table.schema and table.n_rows == want_table.n_rows
+    for spec in want_table.schema:
+        got, want = table.column(spec.name), want_table.column(spec.name)
+        assert got.dtype == want.dtype, spec.name
+        if spec.is_numeric:
+            assert got.tobytes() == want.tobytes(), spec.name
+        else:
+            assert [(type(v), v) for v in got] == [(type(v), v) for v in want], spec.name
+    assert summary == want_summary
+    assert list(summary.repairs_by_column) == list(want_summary.repairs_by_column)
+
+
+class CountingEngine:
+    """A compiled engine that records how many rows each repair pass sends."""
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+        self.rows_sent: list[int] = []
+
+    def repair_values(self, matrix: np.ndarray) -> np.ndarray:
+        self.rows_sent.append(matrix.shape[0])
+        return self.engine.repair_values(matrix)
+
+
+def repair_case(case: str, pipeline: DQuaG, holdout: Table):
+    """A (table, report) pair that touches the rows ``case`` names."""
+    if case == "clean":
+        table = holdout
+    elif case == "missing_only":
+        table, _ = MissingValueInjector(["z", "c"], fraction=0.15).inject(holdout, rng=21)
+    else:
+        table, _ = NumericAnomalyInjector(["y"], fraction=0.2).inject(holdout, rng=22)
+    report = pipeline.validate(table)
+    if case in ("clean", "missing_only"):
+        flags = np.zeros_like(report.cell_flags)
+    elif case == "every_row":
+        rng = np.random.default_rng(23)
+        flags = rng.random(report.cell_flags.shape) < 0.2
+        flags[np.arange(table.n_rows), rng.integers(0, table.n_columns, table.n_rows)] = True
+    else:
+        flags = report.cell_flags
+    return table, dataclasses.replace(report, cell_flags=flags)
+
+
+class TestRowSelectiveRepair:
+    """Repair proposes values only for touched rows (a flagged or missing
+    cell), bit-identical to proposing them for the whole table."""
+
+    @pytest.mark.parametrize("case", ["clean", "missing_only", "flagged", "every_row"])
+    def test_matches_full_matrix_repair(self, fitted, case):
+        pipeline, holdout = fitted
+        table, report = repair_case(case, pipeline, holdout)
+        reference = pipeline._repair_engine
+        counting = CountingEngine(reference.engine)
+        repairer = RepairEngine(
+            pipeline.model, pipeline.preprocessor, reference.clean_column_centers, engine=counting
+        )
+        repaired, summary = repairer.repair(table, report)
+        assert_same_repair((repaired, summary), full_matrix_repair(reference, table, report))
+        touched = int((report.cell_flags | table.missing_mask()).any(axis=1).sum())
+        assert summary.n_rows_touched == touched
+        assert counting.rows_sent == ([touched] if touched else [])
+        if case == "every_row":
+            assert touched == table.n_rows
+        if case == "clean":
+            assert summary.n_cells_repaired == 0
+
+    @pytest.mark.parametrize("case", ["missing_only", "flagged"])
+    def test_autograd_fallback_matches_full_matrix_repair(self, fitted, case):
+        pipeline, holdout = fitted
+        table, report = repair_case(case, pipeline, holdout)
+        autograd = RepairEngine(
+            pipeline.model, pipeline.preprocessor, pipeline._repair_engine.clean_column_centers
+        )
+        assert autograd.engine is None
+        assert_same_repair(autograd.repair(table, report), full_matrix_repair(autograd, table, report))
+
+    def test_iterated_repair_matches_full_matrix_repair(self, fitted, monkeypatch):
+        pipeline, holdout = fitted
+        table, report = repair_case("flagged", pipeline, holdout)
+        actual = pipeline.repair(table, report, iterations=2)
+        repairer = pipeline._repair_engine
+        monkeypatch.setattr(
+            repairer, "repair", lambda t, r: full_matrix_repair(repairer, t, r)
+        )
+        assert_same_repair(actual, pipeline.repair(table, report, iterations=2))
+
+    def test_vectorised_snap_matches_loop_on_ties_and_nan(self):
+        categories = ("a", "b", "c", "d", "e")
+        schema = TableSchema([ColumnSpec("k", ColumnKind.CATEGORICAL, "five codes", categories)])
+        preprocessor = TablePreprocessor(schema).fit(Table(schema, {"k": list(categories)}))
+        positions = preprocessor.valid_code_positions("k")
+        midpoints = (positions[:-1] + positions[1:]) / 2
+        # Exact ties: every midpoint is equally far from both neighbours.
+        assert np.array_equal(midpoints - positions[:-1], positions[1:] - midpoints)
+        values = np.concatenate(
+            [midpoints, positions, [np.nan, -np.inf, np.inf, -1.0, 2.0, np.nan], midpoints[::-1]]
+        )
+        snapped = RepairEngine(None, preprocessor)._snap_categorical("k", values)
+        expected = loop_snap(preprocessor, "k", values)
+        assert [(type(v), v) for v in snapped] == [(type(v), v) for v in expected]
+        assert snapped[: len(midpoints)].tolist() == list(categories[:-1])  # ties go low
 
 
 class TestPersistence:

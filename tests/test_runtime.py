@@ -19,6 +19,7 @@ from repro.exceptions import (
 from repro.nn.kernels import Workspace
 from repro.nn.serialization import load_state, save_state
 from repro.runtime import InferenceEngine, PartialReport, StreamingValidator, ValidationService
+from repro.runtime.engine import cache_sized_chunk
 from repro.runtime.streaming import StreamSummary
 
 
@@ -88,12 +89,26 @@ class TestEngineParity:
 
     def test_chunk_size_invariance_is_exact(self, fitted):
         pipeline, holdout = fitted
-        matrix = pipeline.preprocessor.transform(holdout)
-        small = InferenceEngine(pipeline.model, chunk_size=77)
-        large = InferenceEngine(pipeline.model, chunk_size=4096)
-        np.testing.assert_array_equal(
-            small.reconstruction_errors(matrix), large.reconstruction_errors(matrix)
-        )
+        model = pipeline.model
+        derived = InferenceEngine(model)
+        assert derived.chunk_size == cache_sized_chunk(model.n_features, model.config.hidden_dim)
+        # Tiled past the derived chunk, so the default splits it too.
+        matrix = np.tile(pipeline.preprocessor.transform(holdout), (3, 1))
+        assert matrix.shape[0] > derived.chunk_size
+        errors, repairs = derived.reconstruction_errors(matrix), derived.repair_values(matrix)
+        for chunk_size in (1, 77, 512, 4096):
+            engine = InferenceEngine(model, chunk_size=chunk_size)
+            np.testing.assert_array_equal(engine.reconstruction_errors(matrix), errors)
+            np.testing.assert_array_equal(engine.repair_values(matrix), repairs)
+
+    def test_derived_chunk_shrinks_with_model_width(self):
+        widths = [(4, 16), (4, 24), (12, 64), (18, 64), (64, 256), (128, 512), (256, 512)]
+        sizes = [cache_sized_chunk(n_features, hidden) for n_features, hidden in widths]
+        assert all(wide < narrow for narrow, wide in zip(sizes, sizes[1:]))
+        assert cache_sized_chunk(12, 64) == 170  # (170, 12, 64) float64 ≈ 1 MiB
+        assert sizes[-1] == 1
+        # A row wider than the budget still runs, one row per chunk.
+        assert cache_sized_chunk(512, 512) == cache_sized_chunk(1 << 20, 1 << 20) == 1
 
     def test_forward_shares_encoder_pass(self, fitted):
         pipeline, holdout = fitted
@@ -422,6 +437,98 @@ class TestValidationService:
             with service._lock:
                 assert service._entries["p"].source == b
             assert service.pipeline_stats()["p"]["loads"] >= 1
+
+    def test_invalidated_load_serves_its_call_uncached(self, fitted, tmp_path, monkeypatch):
+        # Every load is invalidated by a re-registration that lands while
+        # it runs: get() still returns after one load, with that load,
+        # and caches nothing stale; the next get() loads afresh.
+        pipeline, _ = fitted
+        path = tmp_path / "p.npz"
+        pipeline.save(path)
+        with ValidationService(capacity=2) as service:
+            service.register("p", path)
+            loaded = []
+
+            def churned_load(self, source, *args, **kwargs):
+                with service._lock:
+                    service._generations["p"] += 1
+                loaded.append(self)
+                return self
+
+            monkeypatch.setattr(DQuaG, "load_weights", churned_load)
+            served = service.get("p")
+            assert loaded == [served]
+            assert service.resident == []
+            assert service.pipeline_stats()["p"]["loads"] == 0
+
+            monkeypatch.undo()
+            assert service.get("p") is not served
+            assert service.resident == ["p"]
+            assert service.pipeline_stats()["p"]["loads"] == 1
+
+    def test_invalidated_monitor_build_serves_its_call_uncached(self, fitted, tmp_path, monkeypatch):
+        pipeline, _ = fitted
+        path = tmp_path / "p.npz"
+        pipeline.save(path)
+        with ValidationService(capacity=2, monitor_window=4) as service:
+            service.register("p", path)
+            build = DQuaG.monitor
+
+            def churned_build(self, *args, **kwargs):
+                with service._lock:
+                    service._generations["p"] += 1
+                return build(self, *args, **kwargs)
+
+            monkeypatch.setattr(DQuaG, "monitor", churned_build)
+            raced = service.monitor_for("p")
+            assert raced is not None
+            assert service.monitor_snapshots() == {}  # nothing stale was cached
+            monkeypatch.undo()
+            fresh = service.monitor_for("p")
+            assert fresh is not raced
+            assert service.monitor_for("p") is fresh
+
+    def test_concurrent_gets_share_invalidated_loads(self, fitted, tmp_path, monkeypatch):
+        # Callers queued behind an invalidated load share it instead of
+        # each repeating it.
+        import threading
+        import time
+
+        pipeline, _ = fitted
+        path = tmp_path / "p.npz"
+        pipeline.save(path)
+        n_callers = 8
+        with ValidationService(capacity=2) as service:
+            service.register("p", path)
+            loaded = []
+
+            def slow_churned_load(self, source, *args, **kwargs):
+                time.sleep(0.05)  # long enough for every caller to queue
+                with service._lock:
+                    service._generations["p"] += 1
+                loaded.append(self)
+                return self
+
+            monkeypatch.setattr(DQuaG, "load_weights", slow_churned_load)
+            barrier = threading.Barrier(n_callers)
+            served = []
+
+            def call() -> None:
+                barrier.wait(timeout=30)
+                served.append(service.get("p"))
+
+            threads = [threading.Thread(target=call) for _ in range(n_callers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive(), "get() deadlocked"
+            assert len(served) == n_callers
+            assert all(any(p is q for q in loaded) for p in served)
+            # Every load is invalidated, so without sharing each caller
+            # loads exactly once.
+            assert len(loaded) < n_callers
+            assert service.resident == []
 
     def test_eviction_order_with_mixed_pinned_and_unpinned(self, fitted, tmp_path):
         # Pinned entries are invisible to the LRU: with capacity 2 and an
