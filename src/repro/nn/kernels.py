@@ -9,13 +9,18 @@ L2 cache measured 1.24x faster than the 3 MiB slabs of 512-row chunks
 (one BLAS thread, 2-vCPU x86 host). A :class:`Workspace` hands kernels
 named, reusable scratch arrays of that size, so the first chunk pays the
 allocations and every later chunk (and every later call) runs in warm,
-cache-resident buffers instead of a fresh allocation per op.
+cache-resident buffers instead of a fresh allocation per op. The engine
+keeps one workspace per thread: the caller's and each fan-out thread's
+(``InferenceEngine.width``), each faulted in on that thread's first
+chunk, so every core runs its chunks in its own cache-sized slabs.
 
 Kernels accept ``ws=None`` and then fall back to plain ``np.empty``, so
 exported kernels remain self-contained callables.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -51,7 +56,7 @@ class Workspace:
         wrote, letting callers skip re-writing constant regions (see
         ``InferenceEngine._node_inputs``).
         """
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         flat = self._buffers.get(key)
         fresh = flat is None or flat.size < size
         if fresh:

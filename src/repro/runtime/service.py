@@ -345,9 +345,10 @@ class ValidationService:
 
         ``workers`` is a request, not a guarantee: the grant is capped by
         the service-wide ``shard_workers`` budget, and what other sharded
-        requests currently hold. With fewer than 2 grantable workers the
-        batch runs on the ordinary in-process path — the result is
-        bit-identical either way, only the wall-clock changes.
+        requests currently hold. With fewer than 2 grantable workers, or
+        when a re-registration invalidates the pool build, the batch runs
+        on the ordinary in-process path — the result is bit-identical
+        either way, only the wall-clock changes.
         """
         from repro.exceptions import TransientServiceError
 
@@ -363,24 +364,31 @@ class ValidationService:
         # current weights fails the request instead of a worker.
         rule_plan = self.rule_plan_for(name)
         ruleset = None if rule_plan is None else rule_plan.ruleset
+
+        def sharded() -> ValidationReport | None:
+            parallel = self._parallel_for(name)
+            if parallel is None:
+                return None
+            return parallel.validate_table(
+                table, shards=granted, keep_cell_errors=True, rules=ruleset
+            )
+
         self._parallel_note_busy(name)
         try:
             try:
-                report = self._parallel_for(name).validate_table(
-                    table, shards=granted, keep_cell_errors=True, rules=ruleset
-                )
+                report = sharded()
             except TransientServiceError:
                 # A concurrent re-register()/add()/eviction closed the
                 # pool under us. _close_parallel_for popped it from the
                 # cache, so one retry builds a fresh pool against the
                 # current registration. Deterministic failures (schema
                 # errors, broken workers) are not retried.
-                report = self._parallel_for(name).validate_table(
-                    table, shards=granted, keep_cell_errors=True, rules=ruleset
-                )
+                report = sharded()
         finally:
             self._parallel_note_idle(name)
             self._release_shard_workers(granted)
+        if report is None:  # a re-registration invalidated the pool build
+            return self.validate(name, table)
         self.count_validation(name, table.n_rows)
         self._observe_batch(name, table, report)
         return report
@@ -391,7 +399,8 @@ class ValidationService:
         """Validate a chunk stream across a per-pipeline shard worker pool.
 
         Falls back to the bounded-memory in-process streaming path when
-        the worker budget grants fewer than 2 workers.
+        the worker budget grants fewer than 2 workers or a
+        re-registration invalidates the pool build.
 
         Drift monitoring: on the in-process fallback the monitor rides
         the :class:`StreamingValidator` (observing each preprocessed
@@ -407,16 +416,27 @@ class ValidationService:
         rule_plan = self.rule_plan_for(name)
         requested = self.shard_workers if workers is None else int(workers)
         granted = self._acquire_shard_workers(requested)
-        if granted < 2:
+        parallel = None
+        if granted:
+            # The pool is resolved before the stream is touched, so a
+            # build that a re-registration invalidates leaves every chunk
+            # to the in-process path.
+            self._parallel_note_busy(name)
+            try:
+                parallel = self._parallel_for(name)
+            finally:
+                if parallel is None:
+                    self._parallel_note_idle(name)
+                    self._release_shard_workers(granted)
+        if parallel is None:
             summary = StreamingValidator(
                 self.get(name)._require_validator(), monitor=monitor, rules=rule_plan
             ).validate_stream(chunks)
         else:
             if monitor is not None:
                 chunks = self._observed_chunks(monitor, chunks)
-            self._parallel_note_busy(name)
             try:
-                summary = self._parallel_for(name).validate_stream(
+                summary = parallel.validate_stream(
                     chunks,
                     keep_cell_errors=False,
                     max_parallel=granted,
@@ -453,55 +473,51 @@ class ValidationService:
         with self._lock:
             self._shard_available += granted
 
-    def _parallel_for(self, name: str) -> "ParallelValidator":
+    def _parallel_for(self, name: str) -> "ParallelValidator | None":
         """The cached sharded executor for ``name``.
 
         One pool per pipeline, built at ``shard_workers`` width (the
         per-request grant then caps how many shards run concurrently).
         Archive-backed pipelines shard straight from their registered
         archive; pinned (directly-added) ones are persisted to a temp
-        archive on first use. A re-``register()``/re-``add()`` racing the
-        build is detected via the per-name generation counter and the
-        stale pool discarded — mirroring the stale-load guard in
-        :meth:`get`.
+        archive on first use.
+
+        A build that a re-``register()``/re-``add()`` invalidates (the
+        per-name generation moved while it ran) is closed, never cached,
+        and ``None`` is returned: the caller then serves the request
+        in process. A retry could instead spin for as long as the name
+        keeps being re-registered.
         """
         from repro.runtime.sharding import ParallelValidator
 
-        while True:
-            with self._lock:
-                parallel = self._parallel.get(name)
-                if parallel is not None:
-                    return parallel
-                source = self._sources.get(name)
-                generation = self._generations.get(name, 0)
-            pipeline = self.get(name)
-            built = ParallelValidator.from_pipeline(
-                pipeline, archive=source, workers=self.shard_workers, use_shm=self.use_shm
-            )
-            with self._lock:
-                if self._closed:
-                    closed = True
-                    stale = False
-                elif self._generations.get(name, 0) != generation:
-                    closed = False
-                    stale = True
-                else:
-                    closed = False
-                    stale = False
-                    existing = self._parallel.setdefault(name, built)
-                    self._parallel_last_used.setdefault(name, time.monotonic())
-            if closed:
-                # A racing service.close() already drained _parallel;
-                # inserting now would leak this pool's worker processes.
-                built.close()
-                raise ReproError("ValidationService is closed")
-            if stale:
-                built.close()
-                continue
-            if existing is not built:
-                built.close()
-            self._ensure_reaper()
-            return existing
+        with self._lock:
+            parallel = self._parallel.get(name)
+            if parallel is not None:
+                return parallel
+            source = self._sources.get(name)
+            generation = self._generations.get(name, 0)
+        pipeline = self.get(name)
+        built = ParallelValidator.from_pipeline(
+            pipeline, archive=source, workers=self.shard_workers, use_shm=self.use_shm
+        )
+        with self._lock:
+            closed = self._closed
+            stale = self._generations.get(name, 0) != generation
+            if not (closed or stale):
+                existing = self._parallel.setdefault(name, built)
+                self._parallel_last_used.setdefault(name, time.monotonic())
+        if closed:
+            # A racing service.close() already drained _parallel;
+            # inserting now would leak this pool's worker processes.
+            built.close()
+            raise ReproError("ValidationService is closed")
+        if stale:
+            built.close()
+            return None
+        if existing is not built:
+            built.close()
+        self._ensure_reaper()
+        return existing
 
     def _close_parallel_for(self, name: str) -> None:
         with self._lock:

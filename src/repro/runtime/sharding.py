@@ -329,7 +329,12 @@ def _worker_init(archive: str, chunk_size: int) -> None:
     from repro.core.pipeline import DQuaG
 
     pipeline = DQuaG().load_weights(archive)
-    _WORKER["validator"] = pipeline._require_validator()
+    validator = pipeline._require_validator()
+    if validator.engine is not None:
+        # The pool's processes already cover the CPUs; a worker fanning
+        # its engine out as well would only oversubscribe them.
+        validator.engine.width = 1
+    _WORKER["validator"] = validator
     _WORKER["chunk_size"] = int(chunk_size)
 
 

@@ -349,7 +349,11 @@ class TestShutdown:
 
         worker = threading.Thread(target=request)
         worker.start()
-        time.sleep(0.05)  # let the request reach the loop
+        # Close only once the request is in flight: a fixed sleep could
+        # close before the client connected, which tests nothing.
+        deadline = time.monotonic() + 30
+        while gateway._active == 0 and worker.is_alive() and time.monotonic() < deadline:
+            time.sleep(0.002)
         gateway.close()  # default drain: must not sever the in-flight reply
         worker.join(timeout=60)
         service.close()

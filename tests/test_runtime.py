@@ -70,36 +70,54 @@ class TestEngineParity:
     )
     def test_errors_and_repairs_match_autograd(self, architecture):
         pipeline = fit_small(architecture)
-        engine = pipeline.engine
-        assert engine is not None
+        assert pipeline.engine is not None
         holdout = make_table(300, seed=3)
         matrix = pipeline.preprocessor.transform(holdout)
-        np.testing.assert_allclose(
-            engine.reconstruction_errors(matrix),
-            pipeline.model.reconstruction_errors(matrix),
-            rtol=0.0,
-            atol=1e-10,
-        )
-        np.testing.assert_allclose(
-            engine.repair_values(matrix),
-            pipeline.model.repair_values(matrix),
-            rtol=0.0,
-            atol=1e-10,
-        )
+        # 64-row chunks split the holdout, so the width-2 engine fans out.
+        fanned = InferenceEngine(pipeline.model, chunk_size=64, width=2)
+        for engine in (pipeline.engine, fanned):
+            np.testing.assert_allclose(
+                engine.reconstruction_errors(matrix),
+                pipeline.model.reconstruction_errors(matrix),
+                rtol=0.0,
+                atol=1e-10,
+            )
+            np.testing.assert_allclose(
+                engine.repair_values(matrix),
+                pipeline.model.repair_values(matrix),
+                rtol=0.0,
+                atol=1e-10,
+            )
 
     def test_chunk_size_invariance_is_exact(self, fitted):
+        # Neither the chunk size nor the fan-out width moves a bit.
         pipeline, holdout = fitted
         model = pipeline.model
-        derived = InferenceEngine(model)
-        assert derived.chunk_size == cache_sized_chunk(model.n_features, model.config.hidden_dim)
+        derived = InferenceEngine(model, width=1)
+        chunk = derived.chunk_size
+        assert chunk == cache_sized_chunk(model.n_features, model.config.hidden_dim)
         # Tiled past the derived chunk, so the default splits it too.
-        matrix = np.tile(pipeline.preprocessor.transform(holdout), (3, 1))
-        assert matrix.shape[0] > derived.chunk_size
-        errors, repairs = derived.reconstruction_errors(matrix), derived.repair_values(matrix)
+        tiled = np.tile(pipeline.preprocessor.transform(holdout), (3, 1))
+        assert tiled.shape[0] > 2 * chunk + 1
+        matrices = [tiled] + [tiled[:n] for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1)]
+        expected = [
+            (derived.reconstruction_errors(m), derived.repair_values(m), *derived.forward(m))
+            for m in matrices
+        ]
+        for width in (2, 3):
+            engine = InferenceEngine(model, width=width)
+            for matrix, (errors, repairs, recon, repair) in zip(matrices, expected):
+                np.testing.assert_array_equal(engine.reconstruction_errors(matrix), errors)
+                np.testing.assert_array_equal(engine.repair_values(matrix), repairs)
+                forward_recon, forward_repair = engine.forward(matrix)
+                np.testing.assert_array_equal(forward_recon, recon)
+                np.testing.assert_array_equal(forward_repair, repair)
+        errors, repairs = expected[0][:2]
         for chunk_size in (1, 77, 512, 4096):
-            engine = InferenceEngine(model, chunk_size=chunk_size)
-            np.testing.assert_array_equal(engine.reconstruction_errors(matrix), errors)
-            np.testing.assert_array_equal(engine.repair_values(matrix), repairs)
+            for width in (1, 2, 3):
+                engine = InferenceEngine(model, chunk_size=chunk_size, width=width)
+                np.testing.assert_array_equal(engine.reconstruction_errors(tiled), errors)
+                np.testing.assert_array_equal(engine.repair_values(tiled), repairs)
 
     def test_derived_chunk_shrinks_with_model_width(self):
         widths = [(4, 16), (4, 24), (12, 64), (18, 64), (64, 256), (128, 512), (256, 512)]
@@ -143,6 +161,110 @@ class TestEngineParity:
         pipeline, _ = fitted
         with pytest.raises(ValueError):
             pipeline.engine.reconstruction_errors(np.zeros((10, 99)))
+
+    def test_concurrent_callers_share_fanned_out_engine(self, fitted):
+        # More callers than CPUs, and a switch interval short enough to
+        # interleave them inside every chunk claim: each caller still
+        # gets exactly the serial result, and none of them hangs.
+        import sys
+        import threading
+
+        pipeline, holdout = fitted
+        model = pipeline.model
+        matrix = np.tile(pipeline.preprocessor.transform(holdout), (2, 1))
+        serial = InferenceEngine(model, chunk_size=97, width=1)
+        engine = InferenceEngine(model, chunk_size=97, width=2)
+        sizes = (matrix.shape[0], 1, 96, 97, 98, 195, 1000)
+        expected = {n: serial.forward(matrix[:n]) for n in sizes}
+        mismatches: list[int] = []
+        errors: list[BaseException] = []
+
+        def caller(offset: int) -> None:
+            try:
+                for i in range(6):
+                    n = sizes[(offset + i) % len(sizes)]
+                    recon, repair = engine.forward(matrix[:n])
+                    squared = engine.reconstruction_errors(matrix[:n])
+                    want_recon, want_repair = expected[n]
+                    if not (
+                        np.array_equal(recon, want_recon)
+                        and np.array_equal(repair, want_repair)
+                        and np.array_equal(squared, (want_recon - matrix[:n]) ** 2)
+                    ):
+                        mismatches.append(n)
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "a caller of the shared engine hung"
+        finally:
+            sys.setswitchinterval(previous)
+        assert not errors
+        assert not mismatches
+
+    def test_helper_chunk_exception_reaches_caller(self, fitted, monkeypatch):
+        import threading
+
+        pipeline, holdout = fitted
+        matrix = pipeline.preprocessor.transform(holdout)
+        engine = InferenceEngine(pipeline.model, chunk_size=100, width=2)
+        expected = InferenceEngine(pipeline.model, width=1).reconstruction_errors(matrix)
+        caller = threading.current_thread()
+        decoder = engine._validation_decoder
+        helper_failed = threading.Event()
+
+        def failing_in_helper(z, ws=None):
+            if threading.current_thread() is caller:
+                # Hold the caller on its first chunk until a helper has
+                # claimed one, so the failure surely lands in a helper.
+                helper_failed.wait(timeout=30)
+                return decoder(z, ws)
+            helper_failed.set()
+            raise RuntimeError("helper chunk failed")
+
+        monkeypatch.setattr(engine, "_validation_decoder", failing_in_helper)
+        with pytest.raises(RuntimeError, match="helper chunk failed"):
+            engine.reconstruction_errors(matrix)
+        assert helper_failed.is_set()
+        monkeypatch.undo()
+        np.testing.assert_array_equal(engine.reconstruction_errors(matrix), expected)
+        # A pool that refuses work (as every executor does once the
+        # interpreter starts shutting down) leaves the chunks to the caller.
+        engine._pool.shutdown()
+        np.testing.assert_array_equal(engine.reconstruction_errors(matrix), expected)
+
+    def test_width_follows_the_cpus_the_process_may_use(self, fitted, tmp_path, monkeypatch):
+        import os
+
+        from repro.runtime import sharding
+
+        pipeline, holdout = fitted
+        matrix = pipeline.preprocessor.transform(holdout)
+        # Shard workers already cover the CPUs: their engines never fan out.
+        archive = tmp_path / "p.npz"
+        pipeline.save(archive)
+        monkeypatch.setattr(sharding, "_WORKER", {})
+        sharding._worker_init(str(archive), 64)
+        assert sharding._WORKER["validator"].engine.width == 1
+
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("os.sched_setaffinity is unavailable on this platform")
+        previous = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(previous)})
+        try:
+            engine = InferenceEngine(pipeline.model, chunk_size=64)
+            assert engine.width == 1
+            engine.reconstruction_errors(matrix)
+            assert engine._pool is None
+        finally:
+            os.sched_setaffinity(0, previous)
 
     def test_workspace_buffers_are_reused(self):
         ws = Workspace()

@@ -428,6 +428,53 @@ class TestServiceSharding:
             assert summary.n_rows == holdout.n_rows
             assert service.pipeline_stats()["pinned"]["rows_validated"] == holdout.n_rows
 
+    def test_invalidated_pool_build_serves_in_process(self, fitted, tmp_path, monkeypatch):
+        # Every pool build is invalidated by a re-registration that lands
+        # while it runs: the build is closed and never cached, and the
+        # request is served in process after exactly that one build.
+        from repro.runtime.streaming import StreamingValidator
+
+        pipeline, holdout = fitted
+        path = tmp_path / "p.npz"
+        pipeline.save(path)
+        chunks = [
+            holdout.take(np.arange(i, min(i + 200, holdout.n_rows)))
+            for i in range(0, holdout.n_rows, 200)
+        ]
+        expected = pipeline.validate(holdout)
+        expected_stream = StreamingValidator(pipeline._require_validator()).validate_stream(
+            iter(chunks)
+        )
+        with ValidationService(shard_workers=2) as service:
+            service.register("p", path)
+            build = ParallelValidator.from_pipeline.__func__
+            built = []
+
+            def churned_build(cls, *args, **kwargs):
+                parallel = build(cls, *args, **kwargs)
+                with service._lock:
+                    service._generations["p"] += 1
+                built.append(parallel)
+                return parallel
+
+            monkeypatch.setattr(ParallelValidator, "from_pipeline", classmethod(churned_build))
+            report = service.validate_sharded("p", holdout, workers=2)
+            assert len(built) == 1 and built[0]._closed
+            assert service._parallel == {}
+            np.testing.assert_array_equal(report.row_flags, expected.row_flags)
+            np.testing.assert_array_equal(report.cell_errors, expected.cell_errors)
+            assert report.is_problematic == expected.is_problematic
+
+            summary = service.validate_stream_sharded("p", iter(chunks), workers=2)
+            assert len(built) == 2 and built[1]._closed
+            assert service._parallel == {}
+            assert summary.n_chunks == expected_stream.n_chunks == len(chunks)
+            np.testing.assert_array_equal(summary.flagged_rows, expected_stream.flagged_rows)
+            assert summary.is_problematic == expected_stream.is_problematic
+            assert summary.max_sample_error == expected_stream.max_sample_error
+            assert service._shard_available == service.shard_workers
+            assert service.pipeline_stats()["p"]["validations"] == 2
+
     def test_reregister_closes_stale_shard_pools(self, fitted, tmp_path):
         pipeline, holdout = fitted
         path = tmp_path / "p.npz"
