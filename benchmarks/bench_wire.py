@@ -201,7 +201,7 @@ def test_out_of_core_frame_stream(scale, tmp_path):
     """A frame file several times the gateway's body budget validates
     through ``/validate_stream`` with bounded memory on both ends."""
     from repro.runtime import ValidationService
-    from repro.serve import Client, ValidationGateway
+    from repro.serve import AsyncGateway, Client
 
     schema = _stream_schema()
     chunk_rows = 65_536
@@ -223,7 +223,7 @@ def test_out_of_core_frame_stream(scale, tmp_path):
     service = ValidationService(capacity=2, shard_workers=0)
     service.add("demo", pipeline)
     rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    with ValidationGateway(service, port=0, max_body_bytes=max_body_bytes) as gateway:
+    with AsyncGateway(service, port=0, max_body_bytes=max_body_bytes) as gateway:
         client = Client(port=gateway.port)
         with Timer() as timer:
             summary = client.validate_frame_file("demo", path)

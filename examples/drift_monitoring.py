@@ -22,7 +22,7 @@ import numpy as np
 from repro.core import DQuaG, DQuaGConfig
 from repro.data import ColumnKind, ColumnSpec, Table, TableSchema
 from repro.runtime import ValidationService
-from repro.serve import Client, ValidationGateway
+from repro.serve import AsyncGateway, Client
 
 
 def make_table(n: int, seed: int, shift: float = 0.0) -> Table:
@@ -75,7 +75,7 @@ def main() -> None:
     print("  ", service.monitor_snapshot("demo").summary())
 
     # -- 3. over HTTP -------------------------------------------------------
-    with ValidationGateway(service, port=0) as gateway:
+    with AsyncGateway(service, port=0) as gateway:
         client = Client(port=gateway.port)
         for i in range(4):
             client.validate("demo", make_table(300, seed=10 + i, shift=0.5))

@@ -17,7 +17,7 @@ import numpy as np
 from repro.data import Table
 from repro.errors import NumericAnomalyInjector
 from repro.runtime import ValidationService
-from repro.serve import Client, ValidationGateway
+from repro.serve import AsyncGateway, Client
 from repro.serve.cli import DEMO_RECORD, fit_demo_pipeline
 from repro.utils.logging import configure_demo_logging
 
@@ -49,7 +49,7 @@ def main() -> None:
 
     # port=0 binds an ephemeral port; a real deployment would run
     # `repro-serve --pipeline demo=model.npz --port 8080` instead.
-    with ValidationGateway(service, port=0) as gateway:
+    with AsyncGateway(service, port=0) as gateway:
         print(f"\ngateway listening on {gateway.url}")
         client = Client(port=gateway.port)
 

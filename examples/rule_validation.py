@@ -28,7 +28,7 @@ from repro.data import ColumnKind, ColumnSpec, Table, TableSchema
 from repro.exceptions import GatewayError
 from repro.rules import RuleSet
 from repro.runtime import ValidationService
-from repro.serve import Client, ValidationGateway
+from repro.serve import AsyncGateway, Client
 
 RULES = {
     "name": "demo-checks",
@@ -108,7 +108,7 @@ def main() -> None:
     # -- 3. the serving layer ----------------------------------------------
     service = ValidationService(capacity=4)
     service.add("demo", pipeline)
-    with ValidationGateway(service, port=0) as gateway:
+    with AsyncGateway(service, port=0) as gateway:
         client = Client(port=gateway.port)
         client.set_rules("demo", RULES)
         print("\nPUT /v1/pipelines/demo/rules ->", client.get_rules("demo"))

@@ -37,10 +37,10 @@ def __getattr__(name: str):
         import repro.api as api
 
         return getattr(api, name)
-    if name in {"Client", "ValidationGateway"}:
-        import repro.serve as serve
+    if name == "Client":
+        from repro.serve import Client
 
-        return getattr(serve, name)
+        return Client
     if name in {"DriftMonitor", "MonitorSnapshot", "DriftAlert", "MonitorBaseline"}:
         import repro.monitor as monitor
 

@@ -8,22 +8,21 @@ Examples::
     repro-serve --demo --rules checks.json  # attach declarative rules
     repro-serve --pipeline hotel=m.npz --rules hotel=checks.json
     repro-serve --demo --batch-window-ms 5 --max-batch-rows 16384
-    repro-serve --demo --threaded           # previous thread-per-connection server
     repro-serve --demo --replicas 2         # router tier over 2 worker replicas
 
-The default server is the :class:`~repro.serve.transport.AsyncGateway`:
-an asyncio event loop fronting a dynamic micro-batching
+The server is the :class:`~repro.serve.transport.AsyncGateway`: an
+asyncio event loop fronting a dynamic micro-batching
 :class:`~repro.serve.scheduler.RequestScheduler` that coalesces
 concurrent small validate requests into fused engine slabs
 (``--batch-window-ms`` / ``--max-batch-rows``) with bounded-queue
 admission control (``--max-queue-depth`` → HTTP 429 + ``Retry-After``)
-and per-pipeline QoS weights (``--qos-weight``). ``--threaded`` keeps
-the previous thread-per-connection ``ValidationGateway`` for one
-release. ``--replicas N`` switches to router mode: N ``AsyncGateway``
-worker processes are spawned and warmed from the weight archives
+and per-pipeline QoS weights (``--qos-weight``). ``--replicas N``
+switches to router mode: N ``AsyncGateway`` worker processes are
+spawned and warmed from the weight archives
 (:class:`~repro.serve.fleet.GatewayFleet`) and a
-:class:`~repro.serve.router.RouterGateway` on ``--port`` fronts them —
-same protocol, same client, fleet-wide capacity.
+:class:`~repro.serve.router.RouterGateway` on ``--port`` fronts them on
+the same asyncio front — same protocol, same client, fleet-wide
+capacity.
 
 Then::
 
@@ -49,7 +48,6 @@ import sys
 
 from repro.exceptions import ReproError
 from repro.runtime.service import ValidationService
-from repro.serve.gateway import ValidationGateway
 from repro.serve.transport import AsyncGateway
 from repro.utils.logging import configure_demo_logging
 
@@ -148,29 +146,15 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="router mode: spawn N async worker replicas from the weight "
-        "archives and front them with a consistent-hash router on --port "
-        "(requires the async gateway)",
-    )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="serve on the asyncio gateway with micro-batching (the default)",
-    )
-    mode.add_argument(
-        "--threaded",
-        action="store_true",
-        help="serve on the previous thread-per-connection gateway "
-        "(no request coalescing; kept for one release)",
+        help="router mode: spawn N worker replicas from the weight "
+        "archives and front them with a consistent-hash router on --port",
     )
     parser.add_argument(
         "--batch-window-ms",
         type=float,
         default=2.0,
         help="micro-batching latency budget: how long a validate request may "
-        "wait for co-batchable traffic (default: 2.0; async gateway only)",
+        "wait for co-batchable traffic (default: 2.0)",
     )
     parser.add_argument(
         "--max-batch-rows",
@@ -229,12 +213,32 @@ def main(argv: list[str] | None = None) -> int:
     if args.max_queue_depth < 1:
         parser.error(f"--max-queue-depth must be positive, got {args.max_queue_depth}")
 
+    if args.replicas is not None and args.replicas < 1:
+        parser.error(f"--replicas must be positive, got {args.replicas}")
+
+    archives: dict[str, str] = {}
+    for spec in args.pipeline:
+        name, separator, archive = spec.partition("=")
+        if not separator or not name or not archive:
+            parser.error(f"--pipeline expects NAME=ARCHIVE, got {spec!r}")
+        archives[name] = archive
+    names = sorted({*archives, *(["demo"] if args.demo else [])})
+    if not names:
+        parser.error("nothing to serve: pass --pipeline NAME=ARCHIVE and/or --demo")
+    # A bare FILE applies to every served pipeline; the last rule file
+    # named for a pipeline wins.
+    rules: dict[str, str] = {}
+    for spec in args.rules:
+        name, separator, rule_file = spec.partition("=")
+        if separator and (not name or not rule_file):
+            parser.error(f"--rules expects [NAME=]FILE, got {spec!r}")
+        if separator and name not in names:
+            parser.error(f"--rules names unknown pipeline {name!r}; registered: {names}")
+        for target in ([name] if separator else names):
+            rules[target] = rule_file if separator else spec
+
     if args.replicas is not None:
-        if args.replicas < 1:
-            parser.error(f"--replicas must be positive, got {args.replicas}")
-        if args.threaded:
-            parser.error("--replicas requires the async gateway (drop --threaded)")
-        return _serve_fleet(args, parser, max_body_bytes, qos_weights)
+        return _serve_fleet(args, archives, rules, max_body_bytes, qos_weights)
 
     service = ValidationService(
         capacity=args.capacity,
@@ -244,53 +248,29 @@ def main(argv: list[str] | None = None) -> int:
         use_shm=False if args.no_shm else None,
     )
     try:
-        for spec in args.pipeline:
-            name, separator, archive = spec.partition("=")
-            if not separator or not name or not archive:
-                parser.error(f"--pipeline expects NAME=ARCHIVE, got {spec!r}")
+        for name, archive in archives.items():
             service.register(name, archive)
         if args.demo:
             print("fitting demo pipeline...", flush=True)
             service.add("demo", fit_demo_pipeline())
-        if not service.registered:
-            parser.error("nothing to serve: pass --pipeline NAME=ARCHIVE and/or --demo")
+        # set_rules compiles eagerly, so an incompatible rule file fails
+        # startup rather than requests.
+        for target, rule_file in rules.items():
+            service.set_rules(target, rule_file)
+            print(f"attached rules {rule_file} -> {target}", flush=True)
 
-        # Rules are attached after every pipeline is registered so a bare
-        # FILE can fan out to all of them; set_rules compiles eagerly, so
-        # an incompatible rule file fails startup rather than requests.
-        for spec in args.rules:
-            name, separator, rule_file = spec.partition("=")
-            if separator and (not name or not rule_file):
-                parser.error(f"--rules expects [NAME=]FILE, got {spec!r}")
-            targets = [name] if separator else service.registered
-            if separator and name not in service.registered:
-                parser.error(
-                    f"--rules names unknown pipeline {name!r}; "
-                    f"registered: {service.registered}"
-                )
-            for target in targets:
-                service.set_rules(target, rule_file if separator else spec)
-                print(f"attached rules {rule_file if separator else spec} -> {target}", flush=True)
-
-        if args.threaded:
-            gateway = ValidationGateway(
-                service, host=args.host, port=args.port, max_body_bytes=max_body_bytes
-            )
-            mode_label = "threaded"
-        else:
-            gateway = AsyncGateway(
-                service,
-                host=args.host,
-                port=args.port,
-                max_body_bytes=max_body_bytes,
-                batch_window_ms=args.batch_window_ms,
-                max_batch_rows=args.max_batch_rows,
-                max_queue_depth=args.max_queue_depth,
-                qos_weights=qos_weights or None,
-                shm_ingest=not args.no_shm,
-            )
-            mode_label = "async"
-        print(f"serving {service.registered} on {gateway.url} ({mode_label})", flush=True)
+        gateway = AsyncGateway(
+            service,
+            host=args.host,
+            port=args.port,
+            max_body_bytes=max_body_bytes,
+            batch_window_ms=args.batch_window_ms,
+            max_batch_rows=args.max_batch_rows,
+            max_queue_depth=args.max_queue_depth,
+            qos_weights=qos_weights or None,
+            shm_ingest=not args.no_shm,
+        )
+        print(f"serving {service.registered} on {gateway.url}", flush=True)
         try:
             gateway.serve_forever()
         except KeyboardInterrupt:
@@ -305,20 +285,13 @@ def main(argv: list[str] | None = None) -> int:
         service.close()
 
 
-def _serve_fleet(args, parser, max_body_bytes, qos_weights) -> int:
+def _serve_fleet(args, archives, rules, max_body_bytes, qos_weights) -> int:
     """``--replicas N``: spawn a worker fleet and front it with a router."""
     import os
     import tempfile
 
     from repro.serve.fleet import GatewayFleet
     from repro.serve.router import RouterGateway
-
-    archives: dict[str, str] = {}
-    for spec in args.pipeline:
-        name, separator, archive = spec.partition("=")
-        if not separator or not name or not archive:
-            parser.error(f"--pipeline expects NAME=ARCHIVE, got {spec!r}")
-        archives[name] = archive
 
     demo_archive: str | None = None
     try:
@@ -332,21 +305,6 @@ def _serve_fleet(args, parser, max_body_bytes, qos_weights) -> int:
             os.close(handle)
             fit_demo_pipeline().save(demo_archive)
             archives["demo"] = demo_archive
-        if not archives:
-            parser.error("nothing to serve: pass --pipeline NAME=ARCHIVE and/or --demo")
-
-        rules: dict[str, str] = {}
-        for spec in args.rules:
-            name, separator, rule_file = spec.partition("=")
-            if separator and (not name or not rule_file):
-                parser.error(f"--rules expects [NAME=]FILE, got {spec!r}")
-            if separator and name not in archives:
-                parser.error(
-                    f"--rules names unknown pipeline {name!r}; "
-                    f"registered: {sorted(archives)}"
-                )
-            for target in ([name] if separator else sorted(archives)):
-                rules[target] = rule_file if separator else spec
 
         fleet = GatewayFleet(
             archives,

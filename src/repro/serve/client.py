@@ -1,4 +1,4 @@
-"""Stdlib HTTP client for the validation gateway.
+"""Stdlib HTTP client for the validation servers.
 
 A thin :class:`Client` over ``http.client`` that speaks the
 :mod:`repro.api` protocol: requests go out as JSON records or binary
@@ -47,10 +47,11 @@ def _as_records(rows: "Table | list[dict]") -> list[dict]:
 
 
 class Client:
-    """Talks to a :class:`~repro.serve.gateway.ValidationGateway`.
+    """Talks to an :class:`~repro.serve.transport.AsyncGateway` or a
+    :class:`~repro.serve.router.RouterGateway` (same ``/v1`` protocol).
 
     Connections are pooled: each calling thread keeps one persistent
-    keep-alive connection (both gateways speak HTTP/1.1), so request
+    keep-alive connection (the servers speak HTTP/1.1), so request
     latency is not dominated by TCP handshakes under load. A stale
     pooled socket — the server closed an idle keep-alive between
     requests — is detected (``BadStatusLine`` / connection reset before

@@ -1,7 +1,12 @@
-"""Stdlib-only HTTP gateway over a :class:`ValidationService`.
+"""The ``/v1`` HTTP contract shared by every server in :mod:`repro.serve`.
 
-A :class:`ValidationGateway` puts a wire boundary in front of the
-multi-pipeline serving layer using nothing but ``http.server``:
+Both servers — :class:`~repro.serve.transport.AsyncGateway` in front of
+one :class:`ValidationService` and
+:class:`~repro.serve.router.RouterGateway` in front of a fleet of them —
+answer the same routes with the same payloads and the same errors, and
+this module holds what they share: the route patterns, query-parameter
+parsing, the health envelope, ``Accept-Encoding`` and ``Retry-After``
+handling, and the exception → status mapping. The routes:
 
 * ``GET  /v1/healthz`` — liveness + protocol version;
 * ``GET  /v1/pipelines`` — :class:`ServiceStats` snapshot (per-pipeline
@@ -17,9 +22,9 @@ multi-pipeline serving layer using nothing but ``http.server``:
 * ``POST /v1/pipelines/{name}/repair`` — records in; repaired records,
   the :class:`RepairSummary`, and the pre-repair report out;
 * ``POST /v1/pipelines/{name}/validate_stream`` — NDJSON chunks in
-  (Content-Length or chunked transfer encoding), a chunked NDJSON
-  response out: one acknowledgement line per processed chunk, then the
-  final :class:`StreamSummary` envelope. Rides
+  (Content-Length or chunked transfer encoding), an NDJSON response
+  out: one acknowledgement line per processed chunk, then the final
+  :class:`StreamSummary` envelope. Rides
   :class:`~repro.runtime.streaming.StreamingValidator`, so memory stays
   bounded by the chunk size regardless of stream length;
 * ``PUT/GET/DELETE /v1/pipelines/{name}/rules`` — attach, fetch, or
@@ -50,55 +55,37 @@ through :meth:`ValidationService.validate_sharded` /
 processes governed by the service's budget, results identical to the
 in-process path.
 
-Every request is handled on its own thread (``ThreadingHTTPServer``);
-the NumPy kernels underneath release the GIL, so concurrent batches
-overlap. When a :class:`~repro.serve.scheduler.RequestScheduler` is
-attached, non-sharded validate requests additionally coalesce into
-fused engine slabs (429 + ``Retry-After`` under backpressure). For a
-thread-free transport over the same routes see
-:class:`~repro.serve.transport.AsyncGateway`. Errors come back as
-``{"kind": "error", ...}`` envelopes with conventional status codes
-(400 malformed, 404 unknown, 413 oversized body — bounded by
-``max_body_bytes`` — 429 admission, and 500 internal). ``close()``
-drains in-flight handlers before the socket and shard pools go away.
+Errors come back as ``{"kind": "error", ...}`` envelopes with
+conventional status codes (:func:`failure_status`): 400 malformed, 404
+unknown, 413 oversized body, 415 unsupported encoding, 422 rule config,
+429 admission (+ ``Retry-After``), 503 transient, and 500 internal.
 """
 
 from __future__ import annotations
 
-import gzip
-import json
 import math
 import re
-import socket
-import threading
-import time
-import zlib
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterator
-from urllib.parse import parse_qs, unquote, urlsplit
+from urllib.parse import parse_qs
 
 import repro
 from repro.api import framing
-from repro.api.protocol import SCHEMA_VERSION, envelope
-from repro.api.requests import RepairRequest, ValidateRequest
-from repro.data.table import Table
+from repro.api.protocol import envelope
 from repro.exceptions import (
     AdmissionError,
     FrameSizeError,
     ReproError,
     RuleConfigError,
-    SchemaError,
     TransientServiceError,
-    ValidationError,
 )
-from repro.monitor.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from repro.runtime.service import ValidationService
-from repro.runtime.streaming import StreamingValidator
-from repro.utils.logging import get_logger
 
-__all__ = ["ValidationGateway"]
-
-logger = get_logger("serve.gateway")
+__all__ = [
+    "accepts_gzip",
+    "failure_status",
+    "format_retry_after",
+    "health_payload",
+    "parse_query_flag",
+    "parse_query_workers",
+]
 
 _ROUTE = re.compile(r"^/v1/pipelines/(?P<name>[^/]+)/(?P<action>validate|repair|validate_stream)$")
 _MONITOR_ROUTE = re.compile(r"^/v1/pipelines/(?P<name>[^/]+)/monitor$")
@@ -120,7 +107,7 @@ def _error_payload(status: int, message: str) -> dict:
 
 
 def parse_query_workers(query: str) -> int | None:
-    """Parse a ``?workers=N`` query parameter (shared by both transports)."""
+    """Parse a ``?workers=N`` query parameter."""
     values = parse_qs(query).get("workers")
     if not values:
         return None
@@ -150,8 +137,8 @@ def format_retry_after(seconds: float) -> str:
     """RFC 9110 delta-seconds: whole seconds, rounded up, never ``0``.
 
     Retry-After does not speak fractions, and ``0`` would invite an
-    immediate hammer — both transports (and the router) send hints
-    through this one formatter.
+    immediate hammer — every server sends its hints through this one
+    formatter.
     """
     return str(max(1, math.ceil(seconds)))
 
@@ -173,13 +160,13 @@ def accepts_gzip(header: str | None) -> bool:
 
 
 def health_payload(
-    service: "ValidationService", draining: bool = False, shm_ingest: bool = False
+    service, draining: bool = False, shm_ingest: bool = False
 ) -> dict:
-    """The ``/v1/healthz`` envelope (shared by both transports).
+    """A gateway's ``/v1/healthz`` envelope.
 
     ``draining=True`` reports ``status: "draining"`` — the gateway has
-    begun :meth:`close` and is finishing in-flight work. Transports pair
-    it with HTTP 503 so load balancers and the router stop sending new
+    begun ``close()`` and is finishing in-flight work. Servers pair it
+    with HTTP 503 so load balancers and the router stop sending new
     traffic before the socket actually goes away.
     """
     payload = envelope("health")
@@ -205,9 +192,9 @@ def health_payload(
 def failure_status(exc: Exception) -> tuple[int, str, float | None]:
     """Map an exception to ``(HTTP status, message, Retry-After seconds)``.
 
-    Shared by the threaded and asyncio transports so both speak the same
-    error contract. ``Retry-After`` is ``None`` except for admission
-    rejections (429 backpressure). A 500 means the transport should also
+    Every server answers through it, so all speak the same error
+    contract. ``Retry-After`` is ``None`` except for admission
+    rejections (429 backpressure). A 500 means the server should also
     log the traceback (the only non-client-caused branch).
     """
     if isinstance(exc, _RequestError):
@@ -241,753 +228,3 @@ def failure_status(exc: Exception) -> tuple[int, str, float | None]:
         # client-caused.
         return 400, str(exc), None
     return 500, f"internal error: {exc}", None
-
-
-class _GatewayServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address, handler, gateway: "ValidationGateway") -> None:
-        self.gateway = gateway
-        # Handler threads are daemons, which socketserver deliberately
-        # does not track or join — so a bare server_close() can race
-        # still-running handlers. Count in-flight *requests* (a pooled
-        # keep-alive connection parked between requests is idle, not in
-        # flight — it must not stall close()'s drain) and track open
-        # connection sockets so close() can hang up the idle ones.
-        self._inflight = 0
-        self._inflight_cv = threading.Condition()
-        self._connections: set = set()
-        super().__init__(address, handler)
-
-    def process_request_thread(self, request, client_address) -> None:
-        with self._inflight_cv:
-            self._connections.add(request)
-        try:
-            super().process_request_thread(request, client_address)
-        finally:
-            with self._inflight_cv:
-                self._connections.discard(request)
-                self._inflight_cv.notify_all()
-
-    def request_started(self) -> None:
-        with self._inflight_cv:
-            self._inflight += 1
-
-    def request_finished(self) -> None:
-        with self._inflight_cv:
-            self._inflight -= 1
-            self._inflight_cv.notify_all()
-
-    def drain(self, timeout: float) -> bool:
-        """Wait for in-flight requests; True when all finished."""
-        deadline = time.monotonic() + timeout
-        with self._inflight_cv:
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._inflight_cv.wait(remaining)
-        return True
-
-    def close_idle_connections(self) -> None:
-        """Hang up every tracked connection (called after drain: anything
-        left is a keep-alive peer waiting for its next request). The
-        socket shutdown pops their blocked reads with EOF, so handler
-        threads exit instead of lingering on dead clients."""
-        with self._inflight_cv:
-            connections = list(self._connections)
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-
-
-class _Handler(BaseHTTPRequestHandler):
-    # HTTP/1.1 gives us keep-alive for clients and chunked responses for
-    # the streaming endpoint; every response must then declare either a
-    # Content-Length or Transfer-Encoding, which _send_json guarantees.
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-serve"
-
-    @property
-    def gateway(self) -> "ValidationGateway":
-        return self.server.gateway
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
-        logger.info("%s %s", self.address_string(), format % args)
-
-    def handle_one_request(self) -> None:
-        """Stdlib request loop body, with in-flight accounting.
-
-        The blocking wait for a request line happens *outside* the
-        server's in-flight count: a pooled keep-alive client parked
-        between requests is idle, and close()'s drain must not wait on
-        it. Only once bytes arrive does the request count (and block a
-        drain) until its response is written.
-        """
-        from http import HTTPStatus
-
-        try:
-            self.raw_requestline = self.rfile.readline(65537)
-            if len(self.raw_requestline) > 65536:
-                self.requestline = ""
-                self.request_version = ""
-                self.command = ""
-                self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
-                return
-            if not self.raw_requestline:
-                self.close_connection = True
-                return
-            self.server.request_started()
-            try:
-                if not self.parse_request():
-                    return  # parse_request already sent the error
-                method = getattr(self, "do_" + self.command, None)
-                if method is None:
-                    self.send_error(
-                        HTTPStatus.NOT_IMPLEMENTED,
-                        "Unsupported method (%r)" % self.command,
-                    )
-                    return
-                method()
-                self.wfile.flush()
-            finally:
-                self.server.request_finished()
-        except TimeoutError as exc:
-            self.log_error("Request timed out: %r", exc)
-            self.close_connection = True
-
-    # -- dispatch ----------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            path = urlsplit(self.path).path
-            if path == "/v1/healthz":
-                payload = self.gateway.healthz()
-                self._send_json(200 if payload["status"] == "ok" else 503, payload)
-            elif path == "/v1/pipelines":
-                self._send_json(200, self.gateway.service.stats_snapshot().to_dict())
-            elif path == "/v1/metrics":
-                self._send_text(200, self.gateway.metrics_text(), PROMETHEUS_CONTENT_TYPE)
-            elif (match := _MONITOR_ROUTE.match(path)) is not None:
-                self._handle_monitor(unquote(match["name"]))
-            elif (match := _RULES_ROUTE.match(path)) is not None:
-                self._handle_get_rules(unquote(match["name"]))
-            else:
-                raise _RequestError(404, f"no such route: GET {path}")
-        except Exception as exc:
-            self._send_failure(exc)
-
-    def _require_pipeline(self, name: str) -> None:
-        if name not in self.gateway.service.registered:
-            raise _RequestError(404, f"unknown pipeline {name!r}")
-
-    def _handle_get_rules(self, name: str) -> None:
-        self._require_pipeline(name)
-        ruleset = self.gateway.service.get_rules(name)
-        if ruleset is None:
-            raise _RequestError(404, f"no rule set attached to pipeline {name!r}")
-        self._send_json(200, ruleset.to_dict())
-
-    def do_PUT(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            path = urlsplit(self.path).path
-            match = _RULES_ROUTE.match(path)
-            if match is None:
-                raise _RequestError(404, f"no such route: PUT {path}")
-            name = unquote(match["name"])
-            self._require_pipeline(name)
-            payload = self._read_json()
-            if not isinstance(payload, dict):
-                raise _RequestError(400, "rule set body must be a JSON object")
-            self.gateway.service.set_rules(name, payload)
-            # Echo the canonical stored form (envelope + defaults filled
-            # in), so clients see exactly what later validates will use.
-            self._send_json(200, self.gateway.service.get_rules(name).to_dict())
-        except Exception as exc:
-            self._send_failure(exc)
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            path = urlsplit(self.path).path
-            match = _RULES_ROUTE.match(path)
-            if match is None:
-                raise _RequestError(404, f"no such route: DELETE {path}")
-            name = unquote(match["name"])
-            self._require_pipeline(name)
-            deleted = self.gateway.service.clear_rules(name)
-            payload = envelope("rules_deleted")
-            payload.update(pipeline=name, deleted=deleted)
-            self._send_json(200, payload)
-        except Exception as exc:
-            self._send_failure(exc)
-
-    def _handle_monitor(self, name: str) -> None:
-        if name not in self.gateway.service.registered:
-            raise _RequestError(404, f"unknown pipeline {name!r}")
-        snapshot = self.gateway.service.monitor_snapshot(name)
-        if snapshot is None:
-            raise _RequestError(
-                404,
-                f"no drift monitor for pipeline {name!r} (monitoring disabled "
-                "or the archive predates monitoring baselines)",
-            )
-        self._send_json(200, snapshot.to_dict())
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            parts = urlsplit(self.path)
-            match = _ROUTE.match(parts.path)
-            if match is None:
-                raise _RequestError(404, f"no such route: POST {parts.path}")
-            name = unquote(match["name"])
-            if name not in self.gateway.service.registered:
-                raise _RequestError(404, f"unknown pipeline {name!r}")
-            action = match["action"]
-            query_workers = self._query_workers(parts.query)
-            if action == "validate":
-                self._handle_validate(name, query_workers)
-            elif action == "repair":
-                self._handle_repair(name)
-            else:
-                self._handle_validate_stream(
-                    name, query_workers, parse_query_flag(parts.query, "partials")
-                )
-        except Exception as exc:
-            self._send_failure(exc)
-
-    @staticmethod
-    def _query_workers(query: str) -> int | None:
-        return parse_query_workers(query)
-
-    # -- content negotiation -----------------------------------------------
-    def _frame_request(self) -> bool:
-        """True when the request body is a binary columnar frame."""
-        return framing.matches_frame_content_type(self.headers.get("Content-Type"))
-
-    def _accepts_frame(self) -> bool:
-        """True when the client asked for a framed response via Accept."""
-        return framing.matches_frame_content_type(self.headers.get("Accept"))
-
-    def _accepts_gzip(self) -> bool:
-        return accepts_gzip(self.headers.get("Accept-Encoding"))
-
-    def _read_frame_request(self, name: str) -> "framing.Frame":
-        """Decode a framed request body against the pipeline's schema."""
-        schema = self.gateway.service.get(name).preprocessor.schema
-        frame = framing.decode_frame(self._read_body(), schema=schema)
-        if frame.table is None:
-            raise _RequestError(400, "framed request carries no table payload")
-        if frame.table.n_rows == 0:
-            raise _RequestError(400, "framed request table must not be empty")
-        return frame
-
-    # -- endpoints ---------------------------------------------------------
-    def _handle_validate(self, name: str, query_workers: int | None = None) -> None:
-        if self._frame_request():
-            frame = self._read_frame_request(name)
-            request = ValidateRequest.from_options(frame.extra, pipeline=name)
-            table = frame.table
-        else:
-            request = ValidateRequest.from_payload(self._read_json(), pipeline=name)
-            table = None
-        if request.pipeline != name:
-            raise _RequestError(
-                400, f"request pipeline {request.pipeline!r} does not match URL {name!r}"
-            )
-        if table is None:
-            table = self._build_table(name, request.records)
-        workers = request.workers if request.workers is not None else query_workers
-        if workers is not None and workers > 1:
-            report = self.gateway.service.validate_sharded(name, table, workers=workers)
-        elif self.gateway.scheduler is not None:
-            # Micro-batching: the request joins its pipeline's queue and
-            # may be fused with concurrent small requests into one engine
-            # slab; the future resolves to this request's own report,
-            # bit-identical to the direct path. A full queue raises
-            # AdmissionError → 429 + Retry-After.
-            report = self.gateway.scheduler.submit(name, table).result()
-        else:
-            report = self.gateway.service.validate(name, table)
-        errors = "dense" if request.include_errors else "sparse"
-        if self._accepts_frame():
-            self._send_bytes(200, framing.report_to_frame(report, errors=errors))
-        else:
-            self._send_json(200, report.to_dict(errors=errors))
-
-    def _handle_repair(self, name: str) -> None:
-        if self._frame_request():
-            frame = self._read_frame_request(name)
-            request = RepairRequest.from_options(frame.extra, pipeline=name)
-            table = frame.table
-        else:
-            request = RepairRequest.from_payload(self._read_json(), pipeline=name)
-            table = None
-        if request.pipeline != name:
-            raise _RequestError(
-                400, f"request pipeline {request.pipeline!r} does not match URL {name!r}"
-            )
-        if table is None:
-            table = self._build_table(name, request.records)
-        service = self.gateway.service
-        report = service.validate(name, table)
-        repaired, summary = service.repair(
-            name, table, report=report, iterations=request.iterations
-        )
-        errors = "dense" if request.include_errors else "sparse"
-        if self._accepts_frame():
-            # The repaired rows travel as binary columns; the summary and
-            # pre-repair report ride the frame's JSON sidecar.
-            extra = envelope("repair_response")
-            extra.update(repair=summary.to_dict(), report=report.to_dict(errors=errors))
-            self._send_bytes(200, framing.encode_frame(table=repaired, extra=extra))
-            return
-        payload = envelope("repair_response")
-        payload.update(
-            report=report.to_dict(errors=errors),
-            repair=summary.to_dict(),
-            records=repaired.to_records(),
-        )
-        self._send_json(200, payload)
-
-    def _handle_validate_stream(
-        self,
-        name: str,
-        query_workers: int | None = None,
-        emit_partials: bool = False,
-    ) -> None:
-        pipeline = self.gateway.service.get(name)
-        schema = pipeline.preprocessor.schema
-        if emit_partials and query_workers is not None and query_workers > 1:
-            # Sharded execution re-cuts the chunk partition, so its
-            # partials would not line up with the caller's chunks.
-            raise _RequestError(400, "'partials' cannot be combined with 'workers'")
-
-        if self._frame_request():
-            # Framed ingest: the body is a back-to-back frame sequence
-            # (exactly what FrameFileWriter produces), each frame one
-            # chunk. Frames are self-delimiting, so the splitter needs no
-            # separators; max_body_bytes bounds each frame, never the
-            # stream total.
-            def tables() -> Iterator[Table]:
-                frames = framing.iter_frames(
-                    self._iter_body_blocks(bound_total=False),
-                    max_frame_bytes=self.gateway.max_body_bytes,
-                )
-                for view in frames:
-                    frame = framing.decode_frame(view, schema=schema)
-                    if frame.table is None:
-                        raise _RequestError(400, "framed stream chunk carries no table")
-                    yield frame.table
-
-        else:
-            def tables() -> Iterator[Table]:
-                for line in self._iter_body_lines():
-                    try:
-                        payload = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise _RequestError(400, f"malformed NDJSON chunk: {exc}") from exc
-                    records = payload.get("records") if isinstance(payload, dict) else payload
-                    if not isinstance(records, list):
-                        raise _RequestError(400, "each NDJSON line must be a record list")
-                    yield Table.from_records(schema, records)
-
-        # Chunks are validated incrementally (memory stays O(chunk)),
-        # but nothing is *written* until the request body is fully
-        # consumed: stdlib clients send the whole body before reading,
-        # so interleaving acks with their upload would fill both socket
-        # buffers on long streams and deadlock the connection. Deferring
-        # also means any mid-stream failure still gets a clean 400.
-        acks: list[dict] = []
-
-        if query_workers is not None and query_workers > 1:
-            # Sharded execution regroups the stream into shard-sized
-            # super-chunks, so per-client-chunk acks do not apply; the
-            # response is the summary envelope alone.
-            try:
-                summary = self.gateway.service.validate_stream_sharded(
-                    name, tables(), workers=query_workers
-                )
-            except ValidationError as exc:
-                raise _RequestError(400, str(exc)) from exc
-        else:
-            validator = StreamingValidator.from_pipeline(
-                pipeline,
-                monitor=self.gateway.service.monitor_for(name),
-                rules=self.gateway.service.rule_plan_for(name),
-            )
-
-            def acknowledged():
-                for partial in validator.iter_partials(tables()):
-                    if emit_partials:
-                        # ``?partials=1`` (the router's scatter path):
-                        # each ack line is the full wire-encoded partial
-                        # report, so a merger with no live validator can
-                        # fold them exactly.
-                        acks.append(partial.to_dict())
-                    else:
-                        ack = envelope("stream_chunk")
-                        ack.update(
-                            offset=int(partial.offset),
-                            n_rows=int(partial.n_rows),
-                            n_flagged=int(partial.n_flagged),
-                        )
-                        acks.append(ack)
-                    yield partial
-
-            try:
-                summary = validator.fold(acknowledged())
-            except ValidationError as exc:
-                raise _RequestError(400, str(exc)) from exc
-            self.gateway.service.count_validation(name, summary.n_rows)
-
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-        for ack in acks:
-            self._write_chunk_line(ack)
-        self._write_chunk_line(summary.to_dict())
-        self.wfile.write(b"0\r\n\r\n")
-
-    # -- body reading ------------------------------------------------------
-    def _read_body(self) -> bytes:
-        return b"".join(self._iter_body_blocks(bound_total=True))
-
-    def _body_limit_exceeded(self) -> _RequestError:
-        return _RequestError(
-            413,
-            f"request body exceeds the configured limit "
-            f"({self.gateway.max_body_bytes} bytes)",
-        )
-
-    def _iter_body_blocks(self, bound_total: bool) -> Iterator[bytes]:
-        encoding = (self.headers.get("Content-Encoding") or "").strip().lower()
-        if encoding in ("", "identity"):
-            yield from self._iter_transport_blocks(bound_total)
-            return
-        if encoding != "gzip":
-            raise _RequestError(
-                415, f"unsupported Content-Encoding {encoding!r}; use gzip or identity"
-            )
-        # The body limit guards what the server must *hold*, which for a
-        # compressed body is the decompressed size — a tiny gzip bomb
-        # must not expand past max_body_bytes. The transport-level total
-        # bound is therefore lifted here (per-read sizes stay checked)
-        # and re-imposed on the inflated byte count instead.
-        yield from self._iter_gunzip_blocks(
-            self._iter_transport_blocks(bound_total=False), bound_total
-        )
-
-    def _iter_gunzip_blocks(self, blocks: Iterator[bytes], bound_total: bool) -> Iterator[bytes]:
-        limit = self.gateway.max_body_bytes
-        decompressor = zlib.decompressobj(16 + zlib.MAX_WBITS)  # gzip wrapper
-        total = 0
-
-        def bounded(piece: bytes) -> bytes:
-            nonlocal total
-            total += len(piece)
-            if bound_total and total > limit:
-                raise self._body_limit_exceeded()
-            return piece
-
-        try:
-            for block in blocks:
-                data = decompressor.decompress(block, 65536)
-                while True:
-                    if data:
-                        yield bounded(data)
-                    if not decompressor.unconsumed_tail:
-                        break
-                    data = decompressor.decompress(decompressor.unconsumed_tail, 65536)
-            tail = decompressor.flush()
-        except zlib.error as exc:
-            raise _RequestError(400, f"malformed gzip request body: {exc}") from None
-        if tail:
-            yield bounded(tail)
-        if not decompressor.eof:
-            raise _RequestError(400, "truncated gzip request body")
-
-    def _iter_transport_blocks(self, bound_total: bool) -> Iterator[bytes]:
-        # Declared sizes are checked *before* any buffer is allocated: a
-        # hostile Content-Length (or chunk-size hex) must not make the
-        # server reserve arbitrary memory on its behalf. ``bound_total``
-        # additionally caps the cumulative size — right for endpoints
-        # that buffer the whole body (validate/repair), wrong for the
-        # incrementally-consumed streaming endpoint, whose memory is
-        # bounded per chunk and whose total length is unbounded by
-        # design.
-        limit = self.gateway.max_body_bytes
-        transfer = (self.headers.get("Transfer-Encoding") or "").lower()
-        if "chunked" in transfer:
-            yield from self._iter_chunked_blocks(limit, bound_total)
-            return
-        try:
-            remaining = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            raise _RequestError(400, "malformed Content-Length header") from None
-        if bound_total and remaining > limit:
-            raise self._body_limit_exceeded()
-        while remaining > 0:
-            block = self.rfile.read(min(remaining, 65536))
-            if not block:
-                break
-            remaining -= len(block)
-            yield block
-
-    def _iter_chunked_blocks(self, limit: int, bound_total: bool) -> Iterator[bytes]:
-        total = 0
-        while True:
-            size_line = self.rfile.readline(65536).strip()
-            try:
-                size = int(size_line.split(b";", 1)[0], 16)
-            except ValueError:
-                raise _RequestError(400, "malformed chunked transfer encoding") from None
-            if size == 0:
-                # Consume optional trailers up to the terminating blank line.
-                while self.rfile.readline(65536).strip():
-                    pass
-                return
-            if size > limit:
-                raise self._body_limit_exceeded()
-            if bound_total:
-                total += size
-                if total > limit:
-                    raise self._body_limit_exceeded()
-            yield self.rfile.read(size)
-            self.rfile.read(2)  # trailing CRLF
-
-    def _iter_body_lines(self) -> Iterator[bytes]:
-        buffer = b""
-        for block in self._iter_body_blocks(bound_total=False):
-            buffer += block
-            while b"\n" in buffer:
-                line, buffer = buffer.split(b"\n", 1)
-                if line.strip():
-                    yield line
-            # Complete lines are drained first; only the leftover partial
-            # line counts against the limit. Without this cap a
-            # newline-free stream would grow the buffer unboundedly.
-            if len(buffer) > self.gateway.max_body_bytes:
-                raise self._body_limit_exceeded()
-        if buffer.strip():
-            yield buffer
-
-    def _read_json(self) -> object:
-        body = self._read_body()
-        if not body:
-            raise _RequestError(400, "empty request body")
-        try:
-            return json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise _RequestError(400, f"malformed JSON body: {exc}") from exc
-
-    def _build_table(self, name: str, records: list[dict]) -> Table:
-        if not records:
-            raise _RequestError(400, "'records' must not be empty")
-        schema = self.gateway.service.get(name).preprocessor.schema
-        try:
-            return Table.from_records(schema, records)
-        except (SchemaError, TypeError, ValueError) as exc:
-            raise _RequestError(400, f"records do not fit pipeline schema: {exc}") from exc
-
-    # -- response writing --------------------------------------------------
-    def _send_text(self, status: int, body: str, content_type: str) -> None:
-        encoded = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(encoded)))
-        self.end_headers()
-        self.wfile.write(encoded)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: dict,
-        close: bool = False,
-        retry_after: float | None = None,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        if retry_after is not None:
-            self.send_header("Retry-After", format_retry_after(retry_after))
-        # Compress only when asked and worthwhile: tiny payloads (acks,
-        # health checks, errors) cost more in header bytes + CPU than
-        # they save. mtime=0 keeps equal payloads byte-identical.
-        if len(body) >= 256 and self._accepts_gzip():
-            body = gzip.compress(body, mtime=0)
-            self.send_header("Content-Encoding", "gzip")
-        self.send_header("Vary", "Accept-Encoding")
-        self.send_header("Content-Length", str(len(body)))
-        if close:
-            # The request body may not have been fully consumed; a
-            # keep-alive connection would misparse its remainder as the
-            # next request, so hang up after this response.
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_bytes(self, status: int, body: bytes) -> None:
-        """Write a binary frame response (never compressed: already compact)."""
-        self.send_response(status)
-        self.send_header("Content-Type", framing.FRAME_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _write_chunk_line(self, payload: dict) -> None:
-        line = json.dumps(payload).encode("utf-8") + b"\n"
-        self.wfile.write(f"{len(line):x}\r\n".encode("ascii") + line + b"\r\n")
-        self.wfile.flush()
-
-    def _send_failure(self, exc: Exception) -> None:
-        status, message, retry_after = failure_status(exc)
-        if status == 500:
-            logger.exception("internal error serving %s", self.path)
-        try:
-            self._send_json(
-                status, _error_payload(status, message), close=True, retry_after=retry_after
-            )
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass
-
-
-class ValidationGateway:
-    """The HTTP server: binds, serves, and tears down a service front.
-
-    >>> with ValidationGateway(service, port=0) as gateway:   # doctest: +SKIP
-    ...     print(gateway.url)                                # doctest: +SKIP
-    ...     gateway.serve_forever()                           # doctest: +SKIP
-
-    ``start()`` serves from a daemon thread instead (used by tests and
-    embedded callers); ``port=0`` binds an ephemeral port.
-    ``max_body_bytes`` bounds what a request may make the server buffer,
-    refused with HTTP 413 before any allocation: the whole body for the
-    buffered endpoints (validate/repair), each transfer chunk, NDJSON
-    line, or binary frame for the streaming endpoint — whose *total*
-    length stays unbounded by design. For gzipped bodies the bound
-    applies to the decompressed size.
-    """
-
-    #: default request-body ceiling: 64 MiB
-    DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
-
-    #: how long close() waits for in-flight handler threads
-    DEFAULT_DRAIN_TIMEOUT = 10.0
-
-    def __init__(
-        self,
-        service: ValidationService,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-        max_body_bytes: int | None = None,
-        scheduler=None,
-    ) -> None:
-        self.service = service
-        self.max_body_bytes = (
-            self.DEFAULT_MAX_BODY_BYTES if max_body_bytes is None else int(max_body_bytes)
-        )
-        if self.max_body_bytes < 1:
-            raise ValueError(f"max_body_bytes must be positive, got {max_body_bytes}")
-        #: optional micro-batching scheduler
-        #: (:class:`~repro.serve.scheduler.RequestScheduler`): when given,
-        #: non-sharded validate requests coalesce through it instead of
-        #: running one engine call per handler thread. Lifecycle stays
-        #: with the caller (close() drains but does not close it) —
-        #: matching :class:`~repro.serve.transport.AsyncGateway`, which
-        #: owns one by default.
-        self.scheduler = scheduler
-        self._server = _GatewayServer((host, port), _Handler, gateway=self)
-        self._thread: threading.Thread | None = None
-        self._serving = False
-        self._draining = False
-
-    @property
-    def host(self) -> str:
-        return self._server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def healthz(self) -> dict:
-        return health_payload(self.service, draining=self._draining)
-
-    def metrics_text(self) -> str:
-        """Prometheus text exposition of service stats + drift monitors."""
-        scheduler_stats = (
-            self.scheduler.stats_snapshot() if self.scheduler is not None else None
-        )
-        return render_prometheus(
-            self.service.stats_snapshot(),
-            self.service.monitor_snapshots(),
-            scheduler=scheduler_stats,
-        )
-
-    # -- lifecycle ---------------------------------------------------------
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted."""
-        logger.info("serving on %s (schema_version %d)", self.url, SCHEMA_VERSION)
-        self._serving = True
-        self._server.serve_forever()
-
-    def start(self) -> "ValidationGateway":
-        """Serve from a background daemon thread."""
-        if self._thread is None:
-            self._serving = True
-            self._thread = threading.Thread(
-                target=self._server.serve_forever, name="repro-serve", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def close(self, drain_timeout: float | None = None) -> None:
-        """Graceful shutdown: stop accepting, drain in-flight, release pools.
-
-        Ordering matters: the accept loop stops first (no new work), then
-        in-flight handler threads get ``drain_timeout`` seconds to finish
-        writing their responses, and only then do the shard pools and the
-        listening socket go away — so an active request never sees its
-        pool or socket yanked mid-flight. An externally supplied
-        scheduler is *not* closed here (its owner decides when); handlers
-        blocked on scheduler futures count as in-flight and are drained
-        like any other.
-        """
-        timeout = self.DEFAULT_DRAIN_TIMEOUT if drain_timeout is None else float(drain_timeout)
-        # Health checks flip to 503 "draining" before anything stops:
-        # connections served during the drain window (keep-alive peers,
-        # the router's health prober) see the state change and stop
-        # routing new work here.
-        self._draining = True
-        if self._serving:
-            # shutdown() blocks until serve_forever's loop acknowledges;
-            # calling it when the loop never ran would wait forever.
-            self._server.shutdown()
-            self._serving = False
-        if not self._server.drain(timeout):
-            logger.warning(
-                "gateway close: %d request(s) still in flight after %.1fs drain",
-                self._server._inflight,
-                timeout,
-            )
-        # Anything still connected is an idle keep-alive peer; hang up
-        # so their handler threads exit instead of outliving the server.
-        self._server.close_idle_connections()
-        self.service.close_parallel()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "ValidationGateway":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -43,7 +43,12 @@ executes it across a fleet of worker replicas (usually
   ``repro_router_*`` gauge family; ``GET /v1/pipelines`` sums
   :class:`~repro.runtime.service.ServiceStats` counters fleet-wide.
 
-The scatter path buffers one request's chunk list in router memory
+The router rides the same asyncio front as a worker gateway
+(:class:`~repro.serve.transport._HTTPFront`: connection loop, body
+reader, response writers, drain on close) and supplies only its routes.
+Its upstream calls are blocking ``http.client`` round-trips run on the
+front's executor; a scatter's chunk ranges are gathered on the event
+loop. The scatter path buffers one request's chunk list in router memory
 (unlike a single gateway, which streams); ``archives`` supplies the
 pipeline weight archives the merge context is read from — pipelines the
 router has no archive for are proxied whole to their home replica.
@@ -51,17 +56,17 @@ router has no archive for are proxied whole to their home replica.
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
 import re
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection, HTTPException
 from pathlib import Path
 from typing import Iterable
-from urllib.parse import quote, unquote, urlsplit
+from urllib.parse import quote, unquote
 
 import repro
 from repro.api import framing
@@ -74,12 +79,11 @@ from repro.serve.gateway import (
     _MONITOR_ROUTE,
     _ROUTE,
     _RULES_ROUTE,
-    _GatewayServer,
-    _Handler,
     _RequestError,
     parse_query_flag,
+    parse_query_workers,
 )
-from repro.serve.transport import _FrameSplitter
+from repro.serve.transport import _FrameSplitter, _HTTPFront, _iter_lines
 from repro.utils.logging import get_logger
 
 __all__ = ["RouterGateway", "RouterTarget"]
@@ -89,8 +93,8 @@ logger = get_logger("serve.router")
 #: headers forwarded verbatim on proxied requests (wire negotiation and
 #: compression stay end-to-end; everything else is hop-local)
 _FORWARD_REQUEST_HEADERS = ("Content-Type", "Content-Encoding", "Accept", "Accept-Encoding")
-#: headers relayed back from a proxied worker response
-_RELAY_RESPONSE_HEADERS = ("Content-Type", "Content-Encoding", "Retry-After", "Vary")
+#: headers relayed back from a proxied worker response (and Content-Type)
+_RELAY_RESPONSE_HEADERS = ("Content-Encoding", "Retry-After", "Vary")
 
 _SAMPLE_LINE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})?\s+(\S+)$")
 
@@ -163,182 +167,7 @@ class _HashRing:
         return ordered[0] if ordered else None
 
 
-class _RouterHandler(_Handler):
-    """Request handler for the router: same body/response plumbing as a
-    worker gateway (inherited from :class:`_Handler`), different
-    dispatch — everything is answered from the fleet."""
-
-    server_version = "repro-router"
-
-    @property
-    def router(self) -> "RouterGateway":
-        return self.server.gateway
-
-    # -- dispatch ----------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            path = urlsplit(self.path).path
-            if path == "/v1/healthz":
-                payload = self.router.healthz()
-                self._send_json(200 if payload["status"] == "ok" else 503, payload)
-            elif path == "/v1/metrics":
-                self._send_text(200, self.router.metrics_text(), PROMETHEUS_CONTENT_TYPE)
-            elif path == "/v1/pipelines":
-                self._send_json(200, self.router.pipelines_payload())
-            else:
-                match = _MONITOR_ROUTE.match(path) or _RULES_ROUTE.match(path)
-                if match is None:
-                    raise _RequestError(404, f"no such route: GET {path}")
-                # Monitor windows and rule sets live on the pipeline's
-                # home replica; proxy the request there verbatim.
-                self._relay(
-                    self.router.proxy(
-                        unquote(match["name"]), "GET", self.path, None, self._forward_headers()
-                    )
-                )
-        except Exception as exc:
-            self._send_failure(exc)
-
-    def do_PUT(self) -> None:  # noqa: N802 - stdlib naming
-        self._handle_rules_write("PUT")
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        self._handle_rules_write("DELETE")
-
-    def _handle_rules_write(self, method: str) -> None:
-        try:
-            path = urlsplit(self.path).path
-            match = _RULES_ROUTE.match(path)
-            if match is None:
-                raise _RequestError(404, f"no such route: {method} {path}")
-            name = unquote(match["name"])
-            body = self._read_raw_body(bound_total=True) if method == "PUT" else None
-            # Rule writes fan out to *every* healthy replica: the scatter
-            # path may execute a stream on any of them, and all must
-            # agree on the attached rule set.
-            self._relay(self.router.fanout_rules(name, method, self.path, body))
-        except Exception as exc:
-            self._send_failure(exc)
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            parts = urlsplit(self.path)
-            match = _ROUTE.match(parts.path)
-            if match is None:
-                raise _RequestError(404, f"no such route: POST {parts.path}")
-            name = unquote(match["name"])
-            if match["action"] == "validate_stream":
-                self._handle_validate_stream_routed(name, parts.query)
-            else:
-                # validate/repair: home-replica proxy with ring failover.
-                # The body travels raw (still gzipped if the client sent
-                # gzip) — the worker does all decoding.
-                body = self._read_raw_body(bound_total=True)
-                self._relay(
-                    self.router.proxy(name, "POST", self.path, body, self._forward_headers())
-                )
-        except Exception as exc:
-            self._send_failure(exc)
-
-    # -- proxy plumbing ----------------------------------------------------
-    def _forward_headers(self) -> dict:
-        headers = {}
-        for key in _FORWARD_REQUEST_HEADERS:
-            value = self.headers.get(key)
-            if value is not None:
-                headers[key] = value
-        return headers
-
-    def _read_raw_body(self, bound_total: bool) -> bytes:
-        """The request body exactly as received (no gunzip): proxied
-        bodies must reach the worker byte-identical."""
-        return b"".join(self._iter_transport_blocks(bound_total=bound_total))
-
-    def _relay(self, result: "tuple[int, object, bytes]") -> None:
-        status, headers, raw = result
-        self.send_response(status)
-        for key in _RELAY_RESPONSE_HEADERS:
-            value = headers.get(key) if headers is not None else None
-            if value is not None:
-                self.send_header(key, value)
-        self.send_header("Content-Length", str(len(raw)))
-        if status >= 400:
-            # Mirror the worker gateways: an error response may leave
-            # request-body bytes unread on the wire, so hang up rather
-            # than misparse them as the next request.
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        self.wfile.write(raw)
-
-    # -- the scatter path --------------------------------------------------
-    def _handle_validate_stream_routed(self, name: str, query: str) -> None:
-        query_workers = self._query_workers(query)
-        emit_partials = parse_query_flag(query, "partials")
-        router = self.router
-        order = router.scatter_order(name)
-        context = router.merge_context(name)
-        if (
-            emit_partials          # the caller is itself a merger
-            or query_workers is not None  # explicit shard-worker routing
-            or len(order) < 2      # nothing to scatter across
-            or context is None     # no archive → no local merge context
-        ):
-            body = self._read_raw_body(bound_total=False)
-            self._relay(router.proxy(name, "POST", self.path, body, self._forward_headers()))
-            return
-
-        # Split the body at its existing chunk boundaries. Preserving
-        # the client's chunking is what makes the merged summary
-        # bit-identical to single-node — n_chunks, per-chunk rule
-        # outputs, and the float fold order all line up.
-        if self._frame_request():
-            splitter = _FrameSplitter(self.gateway.max_body_bytes)
-            chunks: list[bytes] = []
-            for block in self._iter_body_blocks(bound_total=False):
-                chunks.extend(splitter.push(block))
-            splitter.finish()
-            content_type = framing.FRAME_CONTENT_TYPE
-        else:
-            chunks = [line + b"\n" for line in self._iter_body_lines()]
-            content_type = "application/x-ndjson"
-        if not chunks:
-            raise _RequestError(400, EMPTY_STREAM_MESSAGE)
-
-        partials = router.scatter(name, chunks, content_type)
-        ruleset = router.ruleset_for(
-            name, expect_rules=any(partial.rule_partial is not None for partial in partials)
-        )
-        try:
-            summary = fold_partials(
-                partials,
-                threshold=context.threshold,
-                rule=context.rule,
-                feature_names=context.feature_names,
-                rules=ruleset,
-            )
-        except ValidationError as exc:
-            raise _RequestError(400, str(exc)) from exc
-
-        # Same response shape as a single gateway: one ack line per
-        # client chunk (global offsets), then the summary envelope.
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-        for partial in partials:
-            ack = envelope("stream_chunk")
-            ack.update(
-                offset=int(partial.offset),
-                n_rows=int(partial.n_rows),
-                n_flagged=int(partial.n_flagged),
-            )
-            self._write_chunk_line(ack)
-        self._write_chunk_line(summary.to_dict())
-        self.wfile.write(b"0\r\n\r\n")
-
-
-class RouterGateway:
+class RouterGateway(_HTTPFront):
     """The router process: health-checked fan-out over worker replicas.
 
     >>> router = RouterGateway(fleet.targets(), port=0,         # doctest: +SKIP
@@ -354,10 +183,11 @@ class RouterGateway:
     whole. ``health_interval`` (seconds) paces the background prober;
     ``check_workers()`` runs one probe round synchronously (used by
     tests and by callers that manage their own cadence).
+    ``host``/``port``/``max_body_bytes`` and the lifecycle are the
+    shared front's (see the module docstring).
     """
 
-    DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
-    DEFAULT_DRAIN_TIMEOUT = 10.0
+    _thread_name = "repro-router"
 
     def __init__(
         self,
@@ -369,7 +199,6 @@ class RouterGateway:
         health_interval: float = 1.0,
         health_timeout: float = 2.0,
         upstream_timeout: float | None = None,
-        scatter_pool_size: int = 16,
         use_shm: bool | None = None,
     ) -> None:
         self.targets: dict[str, RouterTarget] = {}
@@ -380,11 +209,7 @@ class RouterGateway:
             self.targets[target.name] = target
         if not self.targets:
             raise ValueError("RouterGateway needs at least one replica target")
-        self.max_body_bytes = (
-            self.DEFAULT_MAX_BODY_BYTES if max_body_bytes is None else int(max_body_bytes)
-        )
-        if self.max_body_bytes < 1:
-            raise ValueError(f"max_body_bytes must be positive, got {max_body_bytes}")
+        super().__init__(host, port, max_body_bytes)
         self.health_interval = float(health_interval)
         self.health_timeout = float(health_timeout)
         self.upstream_timeout = upstream_timeout
@@ -411,16 +236,8 @@ class RouterGateway:
         }
         self._replica_requests = {name: 0 for name in self.targets}
         self._conn_local = threading.local()
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(2, scatter_pool_size), thread_name_prefix="repro-router"
-        )
-        self._server = _GatewayServer((host, port), _RouterHandler, gateway=self)
-        self._thread: threading.Thread | None = None
         self._health_thread: threading.Thread | None = None
         self._health_stop = threading.Event()
-        self._serving = False
-        self._draining = False
-        self._closed = False
 
     @staticmethod
     def _as_target(spec) -> RouterTarget:
@@ -430,19 +247,6 @@ class RouterGateway:
             name, host, port = spec
             return RouterTarget(name=str(name), host=str(host), port=int(port))
         return RouterTarget(name=str(spec.name), host=str(spec.host), port=int(spec.port))
-
-    # -- addressing --------------------------------------------------------
-    @property
-    def host(self) -> str:
-        return self._server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
 
     # -- membership --------------------------------------------------------
     def alive_names(self) -> set:
@@ -673,31 +477,43 @@ class RouterGateway:
             logger.warning("could not decode rule set for %r: %s", name, exc)
             return None
 
-    def scatter(self, name: str, chunks: "list[bytes]", content_type: str) -> "list[PartialReport]":
+    async def _scatter(
+        self, name: str, chunks: "list[bytes]", content_type: str
+    ) -> "list[PartialReport]":
         """Scatter pre-split chunk bodies across the healthy replicas and
         return the decoded partials in global chunk order, offsets
-        re-globalized."""
+        re-globalized.
+
+        Each chunk range is one blocking upstream POST on the executor;
+        the ranges are gathered here on the event loop, so no executor
+        task ever waits on another.
+        """
         order = self.scatter_order(name)
         if not order:
             raise TransientServiceError("no healthy replicas available")
         plan = self._planner.plan(len(chunks), len(order))
         path = f"/v1/pipelines/{quote(name, safe='')}/validate_stream?partials=1"
         headers = {"Content-Type": content_type}
-        futures = [
-            self._pool.submit(
-                self._scatter_range,
-                name,
-                path,
-                b"".join(chunks[shard.offset : shard.stop]),
-                headers,
-                replica,
-                shard.n_rows,  # chunk count for this range (chunk_size=1 planner)
-            )
-            for shard, replica in zip(plan, order)
-        ]
+        ranges = await asyncio.gather(
+            *(
+                self._run(
+                    self._scatter_range,
+                    name,
+                    path,
+                    b"".join(chunks[shard.offset : shard.stop]),
+                    headers,
+                    replica,
+                    shard.n_rows,  # chunk count for this range (chunk_size=1 planner)
+                )
+                for shard, replica in zip(plan, order)
+            ),
+            return_exceptions=True,
+        )
         # Any failure (client 4xx propagated, or all replicas exhausted)
-        # surfaces from the first future that raised.
-        ranges = [future.result() for future in futures]
+        # surfaces from the first range that raised.
+        for chunk_range in ranges:
+            if isinstance(chunk_range, BaseException):
+                raise chunk_range
         partials = [partial for chunk_range in ranges for partial in chunk_range]
         offset = 0
         for partial in partials:
@@ -705,6 +521,22 @@ class RouterGateway:
             offset += partial.n_rows
         self._count("streams_scattered")
         return partials
+
+    def _fold(self, name: str, partials: "list[PartialReport]", context):
+        """Merge scattered partials into the exact single-node summary."""
+        ruleset = self.ruleset_for(
+            name, expect_rules=any(partial.rule_partial is not None for partial in partials)
+        )
+        try:
+            return fold_partials(
+                partials,
+                threshold=context.threshold,
+                rule=context.rule,
+                feature_names=context.feature_names,
+                rules=ruleset,
+            )
+        except ValidationError as exc:
+            raise _RequestError(400, str(exc)) from exc
 
     def _shm_eligible(self, target: RouterTarget) -> bool:
         """Whether a chunk range can reach ``target`` through a slab:
@@ -992,56 +824,151 @@ class RouterGateway:
             lines.extend(entry["samples"])
         return "\n".join(lines) + "\n"
 
+    # -- routing -----------------------------------------------------------
+    async def _route(self, request, body, writer) -> bool:
+        """Answer one request from the fleet; returns False after relaying
+        an error, which hangs up like a worker gateway does."""
+        method, path = request.method, request.path
+        if method == "GET":
+            if path == "/v1/healthz":
+                payload = self.healthz()
+                await self._send_json(
+                    writer, request, 200 if payload["status"] == "ok" else 503, payload
+                )
+            elif path == "/v1/metrics":
+                text = await self._run(self.metrics_text)
+                await self._send_body(
+                    writer, request, 200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE
+                )
+            elif path == "/v1/pipelines":
+                await self._send_json(writer, request, 200, await self._run(self.pipelines_payload))
+            else:
+                match = _MONITOR_ROUTE.match(path) or _RULES_ROUTE.match(path)
+                if match is None:
+                    raise _RequestError(404, f"no such route: GET {path}")
+                # Monitor windows and rule sets live on the pipeline's
+                # home replica; proxy the request there verbatim.
+                return await self._proxy_relay(writer, request, unquote(match["name"]), None)
+            return True
+        if method in ("PUT", "DELETE"):
+            match = _RULES_ROUTE.match(path)
+            if match is None:
+                raise _RequestError(404, f"no such route: {method} {path}")
+            raw = await body.read_raw(bound_total=True) if method == "PUT" else None
+            # Rule writes fan out to *every* healthy replica: the scatter
+            # path may execute a stream on any of them, and all must
+            # agree on the attached rule set.
+            result = await self._run(
+                self.fanout_rules, unquote(match["name"]), method, request.target, raw
+            )
+            return await self._relay(writer, result)
+        if method == "POST":
+            match = _ROUTE.match(path)
+            if match is None:
+                raise _RequestError(404, f"no such route: POST {path}")
+            name = unquote(match["name"])
+            if match["action"] == "validate_stream":
+                return await self._route_stream(writer, request, body, name)
+            # validate/repair: home-replica proxy with ring failover. The
+            # body travels raw (still gzipped if the client sent gzip) —
+            # the worker does all decoding.
+            raw = await body.read_raw(bound_total=True)
+            return await self._proxy_relay(writer, request, name, raw)
+        raise _RequestError(405, f"method {method} not supported")
+
+    async def _proxy_relay(self, writer, request, name: str, raw: bytes | None) -> bool:
+        """Proxy the request as received to ``name``'s home replica."""
+        headers = {}
+        for key in _FORWARD_REQUEST_HEADERS:
+            value = request.header(key.lower())
+            if value is not None:
+                headers[key] = value
+        result = await self._run(
+            self.proxy, name, request.method, request.target, raw, headers
+        )
+        return await self._relay(writer, result)
+
+    async def _relay(self, writer, result: "tuple[int, object, bytes]") -> bool:
+        status, headers, raw = result
+        relayed = [
+            (key, headers.get(key))
+            for key in _RELAY_RESPONSE_HEADERS
+            if headers.get(key) is not None
+        ]
+        # Mirror the worker gateways: an error response may leave
+        # request-body bytes unread on the wire, so hang up rather than
+        # misparse them as the next request.
+        close = status >= 400
+        await self._write(writer, status, raw, headers.get("Content-Type"), relayed, close)
+        return not close
+
+    async def _route_stream(self, writer, request, body, name: str) -> bool:
+        """The scatter path: split, scatter, fold, answer like one gateway."""
+        query_workers = parse_query_workers(request.query)
+        emit_partials = parse_query_flag(request.query, "partials")
+        order = self.scatter_order(name)
+        context = await self._run(self.merge_context, name)
+        if (
+            emit_partials          # the caller is itself a merger
+            or query_workers is not None  # explicit shard-worker routing
+            or len(order) < 2      # nothing to scatter across
+            or context is None     # no archive → no local merge context
+        ):
+            return await self._proxy_relay(
+                writer, request, name, await body.read_raw(bound_total=False)
+            )
+
+        # Split the body at its existing chunk boundaries. Preserving
+        # the client's chunking is what makes the merged summary
+        # bit-identical to single-node — n_chunks, per-chunk rule
+        # outputs, and the float fold order all line up.
+        blocks = body.iter_blocks(bound_total=False)
+        if framing.matches_frame_content_type(request.header("content-type")):
+            splitter = _FrameSplitter(self.max_body_bytes)
+            chunks: list[bytes] = []
+            async for block in blocks:
+                chunks.extend(splitter.push(block))
+            splitter.finish()
+            content_type = framing.FRAME_CONTENT_TYPE
+        else:
+            chunks = [line + b"\n" async for line in _iter_lines(blocks, self.max_body_bytes)]
+            content_type = "application/x-ndjson"
+        if not chunks:
+            raise _RequestError(400, EMPTY_STREAM_MESSAGE)
+
+        partials = await self._scatter(name, chunks, content_type)
+        summary = await self._run(self._fold, name, partials, context)
+
+        # Same response body as a single gateway: one ack line per
+        # client chunk (global offsets), then the summary envelope.
+        lines = []
+        for partial in partials:
+            ack = envelope("stream_chunk")
+            ack.update(
+                offset=int(partial.offset),
+                n_rows=int(partial.n_rows),
+                n_flagged=int(partial.n_flagged),
+            )
+            lines.append(json.dumps(ack).encode("utf-8"))
+        lines.append(json.dumps(summary.to_dict()).encode("utf-8"))
+        await self._send_body(
+            writer, request, 200, b"\n".join(lines) + b"\n", "application/x-ndjson"
+        )
+        return True
+
     # -- lifecycle ---------------------------------------------------------
-    def _start_health_thread(self) -> None:
+    async def _main(self) -> None:
+        # The prober runs while the router serves, whichever of start()
+        # or serve_forever() brought it up.
         if self._health_thread is None and self.health_interval > 0:
             self._health_thread = threading.Thread(
                 target=self._health_loop, name="repro-router-health", daemon=True
             )
             self._health_thread.start()
+        await super()._main()
 
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted."""
-        logger.info("router serving on %s over %d replica(s)", self.url, len(self.targets))
-        self._start_health_thread()
-        self._serving = True
-        self._server.serve_forever()
-
-    def start(self) -> "RouterGateway":
-        """Serve from a background daemon thread."""
-        if self._thread is None:
-            self._start_health_thread()
-            self._serving = True
-            self._thread = threading.Thread(
-                target=self._server.serve_forever, name="repro-router", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def close(self, drain_timeout: float | None = None) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        timeout = self.DEFAULT_DRAIN_TIMEOUT if drain_timeout is None else float(drain_timeout)
-        self._draining = True
+    def _release(self) -> None:
         self._health_stop.set()
-        if self._serving:
-            self._server.shutdown()
-            self._serving = False
-        if not self._server.drain(timeout):
-            logger.warning("router close: requests still in flight after %.1fs drain", timeout)
-        self._server.close_idle_connections()
-        self._server.server_close()
-        self._pool.shutdown(wait=True)
         if self._health_thread is not None:
             self._health_thread.join(timeout=5.0)
             self._health_thread = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "RouterGateway":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()

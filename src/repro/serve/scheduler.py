@@ -31,10 +31,10 @@ Single-request batches take the plain
 :meth:`~repro.runtime.service.ValidationService.validate` path — under
 low concurrency the scheduler adds one queue hop and nothing else.
 
-The transports ride it: :class:`~repro.serve.transport.AsyncGateway`
-always, :class:`~repro.serve.gateway.ValidationGateway` when handed a
-scheduler, and :meth:`ValidationService.submit`/``submit_many`` when one
-is attached via :meth:`~repro.runtime.service.ValidationService.attach_scheduler`.
+:class:`~repro.serve.transport.AsyncGateway` always rides it, and so do
+:meth:`ValidationService.submit`/``submit_many`` once it is attached via
+:meth:`~repro.runtime.service.ValidationService.attach_scheduler` (the
+gateway attaches its own).
 """
 
 from __future__ import annotations

@@ -1,12 +1,22 @@
-"""Asyncio HTTP transport — the thin half of the gateway.
+"""Asyncio HTTP front — the one HTTP/1.1 server of the serving stack.
 
-:class:`AsyncGateway` serves the exact same ``/v1`` routes as the
-threaded :class:`~repro.serve.gateway.ValidationGateway` — health,
-pipeline stats, metrics, monitor, rules, validate, repair,
-validate_stream, on both the JSON and binary-frame wire tiers, with
-gzip negotiation — but without a thread per connection: a single
-``asyncio`` event loop parses HTTP, reads bodies incrementally, and
-hands compute off elsewhere. The transport itself never blocks:
+:class:`_HTTPFront` holds the server machinery: start/serve_forever,
+close with drain, one keep-alive connection loop, request-head parsing,
+incremental body reading (Content-Length or chunked, gzip, the
+``max_body_bytes`` bounds, the interim ``100 Continue`` a client may ask
+for), blocking work on a bounded executor, and the response writers. No
+thread per connection: a single ``asyncio`` event loop parses HTTP and
+hands compute off elsewhere. Two servers subclass it, and each supplies
+only its ``_route``:
+
+* :class:`AsyncGateway` (here) answers every ``/v1`` route — health,
+  pipeline stats, metrics, monitor, rules, validate, repair,
+  validate_stream, on both the JSON and binary-frame wire tiers, with
+  gzip negotiation — from a local :class:`ValidationService`;
+* :class:`~repro.serve.router.RouterGateway` answers the same routes
+  from a fleet of worker replicas.
+
+In the gateway the event loop itself never blocks:
 
 * **validate** requests go to the
   :class:`~repro.serve.scheduler.RequestScheduler` (the fat half),
@@ -16,29 +26,21 @@ hands compute off elsewhere. The transport itself never blocks:
   ``Retry-After`` — admission control instead of unbounded latency.
   ``?workers=N`` sharded requests bypass the scheduler (they manage
   their own parallelism) and run on the gateway's executor;
-* **repair** and other engine work run on a small thread pool
+* **repair** and other engine work run on the executor
   (``loop.run_in_executor``) — the NumPy kernels release the GIL, so
   slabs overlap while the loop keeps accepting connections;
 * **validate_stream** bodies (NDJSON lines or back-to-back frames) are
   split incrementally on the loop and validated chunk-by-chunk on the
   executor, so memory stays O(chunk) regardless of stream length.
 
-The scheduler is owned by default (constructed from the gateway's
-``batch_window_ms`` / ``max_batch_rows`` / ``max_queue_depth`` /
-``qos_weights`` knobs and attached to the service so
-:meth:`ValidationService.submit` coalesces too); passing ``scheduler=``
-shares an external one whose lifecycle stays with its creator.
-
 ``close()`` drains: the listener stops, in-flight requests get
 ``drain_timeout`` seconds to finish, idle keep-alive connections are
-cancelled, the owned scheduler flushes its queues, and the service's
-shard pools close — the same graceful-shutdown contract as the
-threaded gateway.
+cancelled, the executor finishes its work, and only then does each
+server release what it owns (the gateway's scheduler and shard pools,
+the router's health prober).
 
-The error contract is shared verbatim with the threaded transport
-(:func:`~repro.serve.gateway.failure_status`): 400 malformed, 404
-unknown, 413 oversized, 422 rule config, 429 admission, 503 transient,
-500 internal.
+Errors map to statuses through the shared contract,
+:func:`repro.serve.gateway.failure_status`.
 """
 
 from __future__ import annotations
@@ -91,10 +93,11 @@ _BLOCK = 65536
 class _Request:
     """One parsed request head; the body stays on the stream reader."""
 
-    __slots__ = ("method", "path", "query", "headers")
+    __slots__ = ("method", "target", "path", "query", "headers")
 
     def __init__(self, method: str, target: str, headers: "dict[str, str]") -> None:
         self.method = method
+        self.target = target
         parts = urlsplit(target)
         self.path = parts.path
         self.query = parts.query
@@ -104,19 +107,51 @@ class _Request:
         return self.headers.get(name)
 
 
-class _BodyReader:
-    """Incremental request-body access mirroring the threaded transport.
+def _limit_error(limit: int) -> _RequestError:
+    return _RequestError(413, f"request body exceeds the configured limit ({limit} bytes)")
 
-    The same three layers: transport framing (Content-Length or chunked,
-    with declared sizes checked *before* allocation), optional gzip
-    inflation (the body limit re-imposed on the decompressed size), and
-    a ``bound_total`` switch — on for endpoints that buffer the whole
+
+async def _iter_lines(blocks: AsyncIterator[bytes], limit: int) -> AsyncIterator[bytes]:
+    """Split a body into its non-blank lines, incrementally.
+
+    Complete lines are yielded first; only the leftover partial line
+    counts against ``limit``, so a newline-free stream cannot grow the
+    buffer without bound.
+    """
+    buffer = b""
+    async for block in blocks:
+        buffer += block
+        while b"\n" in buffer:
+            line, buffer = buffer.split(b"\n", 1)
+            if line.strip():
+                yield line
+        if len(buffer) > limit:
+            raise _limit_error(limit)
+    if buffer.strip():
+        yield buffer
+
+
+class _BodyReader:
+    """Incremental request-body access.
+
+    Three layers: transport framing (Content-Length or chunked, with
+    declared sizes checked *before* allocation), optional gzip inflation
+    (the body limit re-imposed on the decompressed size), and a
+    ``bound_total`` switch — on for endpoints that buffer the whole
     body, off for the streaming endpoint whose total length is unbounded
-    by design while per-block memory stays capped.
+    by design while per-block memory stays capped. :meth:`read_raw`
+    skips the inflation: the router forwards bodies as received.
     """
 
-    def __init__(self, reader: asyncio.StreamReader, request: _Request, limit: int) -> None:
+    def __init__(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        request: _Request,
+        limit: int,
+    ) -> None:
         self.reader = reader
+        self.writer = writer
         self.request = request
         self.limit = limit
         #: whether body bytes were pulled off the socket at all — a
@@ -133,20 +168,31 @@ class _BodyReader:
         except ValueError:
             return True
 
-    async def read_all(self) -> bytes:
-        pieces = []
-        async for block in self.iter_blocks(bound_total=True):
-            pieces.append(block)
-        return b"".join(pieces)
+    async def _start(self) -> None:
+        """Mark the body consumed and answer ``Expect: 100-continue``.
 
-    def _limit_error(self) -> _RequestError:
-        return _RequestError(
-            413,
-            f"request body exceeds the configured limit ({self.limit} bytes)",
-        )
+        A client that asks waits for the interim response before it
+        sends the body (curl does for bodies over 1 MiB). It goes out
+        only once a route reads the body, so a request refused before
+        that gets its final status and a closed connection instead.
+        """
+        if self.started:
+            return
+        self.started = True
+        if (self.request.header("expect") or "").strip().lower() == "100-continue":
+            self.writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            await self.writer.drain()
+
+    async def read_all(self) -> bytes:
+        return b"".join([block async for block in self.iter_blocks(bound_total=True)])
+
+    async def read_raw(self, bound_total: bool) -> bytes:
+        """The body exactly as received (still gzipped, if it was)."""
+        await self._start()
+        return b"".join([block async for block in self._iter_transport(bound_total)])
 
     async def iter_blocks(self, bound_total: bool) -> AsyncIterator[bytes]:
-        self.started = True
+        await self._start()
         encoding = (self.request.header("content-encoding") or "").strip().lower()
         if encoding in ("", "identity"):
             async for block in self._iter_transport(bound_total):
@@ -167,7 +213,7 @@ class _BodyReader:
             nonlocal total
             total += len(piece)
             if bound_total and total > self.limit:
-                raise self._limit_error()
+                raise _limit_error(self.limit)
             return piece
 
         try:
@@ -198,7 +244,7 @@ class _BodyReader:
         except ValueError:
             raise _RequestError(400, "malformed Content-Length header") from None
         if bound_total and remaining > self.limit:
-            raise self._limit_error()
+            raise _limit_error(self.limit)
         while remaining > 0:
             block = await self.reader.read(min(remaining, _BLOCK))
             if not block:
@@ -220,11 +266,11 @@ class _BodyReader:
                     pass
                 return
             if size > self.limit:
-                raise self._limit_error()
+                raise _limit_error(self.limit)
             if bound_total:
                 total += size
                 if total > self.limit:
-                    raise self._limit_error()
+                    raise _limit_error(self.limit)
             yield await self.reader.readexactly(size)
             await self.reader.readexactly(2)  # trailing CRLF
 
@@ -234,21 +280,15 @@ class _SlabBody:
 
     Stands in for :class:`_BodyReader` on ``X-Repro-Shm`` requests (the
     same-host router scatter path): the chunk bytes already sit in a
-    slab this process can map, so nothing crosses the socket. The HTTP
-    request itself carries an empty body — ``declares_body()`` is False,
-    keeping the dispatcher's keep-alive accounting truthful.
+    slab this process can map, so nothing crosses the socket, and the
+    HTTP request itself carries an empty body.
     """
 
     def __init__(self, slab, size: int) -> None:
         self._slab = slab
         self._size = size
-        self.started = False
-
-    def declares_body(self) -> bool:
-        return False
 
     async def iter_blocks(self, bound_total: bool) -> AsyncIterator[bytes]:
-        self.started = True
         view = self._slab.buf
         for start in range(0, self._size, _BLOCK):
             yield bytes(view[start : min(start + _BLOCK, self._size)])
@@ -257,45 +297,32 @@ class _SlabBody:
         self._slab.close()
 
 
-class AsyncGateway:
-    """Event-loop HTTP front over a :class:`ValidationService`.
+class _HTTPFront:
+    """The event-loop HTTP/1.1 server under both serving fronts.
 
-    >>> with AsyncGateway(service, port=0) as gateway:    # doctest: +SKIP
-    ...     print(gateway.url)                            # doctest: +SKIP
-
-    Same constructor contract as the threaded gateway plus the scheduler
-    knobs (``batch_window_ms``, ``max_batch_rows``, ``max_queue_depth``,
-    ``qos_weights``); ``start()`` serves from a daemon thread,
-    ``serve_forever()`` on the calling thread, ``port=0`` binds an
-    ephemeral port (readable after the server is up).
+    ``start()`` serves from a daemon thread and returns once bound,
+    ``serve_forever()`` serves on the calling thread, and ``port=0``
+    binds an ephemeral port (readable once the server is up).
+    ``max_body_bytes`` bounds what a request may make the server buffer,
+    refused with HTTP 413 before any allocation: the whole body for the
+    buffered endpoints, each transfer chunk, NDJSON line or binary frame
+    for streaming uploads — whose *total* length stays unbounded by
+    design. For gzipped bodies the bound applies to the decompressed
+    size. Blocking work runs on an executor of ``max(8, min(32, 4 ×
+    CPUs))`` threads. A subclass implements :meth:`_route` and may
+    override :meth:`_release`.
     """
 
-    #: default request-body ceiling: 64 MiB (same as the threaded gateway)
+    #: default request-body ceiling: 64 MiB
     DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
 
     #: how long close() waits for in-flight requests
     DEFAULT_DRAIN_TIMEOUT = 10.0
 
-    def __init__(
-        self,
-        service,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-        max_body_bytes: int | None = None,
-        scheduler: RequestScheduler | None = None,
-        batch_window_ms: float = 2.0,
-        max_batch_rows: int = 8192,
-        max_queue_depth: int = 1024,
-        qos_weights: "dict[str, float] | None" = None,
-        shm_ingest: bool = False,
-    ) -> None:
-        if shm_ingest:
-            # Only advertise what can actually be attached here.
-            from repro.runtime.shm import shm_available
+    #: name of the serving thread and prefix of the executor's threads
+    _thread_name = "repro-aserve"
 
-            shm_ingest = shm_available()
-        self.shm_ingest = bool(shm_ingest)
-        self.service = service
+    def __init__(self, host: str, port: int, max_body_bytes: int | None) -> None:
         self.host = host
         self._requested_port = port
         self._port: int | None = None
@@ -304,23 +331,9 @@ class AsyncGateway:
         )
         if self.max_body_bytes < 1:
             raise ValueError(f"max_body_bytes must be positive, got {max_body_bytes}")
-        self._owns_scheduler = scheduler is None
-        self.scheduler = (
-            RequestScheduler(
-                service,
-                batch_window_ms=batch_window_ms,
-                max_batch_rows=max_batch_rows,
-                max_queue_depth=max_queue_depth,
-                qos_weights=qos_weights,
-            )
-            if scheduler is None
-            else scheduler
-        )
-        # submit()/submit_many() on the service now coalesce too.
-        service.attach_scheduler(self.scheduler)
         cpus = os.cpu_count() or 4
         self._executor = ThreadPoolExecutor(
-            max_workers=max(8, min(32, cpus * 4)), thread_name_prefix="repro-aserve"
+            max_workers=max(8, min(32, cpus * 4)), thread_name_prefix=self._thread_name
         )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
@@ -343,11 +356,11 @@ class AsyncGateway:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def start(self) -> "AsyncGateway":
+    def start(self):
         """Serve from a background daemon thread; returns once bound."""
         if self._thread is None:
             self._thread = threading.Thread(
-                target=self._run_loop, name="repro-aserve", daemon=True
+                target=self._run_loop, name=self._thread_name, daemon=True
             )
             self._thread.start()
             self._ready.wait(timeout=30.0)
@@ -380,7 +393,10 @@ class AsyncGateway:
             limit=_MAX_LINE * 2,
         )
         self._port = server.sockets[0].getsockname()[1]
-        logger.info("serving on %s (schema_version %d, async)", self.url, SCHEMA_VERSION)
+        logger.info(
+            "%s serving on %s (schema_version %d)",
+            type(self).__name__, self.url, SCHEMA_VERSION,
+        )
         self._ready.set()
         try:
             await self._stop.wait()
@@ -394,8 +410,8 @@ class AsyncGateway:
                 await asyncio.sleep(0.02)
             if self._active > 0:
                 logger.warning(
-                    "async gateway close: %d request(s) still in flight after "
-                    "%.1fs drain", self._active, self._drain_timeout,
+                    "%s close: %d request(s) still in flight after %.1fs drain",
+                    type(self).__name__, self._active, self._drain_timeout,
                 )
             for task in list(self._conn_tasks):
                 task.cancel()
@@ -409,7 +425,7 @@ class AsyncGateway:
         self._closed = True
         # Health checks answer 503 "draining" from here on: keep-alive
         # connections still served during the drain window tell their
-        # router/load balancer to take this worker out of rotation.
+        # router/load balancer to take this server out of rotation.
         self._draining = True
         self._drain_timeout = (
             self.DEFAULT_DRAIN_TIMEOUT if drain_timeout is None else float(drain_timeout)
@@ -423,30 +439,17 @@ class AsyncGateway:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-        if self._owns_scheduler:
-            self.scheduler.close(drain=True)
         self._executor.shutdown(wait=True)
-        self.service.close_parallel()
+        self._release()
 
-    def __enter__(self) -> "AsyncGateway":
+    def _release(self) -> None:
+        """Free what the subclass owns, once nothing is served any more."""
+
+    def __enter__(self):
         return self.start()
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # -- service facade ----------------------------------------------------
-    def healthz(self) -> dict:
-        return health_payload(
-            self.service, draining=self._draining, shm_ingest=self.shm_ingest
-        )
-
-    def metrics_text(self) -> str:
-        """Prometheus text: service stats, drift monitors, scheduler gauges."""
-        return render_prometheus(
-            self.service.stats_snapshot(),
-            self.service.monitor_snapshots(),
-            scheduler=self.scheduler.stats_snapshot(),
-        )
 
     # -- connection handling -----------------------------------------------
     async def _handle_connection(
@@ -487,39 +490,35 @@ class AsyncGateway:
     async def _read_head(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> _Request | None:
+        """One request head; None at EOF or once a malformed head is answered."""
+        what = "request line"
         try:
             line = await reader.readline()
-        except (ValueError, asyncio.LimitOverrunError):
-            await self._send_error(writer, None, _RequestError(400, "request line too long"))
-            return None
-        if not line or not line.strip():
-            return None  # EOF or idle close
-        try:
-            method, target, version = line.decode("latin-1").split(None, 2)
-        except ValueError:
-            await self._send_error(writer, None, _RequestError(400, "malformed request line"))
-            return None
-        if not version.strip().startswith("HTTP/1."):
-            await self._send_error(
-                writer, None, _RequestError(400, f"unsupported protocol {version.strip()!r}")
-            )
-            return None
-        headers: "dict[str, str]" = {}
-        for _ in range(_MAX_HEADERS):
-            try:
+            if not line or not line.strip():
+                return None  # EOF or idle close
+            parts = line.decode("latin-1").split(None, 2)
+            if len(parts) != 3:
+                raise _RequestError(400, "malformed request line")
+            method, target, version = parts
+            if not version.strip().startswith("HTTP/1."):
+                raise _RequestError(400, f"unsupported protocol {version.strip()!r}")
+            what = "header line"
+            headers: "dict[str, str]" = {}
+            for _ in range(_MAX_HEADERS):
                 raw = await reader.readline()
-            except (ValueError, asyncio.LimitOverrunError):
-                await self._send_error(writer, None, _RequestError(400, "header line too long"))
-                return None
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, sep, value = raw.decode("latin-1").partition(":")
-            if not sep:
-                await self._send_error(writer, None, _RequestError(400, "malformed header line"))
-                return None
-            headers[name.strip().lower()] = value.strip()
-        else:
-            await self._send_error(writer, None, _RequestError(431, "too many header fields"))
+                if raw in (b"\r\n", b"\n", b""):
+                    break
+                name, sep, value = raw.decode("latin-1").partition(":")
+                if not sep:
+                    raise _RequestError(400, "malformed header line")
+                headers[name.strip().lower()] = value.strip()
+            else:
+                raise _RequestError(431, "too many header fields")
+        except (ValueError, asyncio.LimitOverrunError):
+            await self._send_error(writer, None, _RequestError(400, f"{what} too long"))
+            return None
+        except _RequestError as exc:
+            await self._send_error(writer, None, exc)
             return None
         return _Request(method.upper(), target, headers)
 
@@ -527,11 +526,13 @@ class AsyncGateway:
         self, request: _Request, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> bool:
         """Route one request; returns whether the connection may persist."""
-        body = _BodyReader(reader, request, self.max_body_bytes)
+        body = _BodyReader(reader, writer, request, self.max_body_bytes)
         try:
-            await self._route(request, body, writer)
+            keep_alive = await self._route(request, body, writer)
         except Exception as exc:
             await self._send_error(writer, request, exc)
+            return False
+        if keep_alive is False:
             return False
         if (request.header("connection") or "").strip().lower() == "close":
             return False
@@ -540,6 +541,148 @@ class AsyncGateway:
             return False
         return True
 
+    async def _route(self, request: _Request, body: _BodyReader, writer) -> "bool | None":
+        """Answer one request; returning False hangs up after the response."""
+        raise NotImplementedError
+
+    async def _run(self, fn, *args):
+        """Run blocking work on the executor, off the event loop."""
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(self._executor, lambda: fn(*args))
+
+    # -- response writing --------------------------------------------------
+    async def _send_json(
+        self, writer, request: _Request | None, status: int, payload: dict,
+        retry_after: float | None = None, close: bool = False,
+    ) -> None:
+        body = json.dumps(payload).encode("utf-8")
+        extra = []
+        if retry_after is not None:
+            extra.append(("Retry-After", format_retry_after(retry_after)))
+        # Compress only when asked and worthwhile: tiny payloads (acks,
+        # health checks, errors) cost more in header bytes + CPU than
+        # they save. mtime=0 keeps equal payloads byte-identical.
+        gzip_ok = request is not None and accepts_gzip(request.header("accept-encoding"))
+        if len(body) >= 256 and gzip_ok:
+            body = gzip.compress(body, mtime=0)
+            extra.append(("Content-Encoding", "gzip"))
+        extra.append(("Vary", "Accept-Encoding"))
+        await self._write(writer, status, body, "application/json", extra, close)
+
+    async def _send_body(
+        self, writer, request: _Request, status: int, body: bytes, content_type: str
+    ) -> None:
+        await self._write(writer, status, body, content_type, [], False)
+
+    async def _write(
+        self, writer, status: int, body: bytes, content_type: str | None,
+        extra: "list[tuple[str, str]]", close: bool,
+    ) -> None:
+        try:
+            reason = HTTPStatus(status).phrase
+        except ValueError:
+            reason = "Unknown"
+        head = [f"HTTP/1.1 {status} {reason}"]
+        if content_type is not None:
+            head.append(f"Content-Type: {content_type}")
+        head.append(f"Content-Length: {len(body)}")
+        head.extend(f"{name}: {value}" for name, value in extra)
+        head.append(f"Connection: {'close' if close else 'keep-alive'}")
+        blob = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+        writer.write(blob)
+        await writer.drain()
+
+    async def _send_error(
+        self, writer, request: _Request | None, exc: Exception
+    ) -> None:
+        status, message, retry_after = failure_status(exc)
+        if status == 500:
+            path = "?" if request is None else request.path
+            logger.exception("internal error serving %s", path)
+        try:
+            # close=True: the request body may not have been fully read,
+            # and its remainder would misparse as the next request.
+            await self._send_json(
+                writer, request, status, _error_payload(status, message),
+                retry_after=retry_after, close=True,
+            )
+        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
+            pass
+
+
+class AsyncGateway(_HTTPFront):
+    """Event-loop HTTP front over a :class:`ValidationService`.
+
+    >>> with AsyncGateway(service, port=0) as gateway:    # doctest: +SKIP
+    ...     print(gateway.url)                            # doctest: +SKIP
+
+    ``host``/``port``/``max_body_bytes`` and the lifecycle are the
+    shared front's (:class:`_HTTPFront`). The scheduler knobs
+    (``batch_window_ms``, ``max_batch_rows``, ``max_queue_depth``,
+    ``qos_weights``) configure the owned :class:`RequestScheduler`,
+    which is also attached to the service so
+    :meth:`ValidationService.submit` coalesces too; ``scheduler=``
+    shares an external one whose lifecycle stays with its creator.
+    ``shm_ingest=True`` accepts stream chunks handed over in
+    shared-memory slabs by a same-host router.
+    """
+
+    def __init__(
+        self,
+        service,
+        host: str = "127.0.0.1",
+        port: int = 8080,
+        max_body_bytes: int | None = None,
+        scheduler: RequestScheduler | None = None,
+        batch_window_ms: float = 2.0,
+        max_batch_rows: int = 8192,
+        max_queue_depth: int = 1024,
+        qos_weights: "dict[str, float] | None" = None,
+        shm_ingest: bool = False,
+    ) -> None:
+        super().__init__(host, port, max_body_bytes)
+        if shm_ingest:
+            # Only advertise what can actually be attached here.
+            from repro.runtime.shm import shm_available
+
+            shm_ingest = shm_available()
+        self.shm_ingest = bool(shm_ingest)
+        self.service = service
+        self._owns_scheduler = scheduler is None
+        self.scheduler = (
+            RequestScheduler(
+                service,
+                batch_window_ms=batch_window_ms,
+                max_batch_rows=max_batch_rows,
+                max_queue_depth=max_queue_depth,
+                qos_weights=qos_weights,
+            )
+            if scheduler is None
+            else scheduler
+        )
+        # submit()/submit_many() on the service now coalesce too.
+        service.attach_scheduler(self.scheduler)
+
+    def _release(self) -> None:
+        if self._owns_scheduler:
+            self.scheduler.close(drain=True)
+        self.service.close_parallel()
+
+    # -- service facade ----------------------------------------------------
+    def healthz(self) -> dict:
+        return health_payload(
+            self.service, draining=self._draining, shm_ingest=self.shm_ingest
+        )
+
+    def metrics_text(self) -> str:
+        """Prometheus text: service stats, drift monitors, scheduler gauges."""
+        return render_prometheus(
+            self.service.stats_snapshot(),
+            self.service.monitor_snapshots(),
+            scheduler=self.scheduler.stats_snapshot(),
+        )
+
+    # -- routing -----------------------------------------------------------
     async def _route(self, request: _Request, body: _BodyReader, writer) -> None:
         method, path = request.method, request.path
         if method == "GET":
@@ -563,12 +706,17 @@ class AsyncGateway:
                 await self._handle_get_rules(writer, request, unquote(match["name"]))
             else:
                 raise _RequestError(404, f"no such route: GET {path}")
-        elif method == "PUT":
+        elif method in ("PUT", "DELETE"):
             match = _RULES_ROUTE.match(path)
             if match is None:
-                raise _RequestError(404, f"no such route: PUT {path}")
+                raise _RequestError(404, f"no such route: {method} {path}")
             name = unquote(match["name"])
             self._require_pipeline(name)
+            if method == "DELETE":
+                payload = envelope("rules_deleted")
+                payload.update(pipeline=name, deleted=self.service.clear_rules(name))
+                await self._send_json(writer, request, 200, payload)
+                return
             payload = await self._read_json(body)
             if not isinstance(payload, dict):
                 raise _RequestError(400, "rule set body must be a JSON object")
@@ -576,16 +724,6 @@ class AsyncGateway:
             await self._send_json(
                 writer, request, 200, self.service.get_rules(name).to_dict()
             )
-        elif method == "DELETE":
-            match = _RULES_ROUTE.match(path)
-            if match is None:
-                raise _RequestError(404, f"no such route: DELETE {path}")
-            name = unquote(match["name"])
-            self._require_pipeline(name)
-            deleted = self.service.clear_rules(name)
-            payload = envelope("rules_deleted")
-            payload.update(pipeline=name, deleted=deleted)
-            await self._send_json(writer, request, 200, payload)
         elif method == "POST":
             match = _ROUTE.match(path)
             if match is None:
@@ -609,11 +747,6 @@ class AsyncGateway:
     def _require_pipeline(self, name: str) -> None:
         if name not in self.service.registered:
             raise _RequestError(404, f"unknown pipeline {name!r}")
-
-    async def _run(self, fn, *args):
-        """Run blocking engine work on the executor, off the event loop."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._executor, lambda: fn(*args))
 
     # -- GET endpoints -----------------------------------------------------
     async def _handle_monitor(self, writer, request: _Request, name: str) -> None:
@@ -650,22 +783,37 @@ class AsyncGateway:
         except json.JSONDecodeError as exc:
             raise _RequestError(400, f"malformed JSON body: {exc}") from exc
 
-    async def _read_frame(self, body: _BodyReader, name: str) -> "framing.Frame":
-        schema = self.service.get(name).preprocessor.schema
-        raw = await body.read_all()
-        frame = await self._run(framing.decode_frame, raw, schema)
-        if frame.table is None:
-            raise _RequestError(400, "framed request carries no table payload")
-        if frame.table.n_rows == 0:
-            raise _RequestError(400, "framed request table must not be empty")
-        return frame
+    async def _read_request(self, request: _Request, body: _BodyReader, name: str, kind):
+        """Parse a validate/repair body on either wire tier.
 
-    async def _build_table(self, name: str, records: "list[dict]") -> Table:
-        if not records:
+        Returns ``(options, table)``: the ``kind`` request object
+        (:class:`ValidateRequest` or :class:`RepairRequest`) and the rows.
+        A frame carries its rows as columns and its options in the JSON
+        sidecar; a JSON body carries records.
+        """
+        table = None
+        if self._frame_request(request):
+            schema = self.service.get(name).preprocessor.schema
+            frame = await self._run(framing.decode_frame, await body.read_all(), schema)
+            if frame.table is None:
+                raise _RequestError(400, "framed request carries no table payload")
+            if frame.table.n_rows == 0:
+                raise _RequestError(400, "framed request table must not be empty")
+            options = kind.from_options(frame.extra, pipeline=name)
+            table = frame.table
+        else:
+            options = kind.from_payload(await self._read_json(body), pipeline=name)
+        if options.pipeline != name:
+            raise _RequestError(
+                400, f"request pipeline {options.pipeline!r} does not match URL {name!r}"
+            )
+        if table is not None:
+            return options, table
+        if not options.records:
             raise _RequestError(400, "'records' must not be empty")
         schema = self.service.get(name).preprocessor.schema
         try:
-            return await self._run(Table.from_records, schema, records)
+            return options, await self._run(Table.from_records, schema, options.records)
         except (SchemaError, TypeError, ValueError) as exc:
             raise _RequestError(400, f"records do not fit pipeline schema: {exc}") from exc
 
@@ -673,19 +821,7 @@ class AsyncGateway:
         self, writer, request: _Request, body: _BodyReader, name: str,
         query_workers: int | None,
     ) -> None:
-        if self._frame_request(request):
-            frame = await self._read_frame(body, name)
-            vreq = ValidateRequest.from_options(frame.extra, pipeline=name)
-            table = frame.table
-        else:
-            vreq = ValidateRequest.from_payload(await self._read_json(body), pipeline=name)
-            table = None
-        if vreq.pipeline != name:
-            raise _RequestError(
-                400, f"request pipeline {vreq.pipeline!r} does not match URL {name!r}"
-            )
-        if table is None:
-            table = await self._build_table(name, vreq.records)
+        vreq, table = await self._read_request(request, body, name, ValidateRequest)
         workers = vreq.workers if vreq.workers is not None else query_workers
         if workers is not None and workers > 1:
             report = await self._run(self.service.validate_sharded, name, table, workers)
@@ -705,19 +841,7 @@ class AsyncGateway:
     async def _handle_repair(
         self, writer, request: _Request, body: _BodyReader, name: str
     ) -> None:
-        if self._frame_request(request):
-            frame = await self._read_frame(body, name)
-            rreq = RepairRequest.from_options(frame.extra, pipeline=name)
-            table = frame.table
-        else:
-            rreq = RepairRequest.from_payload(await self._read_json(body), pipeline=name)
-            table = None
-        if rreq.pipeline != name:
-            raise _RequestError(
-                400, f"request pipeline {rreq.pipeline!r} does not match URL {name!r}"
-            )
-        if table is None:
-            table = await self._build_table(name, rreq.records)
+        rreq, table = await self._read_request(request, body, name, RepairRequest)
         report = await self._run(self.service.validate, name, table)
 
         def run_repair():
@@ -726,6 +850,8 @@ class AsyncGateway:
         repaired, summary = await self._run(run_repair)
         errors = "dense" if rreq.include_errors else "sparse"
         if self._accepts_frame(request):
+            # The repaired rows travel as binary columns; the summary and
+            # pre-repair report ride the frame's JSON sidecar.
             extra = envelope("repair_response")
             extra.update(repair=summary.to_dict(), report=report.to_dict(errors=errors))
             payload = await self._run(
@@ -745,7 +871,14 @@ class AsyncGateway:
     async def _iter_stream_tables(
         self, body: _BodyReader, schema, framed: bool
     ) -> AsyncIterator[Table]:
-        """Split the body into chunk tables, incrementally (O(chunk) memory)."""
+        """Split the body into chunk tables, incrementally (O(chunk) memory).
+
+        A framed body is a back-to-back frame sequence (exactly what
+        ``FrameFileWriter`` produces), one chunk per frame; frames are
+        self-delimiting and ``max_body_bytes`` bounds each one, never
+        the stream total. An NDJSON body carries one record list per
+        line.
+        """
         if framed:
             splitter = _FrameSplitter(self.max_body_bytes)
             async for block in body.iter_blocks(bound_total=False):
@@ -756,21 +889,9 @@ class AsyncGateway:
                     yield frame.table
             splitter.finish()
         else:
-            buffer = b""
-            async for block in body.iter_blocks(bound_total=False):
-                buffer += block
-                while b"\n" in buffer:
-                    line, buffer = buffer.split(b"\n", 1)
-                    if line.strip():
-                        yield self._ndjson_table(schema, line)
-                if len(buffer) > self.max_body_bytes:
-                    raise _RequestError(
-                        413,
-                        f"request body exceeds the configured limit "
-                        f"({self.max_body_bytes} bytes)",
-                    )
-            if buffer.strip():
-                yield self._ndjson_table(schema, buffer)
+            lines = _iter_lines(body.iter_blocks(bound_total=False), self.max_body_bytes)
+            async for line in lines:
+                yield self._ndjson_table(schema, line)
 
     @staticmethod
     def _ndjson_table(schema, line: bytes) -> Table:
@@ -833,6 +954,9 @@ class AsyncGateway:
             raise _RequestError(400, "'partials' cannot be combined with 'workers'")
 
         if query_workers is not None and query_workers > 1:
+            # Sharded execution regroups the stream into shard-sized
+            # super-chunks, so per-client-chunk acks do not apply; the
+            # response is the summary envelope alone.
             summary = await self._stream_sharded(body, schema, framed, name, query_workers)
         else:
             validator = StreamingValidator.from_pipeline(
@@ -865,6 +989,10 @@ class AsyncGateway:
                 raise _RequestError(400, str(exc)) from exc
             self.service.count_validation(name, summary.n_rows)
 
+        # Nothing is written until the whole body is consumed: clients
+        # send the body before reading, so acks interleaved with a long
+        # upload would fill both socket buffers; deferring also lets a
+        # mid-stream failure answer with a clean 400.
         lines = [json.dumps(ack).encode("utf-8") for ack in acks]
         lines.append(json.dumps(summary.to_dict()).encode("utf-8"))
         await self._send_body(
@@ -879,8 +1007,7 @@ class AsyncGateway:
         The validator pulls chunk tables from a small bounded queue on an
         executor thread while the loop keeps feeding it — neither side
         ever holds the whole stream. A mid-stream parse failure aborts
-        the consumer and surfaces the parse error, mirroring the
-        threaded transport's 400.
+        the consumer and surfaces the parse error as a 400.
         """
         loop = asyncio.get_running_loop()
         bridge: "queue.Queue" = queue.Queue(maxsize=8)
@@ -929,59 +1056,6 @@ class AsyncGateway:
             return await future
         except ValidationError as exc:
             raise _RequestError(400, str(exc)) from exc
-
-    # -- response writing --------------------------------------------------
-    async def _send_json(
-        self, writer, request: _Request | None, status: int, payload: dict,
-        retry_after: float | None = None, close: bool = False,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        extra = []
-        if retry_after is not None:
-            extra.append(("Retry-After", format_retry_after(retry_after)))
-        gzip_ok = request is not None and accepts_gzip(request.header("accept-encoding"))
-        if len(body) >= 256 and gzip_ok:
-            body = gzip.compress(body, mtime=0)
-            extra.append(("Content-Encoding", "gzip"))
-        extra.append(("Vary", "Accept-Encoding"))
-        await self._write(writer, status, body, "application/json", extra, close)
-
-    async def _send_body(
-        self, writer, request: _Request, status: int, body: bytes, content_type: str
-    ) -> None:
-        await self._write(writer, status, body, content_type, [], False)
-
-    async def _write(
-        self, writer, status: int, body: bytes, content_type: str,
-        extra: "list[tuple[str, str]]", close: bool,
-    ) -> None:
-        try:
-            reason = HTTPStatus(status).phrase
-        except ValueError:
-            reason = "Unknown"
-        head = [f"HTTP/1.1 {status} {reason}"]
-        head.append(f"Content-Type: {content_type}")
-        head.append(f"Content-Length: {len(body)}")
-        head.extend(f"{name}: {value}" for name, value in extra)
-        head.append(f"Connection: {'close' if close else 'keep-alive'}")
-        blob = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
-        writer.write(blob)
-        await writer.drain()
-
-    async def _send_error(
-        self, writer, request: _Request | None, exc: Exception
-    ) -> None:
-        status, message, retry_after = failure_status(exc)
-        if status == 500:
-            path = "?" if request is None else request.path
-            logger.exception("internal error serving %s", path)
-        try:
-            await self._send_json(
-                writer, request, status, _error_payload(status, message),
-                retry_after=retry_after, close=True,
-            )
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass
 
 
 class _FrameSplitter:

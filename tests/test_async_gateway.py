@@ -7,7 +7,8 @@ over actual sockets via the stdlib client. The acceptance bar mirrors
 frame tier, coalesced or solo — must be bit-identical to the in-process
 result. On top of that: admission control surfaces as 429 +
 ``Retry-After`` (which the client honors), shutdown drains in-flight
-work, ``/v1/metrics`` exports the scheduler gauges, and a
+work, ``/v1/metrics`` exports the scheduler gauges, ``Expect:
+100-continue`` uploads get their interim response, and a
 100-concurrent-client stress run produces no 5xx with bounded tail
 latency.
 """
@@ -26,7 +27,7 @@ import pytest
 
 from repro.exceptions import GatewayError
 from repro.runtime import ValidationService
-from repro.serve import AsyncGateway, Client, ValidationGateway
+from repro.serve import AsyncGateway, Client, RouterGateway
 from repro.serve.cli import DEMO_RECORD, fit_demo_pipeline
 from tests.test_serve import make_batch
 
@@ -340,10 +341,14 @@ class TestShutdown:
         result: dict = {}
 
         def request():
+            # wire="frame" sends no /v1/healthz negotiation probe first,
+            # so the request the poll below sees in flight is this
+            # validate itself: close() would hang up a connection idling
+            # between the probe and the validate, refusing the latter.
             try:
-                result["report"] = Client(port=gateway.port, timeout=60).validate(
-                    "demo", batch
-                )
+                result["report"] = Client(
+                    port=gateway.port, timeout=60, wire="frame"
+                ).validate("demo", batch)
             except Exception as exc:  # pragma: no cover - failure detail
                 result["error"] = exc
 
@@ -359,40 +364,6 @@ class TestShutdown:
         service.close()
         assert "error" not in result, result.get("error")
         assert result["report"].row_flags.shape == (batch.n_rows,)
-
-    def test_threaded_gateway_drains_before_socket_close(self):
-        pipeline = fit_demo_pipeline()
-        service = ValidationService(capacity=2)
-        service.add("demo", pipeline)
-        gateway = ValidationGateway(service, port=0)
-        gateway.start()
-        batch = make_batch(pipeline, 50_000, seed=2)
-        result: dict = {}
-
-        def request():
-            try:
-                result["report"] = Client(port=gateway.port, timeout=60).validate(
-                    "demo", batch
-                )
-            except Exception as exc:  # pragma: no cover - failure detail
-                result["error"] = exc
-
-        worker = threading.Thread(target=request)
-        worker.start()
-        time.sleep(0.05)
-        gateway.close()
-        worker.join(timeout=60)
-        service.close()
-        assert "error" not in result, result.get("error")
-        assert result["report"].row_flags.shape == (batch.n_rows,)
-
-    def test_threaded_close_without_serving_does_not_hang(self):
-        pipeline = fit_demo_pipeline()
-        service = ValidationService(capacity=2)
-        service.add("demo", pipeline)
-        gateway = ValidationGateway(service, port=0)
-        gateway.close()  # never served: shutdown() must be skipped
-        service.close()
 
 
 class TestClientPooling:
@@ -469,27 +440,25 @@ class TestClientPooling:
 class TestDrainingHealth:
     def test_healthz_reports_draining_with_503(self):
         """Bugfix pin: once drain begins, ``/v1/healthz`` must say so
-        (503 + ``"draining"``) so load balancers stop routing here.
-        Both transports share ``health_payload``."""
+        (503 + ``"draining"``) so load balancers stop routing here."""
         pipeline = fit_demo_pipeline()
         service = ValidationService(capacity=2)
         service.add("demo", pipeline)
-        for factory in (AsyncGateway, ValidationGateway):
-            gateway = factory(service, port=0)
-            gateway.start()
-            try:
-                assert Client(port=gateway.port).healthz()["status"] == "ok"
-                gateway._draining = True  # the close() drain window
-                conn = http.client.HTTPConnection("127.0.0.1", gateway.port)
-                conn.request("GET", "/v1/healthz")
-                response = conn.getresponse()
-                payload = json.loads(response.read())
-                conn.close()
-                assert response.status == 503
-                assert payload["status"] == "draining"
-                gateway._draining = False
-            finally:
-                gateway.close()
+        gateway = AsyncGateway(service, port=0)
+        gateway.start()
+        try:
+            assert Client(port=gateway.port).healthz()["status"] == "ok"
+            gateway._draining = True  # the close() drain window
+            conn = http.client.HTTPConnection("127.0.0.1", gateway.port)
+            conn.request("GET", "/v1/healthz")
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            conn.close()
+            assert response.status == 503
+            assert payload["status"] == "draining"
+            gateway._draining = False
+        finally:
+            gateway.close()
         service.close()
 
     def test_retry_after_header_is_rfc_whole_seconds(self):
@@ -499,6 +468,68 @@ class TestDrainingHealth:
         assert format_retry_after(0.8) == "1"  # an immediate stampede
         assert format_retry_after(2.0) == "2"
         assert format_retry_after(2.2) == "3"  # round up, not down
+
+
+class TestExpectContinue:
+    """Bugfix pin: a client that sends ``Expect: 100-continue`` holds its
+    body back until the interim ``100 Continue`` arrives (curl does for
+    bodies over 1 MiB). Without it every such upload stalls for the
+    client's wait timeout, on the gateway and on the router alike."""
+
+    @pytest.fixture(params=["gateway", "router"])
+    def front_port(self, request, served):
+        _, gateway, _ = served
+        if request.param == "gateway":
+            yield gateway.port
+            return
+        router = RouterGateway(
+            [("replica-0", "127.0.0.1", gateway.port)], port=0, health_interval=0
+        ).start()
+        try:
+            yield router.port
+        finally:
+            router.close()
+
+    @staticmethod
+    def _send_head(sock, path: str, body: bytes) -> None:
+        sock.sendall(
+            (
+                f"POST {path} HTTP/1.1\r\n"
+                "Host: 127.0.0.1\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                "Expect: 100-continue\r\n\r\n"
+            ).encode("ascii")
+        )
+
+    def test_interim_response_then_final_200(self, front_port):
+        body = json.dumps({"records": [DEMO_RECORD] * 3}).encode()
+        with socket.create_connection(("127.0.0.1", front_port), timeout=5.0) as sock:
+            self._send_head(sock, "/v1/pipelines/demo/validate", body)
+            interim = b""
+            while b"\r\n\r\n" not in interim:
+                piece = sock.recv(4096)  # times out after 5 s without it
+                assert piece, "connection closed before the interim response"
+                interim += piece
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            payload = json.loads(response.read())
+        assert response.status == 200
+        assert payload["n_rows"] == 3
+
+    def test_request_refused_before_its_body_gets_no_interim(self, served):
+        _, gateway, _ = served
+        body = json.dumps({"records": [DEMO_RECORD]}).encode()
+        with socket.create_connection(("127.0.0.1", gateway.port), timeout=5.0) as sock:
+            self._send_head(sock, "/v1/pipelines/nope/validate", body)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            response.read()
+            assert response.status == 404
+            assert response.getheader("Connection") == "close"
+            assert sock.recv(4096) == b""  # the server hung up
 
 
 class TestStress:

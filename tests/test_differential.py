@@ -33,7 +33,7 @@ from repro.errors import (
     StringTypoInjector,
 )
 from repro.runtime import ParallelValidator, ValidationService
-from repro.serve import AsyncGateway, Client, ValidationGateway
+from repro.serve import AsyncGateway, Client
 
 N_SCENARIOS = 20
 
@@ -129,7 +129,7 @@ def pickled_parallel(fitted):
 def served(fitted):
     service = ValidationService(capacity=2, shard_workers=0)
     service.add("demo", fitted)
-    with ValidationGateway(service, port=0) as gateway:
+    with AsyncGateway(service, port=0) as gateway:
         yield Client(port=gateway.port)
     service.close()
 
@@ -333,7 +333,7 @@ def served_rules(fitted, demo_rules):
     service = ValidationService(capacity=2, shard_workers=0)
     service.add("demo", fitted)
     service.set_rules("demo", demo_rules)
-    with ValidationGateway(service, port=0) as gateway:
+    with AsyncGateway(service, port=0) as gateway:
         yield Client(port=gateway.port)
     service.close()
 

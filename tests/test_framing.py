@@ -446,13 +446,13 @@ class TestGatewayHostileFrames:
     @pytest.fixture(scope="class")
     def served(self):
         from repro.runtime import ValidationService
-        from repro.serve import ValidationGateway
+        from repro.serve import AsyncGateway
         from repro.serve.cli import fit_demo_pipeline
 
         pipeline = fit_demo_pipeline()
         service = ValidationService(capacity=2, shard_workers=0)
         service.add("demo", pipeline)
-        with ValidationGateway(service, port=0, max_body_bytes=1 << 20) as gateway:
+        with AsyncGateway(service, port=0, max_body_bytes=1 << 20) as gateway:
             yield pipeline, gateway
         service.close()
 

@@ -29,7 +29,7 @@ from repro.monitor import (
 )
 from repro.runtime import ValidationService
 from repro.runtime.streaming import StreamingValidator
-from repro.serve import Client, ValidationGateway
+from repro.serve import AsyncGateway, Client
 
 
 def make_schema() -> TableSchema:
@@ -473,7 +473,7 @@ class TestGatewayMonitoring:
     def served(self, fitted):
         service = ValidationService(capacity=2, shard_workers=0)
         service.add("demo", fitted)
-        with ValidationGateway(service, port=0) as gateway:
+        with AsyncGateway(service, port=0) as gateway:
             yield gateway, Client(port=gateway.port)
         service.close()
 
@@ -504,7 +504,7 @@ class TestGatewayMonitoring:
     def test_monitor_disabled_404(self, fitted):
         service = ValidationService(capacity=2, shard_workers=0, monitor_window=0)
         service.add("demo", fitted)
-        with ValidationGateway(service, port=0) as gateway:
+        with AsyncGateway(service, port=0) as gateway:
             client = Client(port=gateway.port)
             with pytest.raises(GatewayError, match="no drift monitor"):
                 client.monitor("demo")
@@ -513,7 +513,7 @@ class TestGatewayMonitoring:
     def test_streamed_chunks_feed_the_monitor(self, fitted):
         service = ValidationService(capacity=2, shard_workers=0)
         service.add("demo", fitted)
-        with ValidationGateway(service, port=0) as gateway:
+        with AsyncGateway(service, port=0) as gateway:
             client = Client(port=gateway.port)
             chunks = [make_table(128, seed=320 + i) for i in range(3)]
             client.validate_stream("demo", chunks)

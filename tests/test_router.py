@@ -10,7 +10,9 @@ of that, the distributed failure contract: a draining or dead worker is
 evicted (and re-admitted on recovery) without moving any other
 pipeline's home replica; a worker dying mid-stream re-scatters its
 chunk range onto survivors or, with nobody left, surfaces a retryable
-503 — never a wrong or partial report.
+503 — never a wrong or partial report. The router serves on the same
+asyncio front as a gateway, so drain-on-close, relayed keep-alive and
+gzipped bodies are pinned here too.
 
 In-process ``AsyncGateway`` replicas back most tests (the router only
 needs URLs, keeping the 20-scenario sweep fast); one test spawns a real
@@ -19,10 +21,14 @@ needs URLs, keeping the 20-scenario sweep fast); one test spawns a real
 
 from __future__ import annotations
 
+import gzip
+import http.client
 import json
 import os
+import socket
 import tempfile
 import threading
+import time
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
@@ -385,6 +391,133 @@ class TestObservability:
         for port in cluster.replica_ports:
             per_replica_total += Client(port=port).pipelines().rows_validated
         assert stats.rows_validated == per_replica_total
+
+
+def _ndjson_body(chunks) -> bytes:
+    """An NDJSON ``validate_stream`` body: one record-list line per chunk."""
+    return b"".join(
+        json.dumps({"records": chunk.to_records()}).encode("utf-8") + b"\n"
+        for chunk in chunks
+    )
+
+
+def _post(port: int, path: str, body: bytes, headers: dict) -> "tuple[int, bytes]":
+    """One POST on a fresh connection; returns (status, body)."""
+    conn = HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        conn.request("POST", path, body=body, headers=headers)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+class TestSharedFront:
+    """The router rides the gateway's asyncio front: drain on close,
+    keep-alive accounting on relayed responses, and gzip on both the
+    proxied and the scattered path."""
+
+    def test_close_drains_in_flight_scattered_stream(self, cluster, archive):
+        router = RouterGateway(
+            [(f"replica-{i}", "127.0.0.1", port) for i, port in enumerate(cluster.replica_ports)],
+            port=0,
+            archives={"demo": archive},
+            health_interval=0,
+        ).start()
+        table = make_clean(12_000, seed=31)
+        chunks = [
+            table.slice_rows(start, start + CHUNK_SIZE)
+            for start in range(0, table.n_rows, CHUNK_SIZE)
+        ]
+        reference = cluster.single.validate_stream("demo", chunks)
+        result: dict = {}
+
+        def stream():
+            # A raw connection: the stream is the only request, so the
+            # in-flight poll below cannot fire on anything else.
+            try:
+                result["reply"] = _post(
+                    router.port,
+                    "/v1/pipelines/demo/validate_stream",
+                    _ndjson_body(chunks),
+                    {"Content-Type": "application/x-ndjson"},
+                )
+            except Exception as exc:  # pragma: no cover - failure detail
+                result["error"] = exc
+
+        worker = threading.Thread(target=stream)
+        worker.start()
+        deadline = time.monotonic() + 30
+        while router._active == 0 and worker.is_alive() and time.monotonic() < deadline:
+            time.sleep(0.002)
+        router.close()  # default drain: must not sever the in-flight stream
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert "error" not in result, result.get("error")
+        status, raw = result["reply"]
+        assert status == 200
+        summary = json.loads(raw.splitlines()[-1])
+        assert summary == reference.to_dict()
+        assert router._counters["streams_scattered"] == 1
+
+    def test_close_without_serving_returns_promptly(self, cluster):
+        router = RouterGateway(
+            [("replica-0", "127.0.0.1", cluster.replica_ports[0])], port=0
+        )
+        started = time.monotonic()
+        router.close()
+        router.close()  # a second close does nothing
+        assert time.monotonic() - started < 5.0
+
+    def test_relayed_error_closes_and_success_keeps_alive(self, cluster):
+        body = json.dumps({"records": make_clean(8, seed=4).to_records()}).encode()
+        address = ("127.0.0.1", cluster.router.port)
+        with socket.create_connection(address, timeout=30) as sock:
+            for name, status, connection in (("demo", 200, "keep-alive"), ("nope", 404, "close")):
+                sock.sendall(
+                    (
+                        f"POST /v1/pipelines/{name}/validate HTTP/1.1\r\n"
+                        "Host: 127.0.0.1\r\nContent-Type: application/json\r\n"
+                        f"Content-Length: {len(body)}\r\n\r\n"
+                    ).encode("ascii")
+                    + body
+                )
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                response.read()
+                assert response.status == status
+                assert response.getheader("Connection") == connection
+            # the 200 kept the socket open for the 404, which hung it up
+            assert sock.recv(1) == b""
+
+    def test_gzipped_bodies_match_single_node_on_both_paths(self, cluster):
+        table = make_scenario(4)
+        gzipped = {"Content-Encoding": "gzip"}
+        validate = gzip.compress(json.dumps({"records": table.to_records()}).encode())
+        replies = [
+            _post(port, "/v1/pipelines/demo/validate", validate,
+                  {"Content-Type": "application/json", **gzipped})
+            for port in (cluster.gateways[0].port, cluster.router.port)
+        ]
+        assert [status for status, _ in replies] == [200, 200]
+        assert json.loads(replies[1][1]) == json.loads(replies[0][1])
+
+        chunks = [
+            table.slice_rows(start, start + CHUNK_SIZE)
+            for start in range(0, table.n_rows, CHUNK_SIZE)
+        ]
+        stream = gzip.compress(_ndjson_body(chunks))
+        scattered = cluster.router._counters["streams_scattered"]
+        replies = [
+            _post(port, "/v1/pipelines/demo/validate_stream", stream,
+                  {"Content-Type": "application/x-ndjson", **gzipped})
+            for port in (cluster.gateways[0].port, cluster.router.port)
+        ]
+        assert [status for status, _ in replies] == [200, 200]
+        single, routed = ([json.loads(line) for line in raw.splitlines()] for _, raw in replies)
+        assert routed == single  # every ack line and the summary
+        assert len(single) == len(chunks) + 1
+        assert cluster.router._counters["streams_scattered"] == scattered + 1
 
 
 class TestFleetProcesses:

@@ -37,7 +37,7 @@ from repro.rules import (
     resolve_ruleset,
 )
 from repro.runtime import ValidationService
-from repro.serve import Client, ValidationGateway
+from repro.serve import AsyncGateway, Client
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +680,7 @@ class TestGateway:
     def gateway(self, pipeline):
         service = ValidationService(capacity=2, shard_workers=0)
         service.add("demo", pipeline)
-        with ValidationGateway(service, port=0) as gw:
+        with AsyncGateway(service, port=0) as gw:
             yield gw
         service.close()
 

@@ -1,6 +1,6 @@
 """End-to-end tests for the HTTP serving gateway (repro.serve).
 
-A real ``ThreadingHTTPServer`` is bound to an ephemeral port; requests
+A real :class:`AsyncGateway` is bound to an ephemeral port; requests
 travel over actual sockets via the stdlib client. The acceptance bar:
 a report obtained over HTTP must reconstruct flags, threshold, and
 verdict identical to calling ``DQuaG.validate`` in-process.
@@ -18,7 +18,7 @@ from repro.core import DQuaG
 from repro.data import Table
 from repro.exceptions import GatewayError
 from repro.runtime import ValidationService
-from repro.serve import Client, ValidationGateway
+from repro.serve import AsyncGateway, Client
 from repro.serve.cli import DEMO_RECORD, fit_demo_pipeline
 
 
@@ -46,7 +46,7 @@ def served():
     # even on single-core CI runners.
     service = ValidationService(capacity=2, shard_workers=2)
     service.add("demo", pipeline)
-    with ValidationGateway(service, port=0) as gateway:
+    with AsyncGateway(service, port=0) as gateway:
         yield pipeline, gateway, Client(port=gateway.port)
     service.close()
 
@@ -245,7 +245,7 @@ class TestBodyLimits:
         pipeline, _, _ = served
         service = ValidationService(capacity=1)
         service.add("demo", pipeline)
-        with ValidationGateway(service, port=0, max_body_bytes=4096) as gateway:
+        with AsyncGateway(service, port=0, max_body_bytes=4096) as gateway:
             yield pipeline, gateway, Client(port=gateway.port)
         service.close()
 
@@ -322,7 +322,7 @@ class TestBodyLimits:
     def test_invalid_max_body_bytes_rejected(self, served):
         _, gateway, _ = served
         with pytest.raises(ValueError):
-            ValidationGateway(gateway.service, port=0, max_body_bytes=0)
+            AsyncGateway(gateway.service, port=0, max_body_bytes=0)
 
 
 class TestErrorHandling:
