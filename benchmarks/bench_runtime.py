@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.core import DQuaG, DQuaGConfig
-from repro.core.validator import DataQualityValidator
 from repro.datasets import TaxiGenerator
 from repro.experiments.reporting import ResultTable
 from repro.utils.timing import Timer
@@ -63,24 +62,17 @@ def test_engine_speedup(runtime_setup, scale):
     matrix = pipeline.preprocessor.transform(slab)
 
     # The seed serving path: autograd forward (both decoders) + report.
-    autograd_validator = DataQualityValidator(
-        pipeline.model,
-        pipeline.preprocessor,
-        pipeline.calibration,
-        pipeline.config,
-        feature_thresholds=pipeline._validator.feature_thresholds,
-        feature_scales=pipeline._validator.feature_scales,
-        use_engine=False,
-    )
+    def autograd_validate(m):
+        return engine.assemble(pipeline.model.reconstruction_errors(m))
 
     engine.validate_matrix(matrix)  # warm buffers
-    autograd_validator.validate_matrix(matrix)
+    autograd_validate(matrix)
     engine_seconds = _best_of(lambda: engine.validate_matrix(matrix))
-    autograd_seconds = _best_of(lambda: autograd_validator.validate_matrix(matrix))
+    autograd_seconds = _best_of(lambda: autograd_validate(matrix))
     speedup = autograd_seconds / engine_seconds
 
     engine_report = engine.validate_matrix(matrix)
-    autograd_report = autograd_validator.validate_matrix(matrix)
+    autograd_report = autograd_validate(matrix)
     flags_identical = bool(
         np.array_equal(engine_report.row_flags, autograd_report.row_flags)
         and np.array_equal(engine_report.cell_flags, autograd_report.cell_flags)

@@ -5,7 +5,7 @@ from repro.core.model import DQuaGModel
 from repro.core.losses import LossParts, compute_sample_weights, dquag_loss
 from repro.core.thresholds import DatasetDecisionRule, ThresholdCalibration, flag_feature_cells
 from repro.core.trainer import EpochStats, Trainer, TrainingHistory
-from repro.core.validator import DataQualityValidator, ValidationReport
+from repro.core.validator import ValidationReport
 from repro.core.repair import RepairEngine, RepairSummary
 from repro.core.pipeline import DQuaG
 from repro.core.cleaning import CleaningOutcome, clean_dataset, select_cleanest
@@ -23,7 +23,6 @@ __all__ = [
     "EpochStats",
     "Trainer",
     "TrainingHistory",
-    "DataQualityValidator",
     "ValidationReport",
     "RepairEngine",
     "RepairSummary",

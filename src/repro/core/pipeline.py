@@ -13,10 +13,12 @@ use, so experiments treat all methods uniformly:
 
 Phase 2 is the serving hot path: after ``fit`` (or ``load_weights``)
 the model is compiled into the pure-NumPy
-:class:`~repro.runtime.engine.InferenceEngine`, and ``validate`` /
-``validate_batch`` / ``repair`` all route through it — no autograd
-graph is built at inference time. :meth:`streaming_validator` exposes
-the bounded-memory chunked path of :mod:`repro.runtime.streaming`, and
+:class:`~repro.runtime.engine.InferenceEngine`, which holds the
+calibration context, and ``validate`` / ``validate_batch`` / ``repair``
+all route through it — no autograd graph is built at inference time.
+``validate`` is the one-chunk case of the validation core,
+:class:`~repro.runtime.streaming.StreamingValidator`, which
+:meth:`streaming_validator` exposes for bounded-memory chunked runs;
 :class:`~repro.runtime.service.ValidationService` serves many saved
 pipelines concurrently.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 import os
 import threading
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from repro.core.model import DQuaGModel
 from repro.core.repair import RepairEngine, RepairSummary
 from repro.core.thresholds import ThresholdCalibration
 from repro.core.trainer import Trainer, TrainingHistory
-from repro.core.validator import DataQualityValidator, ValidationReport
+from repro.core.validator import ValidationReport
 from repro.data.preprocess import TablePreprocessor
 from repro.data.table import Table
 from repro.exceptions import NotFittedError, SchemaError, SerializationError
@@ -45,6 +48,9 @@ from repro.graph.llm import FeatureGraphBuilder, HybridProvider, KnowledgeBasePr
 from repro.nn.serialization import load_state, save_state
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_rng, ensure_rng
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.runtime.engine import InferenceEngine
 
 __all__ = ["DQuaG"]
 
@@ -69,9 +75,9 @@ class DQuaG(BaselineValidator):
         self.preprocessor: TablePreprocessor | None = None
         self.graph: FeatureGraph | None = None
         self.model: DQuaGModel | None = None
-        self.calibration: ThresholdCalibration | None = None
         self.history: TrainingHistory | None = None
-        self._validator: DataQualityValidator | None = None
+        #: the compiled engine, once it carries the calibration context
+        self._validator: InferenceEngine | None = None
         self._repair_engine: RepairEngine | None = None
         self._future_categories: dict[str, list[str]] | None = None
         #: training-time distribution baseline for drift monitoring
@@ -145,20 +151,21 @@ class DQuaG(BaselineValidator):
         # thresholds are order statistics of the exact error values the
         # serving path will produce, so engine and calibration can never
         # disagree at the last bit.
-        engine = self._compile_kernels()
-        errors_of = engine.reconstruction_errors if engine is not None else self.model.reconstruction_errors
+        from repro.runtime.engine import InferenceEngine
+
+        engine = InferenceEngine(self.model)
         if calibration_table is not None:
             calib_matrix = self.preprocessor.compile().transform(calibration_table)
-            calib_cell_errors = errors_of(calib_matrix)
+            calib_cell_errors = engine.reconstruction_errors(calib_matrix)
         else:
-            calib_cell_errors = errors_of(matrix)
+            calib_cell_errors = engine.reconstruction_errors(matrix)
         # Per-feature scales: features the model reconstructs precisely
         # (tiny clean error) must not be drowned out by intrinsically
         # noisy ones, so all error statistics live in scaled space.
         feature_scales = np.maximum(calib_cell_errors.mean(axis=0), 1e-10)
         scaled_cell_errors = calib_cell_errors / feature_scales[None, :]
         calib_errors = DQuaGModel.sample_errors(scaled_cell_errors)
-        self.calibration = ThresholdCalibration.from_clean_errors(
+        calibration = ThresholdCalibration.from_clean_errors(
             calib_errors,
             percentile=self.config.threshold_percentile,
             confidence=self.config.threshold_confidence,
@@ -167,10 +174,11 @@ class DQuaG(BaselineValidator):
             scaled_cell_errors, self.config.feature_threshold_percentile, axis=0
         )
         self._build_phase2(
+            engine,
+            calibration,
             feature_thresholds=feature_thresholds,
             feature_scales=feature_scales,
             clean_column_centers=np.median(matrix, axis=0),
-            engine=engine,
         )
         # Freeze the clean distribution for drift monitoring: per-column
         # histograms of the exact matrix the model trained on, plus the
@@ -181,19 +189,21 @@ class DQuaG(BaselineValidator):
             self.preprocessor, matrix,
             flag_rate=1.0 - self.config.threshold_percentile / 100.0,
         )
-        logger.info("calibrated threshold=%.6f (p%.0f)", self.calibration.threshold, self.config.threshold_percentile)
+        logger.info("calibrated threshold=%.6f (p%.0f)", calibration.threshold, self.config.threshold_percentile)
         return self
 
     # -- phase 2 --------------------------------------------------------------
     def validate(
         self, table: Table, workers: int | None = None, rules=None, use_shm: bool | None = None
     ) -> ValidationReport:
-        """Full validation report for an unseen table (engine-compiled path).
+        """Full validation report for an unseen table.
 
-        With ``workers > 1`` the table is split into chunk-aligned row
-        shards validated on a process pool (see
-        :mod:`repro.runtime.sharding`); the merged report is bit-identical
-        to the single-process path. The pool is cached per worker count —
+        In process this is the one-chunk case of the validation core,
+        :meth:`StreamingValidator.validate
+        <repro.runtime.streaming.StreamingValidator.validate>`. With
+        ``workers > 1`` the table is split into chunk-aligned row shards
+        validated on a process pool (see :mod:`repro.runtime.sharding`);
+        the merged report is bit-identical to the single-process path. The pool is cached per worker count —
         release with :meth:`close_parallel` when done. ``use_shm``
         controls the shared-memory data plane of that pool (None =
         auto-detect, False = pickled fan-out, True = prefer shm with
@@ -205,20 +215,15 @@ class DQuaG(BaselineValidator):
         the outcome fused into ``report.rule_report`` — the GNN-derived
         fields are never altered, so a rules-off run stays bit-identical.
         """
-        validator = self._require_validator()
-        rule_plan = None
-        if rules is not None:
-            from repro.rules import resolve_rules
-
-            rule_plan = resolve_rules(rules, validator.preprocessor)
+        validator = self.streaming_validator(rules=rules)
         # Empty tables fall through: their one-shot report is
         # well-defined while a zero-shard plan is not.
         if workers is not None and workers > 1 and table.n_rows > 0:
             from repro.exceptions import TransientServiceError
 
-            if table.schema != validator.preprocessor.schema:
+            if table.schema != self.preprocessor.schema:
                 raise SchemaError("table schema does not match the trained pipeline")
-            ruleset = None if rule_plan is None else rule_plan.ruleset
+            ruleset = None if validator.rule_plan is None else validator.rule_plan.ruleset
             try:
                 return self.parallel_validator(workers, use_shm=use_shm).validate_table(
                     table, shards=workers, keep_cell_errors=True, rules=ruleset
@@ -230,11 +235,6 @@ class DQuaG(BaselineValidator):
                 return self.parallel_validator(workers, use_shm=use_shm).validate_table(
                     table, shards=workers, keep_cell_errors=True, rules=ruleset
                 )
-        if rule_plan is not None:
-            from repro.rules import apply_rules
-
-            matrix, report = validator.validate_with_matrix(table)
-            return apply_rules(report, matrix, rule_plan)
         return validator.validate(table)
 
     def validate_batch(self, batch: Table) -> BatchVerdict:
@@ -246,7 +246,7 @@ class DQuaG(BaselineValidator):
         """
         from repro.api.protocol import summary_dict
 
-        report = self._require_validator().validate(batch)
+        report = self.validate(batch)
         return BatchVerdict(
             is_problematic=report.is_problematic,
             flagged_rows=report.flagged_rows,
@@ -294,10 +294,15 @@ class DQuaG(BaselineValidator):
 
     # -- runtime ---------------------------------------------------------------
     @property
-    def engine(self):
+    def engine(self) -> InferenceEngine:
         """The compiled :class:`~repro.runtime.engine.InferenceEngine`
-        serving this pipeline (``None`` if the model is not exportable)."""
-        return self._require_validator().engine
+        serving this pipeline, with its calibration context."""
+        return self._require_validator()
+
+    @property
+    def calibration(self) -> ThresholdCalibration | None:
+        """The row-threshold calibration (held by :attr:`engine`)."""
+        return None if self._validator is None else self._validator.calibration
 
     def streaming_validator(
         self,
@@ -422,47 +427,32 @@ class DQuaG(BaselineValidator):
         if parallel is not None:
             parallel.close()
 
-    def _compile_kernels(self):
-        """Compile the fitted model into an :class:`InferenceEngine`
-        (``None`` when the architecture is not exportable)."""
-        from repro.exceptions import KernelExportError
-        from repro.runtime.engine import InferenceEngine
-
-        try:
-            return InferenceEngine(self.model)
-        except KernelExportError as exc:
-            logger.warning("model not exportable to NumPy kernels (%s); serving via autograd", exc)
-            return None
-
     def _build_phase2(
         self,
+        engine: InferenceEngine,
+        calibration: ThresholdCalibration,
         feature_thresholds: np.ndarray | None,
         feature_scales: np.ndarray | None,
         clean_column_centers: np.ndarray,
-        engine=None,
     ) -> None:
-        """Assemble validator + repair engine around one shared compiled
-        inference engine (falling back to autograd when not exportable)."""
-        if engine is None:
-            engine = self._compile_kernels()
+        """Attach the calibration context to the compiled engine — the one
+        place it is set — and build the repair engine around it."""
         # Warm the compiled preprocessing plan alongside the model
         # kernels: both fit() and load_weights() land here, so the first
         # request (local or via ValidationService) runs fully hot.
         self.preprocessor.compile()
-        self._validator = DataQualityValidator(
-            self.model, self.preprocessor, self.calibration, self.config,
-            feature_thresholds=feature_thresholds,
-            feature_scales=feature_scales,
-            engine=engine,
-            use_engine=engine is not None,
+        engine.preprocessor = self.preprocessor
+        engine.calibration = calibration
+        # Both are optional (archives may predate them). Within a flagged
+        # row, a cell above its column's clean-error quantile is flagged
+        # even when the row-relative μ+kσ rule misses it.
+        engine.feature_scales = (
+            None if feature_scales is None else np.asarray(feature_scales, dtype=np.float64)
         )
-        if engine is not None:
-            engine.attach_context(
-                preprocessor=self.preprocessor,
-                calibration=self.calibration,
-                feature_scales=self._validator.feature_scales,
-                feature_thresholds=self._validator.feature_thresholds,
-            )
+        engine.feature_thresholds = (
+            None if feature_thresholds is None else np.asarray(feature_thresholds, dtype=np.float64)
+        )
+        self._validator = engine
         self._repair_engine = RepairEngine(
             self.model, self.preprocessor,
             clean_column_centers=clean_column_centers,
@@ -473,7 +463,7 @@ class DQuaG(BaselineValidator):
     def save(self, path: str | Path) -> None:
         """Persist weights, config, graph, calibration, and the fitted
         preprocessor state (encoder vocabularies and scaling ranges)."""
-        if self.model is None or self.calibration is None:
+        if self.model is None or self._validator is None:
             raise NotFittedError("cannot save an unfitted DQuaG pipeline")
         validator = self._require_validator()
         metadata = {
@@ -521,6 +511,8 @@ class DQuaG(BaselineValidator):
         fit time — and numeric scaling ranges), so no clean table is
         needed. ``clean`` is accepted for schema cross-checking only.
         """
+        from repro.runtime.engine import InferenceEngine
+
         self.close_parallel()
         state, metadata = load_state(path)
         if "preprocessor" not in metadata:
@@ -536,14 +528,14 @@ class DQuaG(BaselineValidator):
             raise SchemaError("provided table schema does not match the saved pipeline")
         self.model = DQuaGModel(self.graph, self.config)
         self.model.load_state_dict(state)
-        calibration = metadata["calibration"]
-        self.calibration = ThresholdCalibration(
-            threshold=calibration["threshold"],
-            percentile=calibration["percentile"],
-            clean_mean=calibration["clean_mean"],
-            clean_p50=calibration["clean_p50"],
-            clean_max=calibration["clean_max"],
-            n_samples=calibration["n_samples"],
+        stored = metadata["calibration"]
+        calibration = ThresholdCalibration(
+            threshold=stored["threshold"],
+            percentile=stored["percentile"],
+            clean_mean=stored["clean_mean"],
+            clean_p50=stored["clean_p50"],
+            clean_max=stored["clean_max"],
+            n_samples=stored["n_samples"],
         )
         scales = metadata.get("feature_scales")
         thresholds = metadata.get("feature_thresholds")
@@ -556,8 +548,10 @@ class DQuaG(BaselineValidator):
 
             self._monitor_baseline = MonitorBaseline.from_metadata(baseline)
         self._build_phase2(
-            feature_thresholds=None if thresholds is None else np.asarray(thresholds),
-            feature_scales=None if scales is None else np.asarray(scales),
+            InferenceEngine(self.model),
+            calibration,
+            feature_thresholds=thresholds,
+            feature_scales=scales,
             clean_column_centers=(
                 np.full(len(self.preprocessor.schema), 0.5)
                 if centers is None
@@ -567,7 +561,7 @@ class DQuaG(BaselineValidator):
         return self
 
     # -- internals ------------------------------------------------------------------
-    def _require_validator(self) -> DataQualityValidator:
+    def _require_validator(self) -> InferenceEngine:
         if self._validator is None:
             raise NotFittedError("DQuaG used before fit()")
         return self._validator

@@ -1,10 +1,12 @@
-"""Phase 2: data-quality validation of unseen tables (§3.2.1).
+"""Phase 2: the §3.2.1 decision report for unseen tables.
 
-The numerical hot path — per-cell reconstruction errors — runs through
-the compiled :class:`~repro.runtime.engine.InferenceEngine` whenever the
-model's architecture can be exported to pure-NumPy kernels (all built-in
-encoders can); the autograd :class:`~repro.core.model.DQuaGModel` forward
-is kept as a fallback and as the parity reference.
+:func:`assemble_report` turns per-cell reconstruction errors into row
+flags, cell flags and the 5%·n dataset verdict; :class:`ValidationReport`
+is its outcome. The compiled :class:`~repro.runtime.engine.InferenceEngine`
+holds the calibration context and is the only caller
+(:meth:`~repro.runtime.engine.InferenceEngine.assemble`);
+:class:`~repro.runtime.streaming.StreamingValidator` runs every validate
+path through it.
 """
 
 from __future__ import annotations
@@ -13,14 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import DQuaGConfig
 from repro.core.model import DQuaGModel
 from repro.core.thresholds import DatasetDecisionRule, ThresholdCalibration, flag_feature_cells
-from repro.data.preprocess import TablePreprocessor
-from repro.data.table import Table
-from repro.exceptions import SchemaError
 
-__all__ = ["ValidationReport", "DataQualityValidator", "assemble_report"]
+__all__ = ["ValidationReport", "assemble_report"]
 
 
 @dataclass
@@ -143,11 +141,11 @@ def assemble_report(
 ) -> ValidationReport:
     """Turn raw per-cell errors into the full §3.2.1 decision report.
 
-    Shared by the autograd validator, the compiled inference engine, and
-    the streaming validator so every path applies identical scaling and
-    flag rules. All decisions are row-local except ``flagged_fraction`` /
-    ``is_problematic``, which is why chunked validation can reproduce the
-    one-shot report exactly.
+    Called through :meth:`InferenceEngine.assemble
+    <repro.runtime.engine.InferenceEngine.assemble>`, so every path
+    applies identical scaling and flag rules. All decisions are row-local
+    except ``flagged_fraction`` / ``is_problematic``, which is why chunked
+    validation can reproduce the one-shot report exactly.
     """
     if feature_scales is not None:
         cell_errors = cell_errors / feature_scales[None, :]
@@ -167,95 +165,3 @@ def assemble_report(
         is_problematic=rule.is_problematic(flagged_fraction),
         feature_names=list(feature_names or []),
     )
-
-
-class DataQualityValidator:
-    """Applies a trained model + calibration to unseen tables."""
-
-    def __init__(
-        self,
-        model: DQuaGModel,
-        preprocessor: TablePreprocessor,
-        calibration: ThresholdCalibration,
-        config: DQuaGConfig | None = None,
-        feature_thresholds: np.ndarray | None = None,
-        feature_scales: np.ndarray | None = None,
-        engine: "object | None" = None,
-        use_engine: bool = True,
-    ) -> None:
-        self.model = model
-        self.preprocessor = preprocessor
-        self.calibration = calibration
-        self.config = config or model.config
-        # Optional per-feature clean-error quantiles: within a flagged
-        # row, cells above their column's clean threshold are flagged
-        # even when the row-relative μ+kσ rule misses them (helps rows
-        # with several corrupted cells of different magnitudes).
-        self.feature_thresholds = (
-            None if feature_thresholds is None else np.asarray(feature_thresholds, dtype=np.float64)
-        )
-        # Optional per-feature error scales (mean clean cell error).
-        # Dividing by them before aggregating makes every feature count
-        # equally in the row error regardless of how precisely the model
-        # reconstructs it — a typo in an easy categorical column then
-        # weighs as much as an anomaly in a hard numeric one. The
-        # calibration must have been computed in the same scaled space.
-        self.feature_scales = (
-            None if feature_scales is None else np.asarray(feature_scales, dtype=np.float64)
-        )
-        self.rule = DatasetDecisionRule(
-            percentile=self.config.threshold_percentile,
-            n_multiplier=self.config.dataset_rule_n,
-        )
-        self._engine = engine
-        self._use_engine = use_engine
-
-    @property
-    def engine(self):
-        """The compiled inference engine, built lazily on first use.
-
-        ``None`` when engine use is disabled or the model cannot be
-        exported (the autograd forward is then used instead).
-        """
-        if self._engine is None and self._use_engine:
-            from repro.exceptions import KernelExportError
-            from repro.runtime.engine import InferenceEngine
-
-            try:
-                self._engine = InferenceEngine(self.model)
-            except KernelExportError:
-                self._use_engine = False
-        return self._engine
-
-    def validate(self, table: Table) -> ValidationReport:
-        """Validate a table with the same schema as the training data."""
-        return self.validate_with_matrix(table)[1]
-
-    def validate_with_matrix(self, table: Table) -> "tuple[np.ndarray, ValidationReport]":
-        """Validate a table, also returning its preprocessed matrix.
-
-        For callers that need the model-space matrix the validation
-        already computed — e.g. the serving layer feeding the drift
-        monitor — without paying a second preprocessing pass.
-        """
-        if table.schema != self.preprocessor.schema:
-            raise SchemaError("table schema does not match the trained pipeline")
-        matrix = self.preprocessor.compile().transform(table)
-        return matrix, self.validate_matrix(matrix)
-
-    def validate_matrix(self, matrix: np.ndarray) -> ValidationReport:
-        """Validate an already-preprocessed matrix (used by benchmarks)."""
-        engine = self.engine
-        if engine is not None:
-            cell_errors = engine.reconstruction_errors(matrix)
-        else:
-            cell_errors = self.model.reconstruction_errors(matrix)
-        return assemble_report(
-            cell_errors,
-            calibration=self.calibration,
-            rule=self.rule,
-            feature_sigma=self.config.feature_sigma,
-            feature_scales=self.feature_scales,
-            feature_thresholds=self.feature_thresholds,
-            feature_names=list(self.preprocessor.schema.names),
-        )

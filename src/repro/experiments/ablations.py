@@ -128,30 +128,24 @@ def run_ablations(
         result.rows.append(AblationRow("feature graph", variant, clean_rate, dirty_rate))
 
     # 3. Threshold percentile (reuses the hybrid model; recalibrates only).
-    # Errors are scaled exactly as the validator scales them so the new
+    # Errors are scaled exactly as the engine scales them so the new
     # thresholds live in the same space — and come from the same compiled
     # engine that serves _measure(), so calibration and serving numerics
-    # agree to the last bit (matching DQuaG.fit).
+    # agree to the last bit (matching DQuaG.fit). The engine holds the
+    # calibration, so swapping it there re-points every validate path.
     reference = fit(DQuaGConfig(**base_kwargs))
+    engine = reference.engine
     calib_matrix = reference.preprocessor.compile().transform(splits.calibration)
-    errors_of = (
-        reference.engine.reconstruction_errors
-        if reference.engine is not None
-        else reference.model.reconstruction_errors
-    )
-    calib_cell_errors = errors_of(calib_matrix)
-    scales = reference._validator.feature_scales
-    if scales is not None:
-        calib_cell_errors = calib_cell_errors / scales[None, :]
+    calib_cell_errors = engine.reconstruction_errors(calib_matrix)
+    if engine.feature_scales is not None:
+        calib_cell_errors = calib_cell_errors / engine.feature_scales[None, :]
     calib_errors = calib_cell_errors.mean(axis=1)
     for percentile in (90.0, 95.0, 99.0):
-        reference.calibration = ThresholdCalibration.from_clean_errors(calib_errors, percentile=percentile)
-        reference._validator.calibration = reference.calibration
+        engine.calibration = ThresholdCalibration.from_clean_errors(calib_errors, percentile=percentile)
         clean_rate, dirty_rate = _measure(reference, clean_batches, dirty_batches)
         result.rows.append(
             AblationRow("threshold percentile", f"p{percentile:.0f}", clean_rate, dirty_rate)
         )
     # Restore the paper's percentile on the shared object.
-    reference.calibration = ThresholdCalibration.from_clean_errors(calib_errors, percentile=95.0)
-    reference._validator.calibration = reference.calibration
+    engine.calibration = ThresholdCalibration.from_clean_errors(calib_errors, percentile=95.0)
     return result

@@ -9,10 +9,12 @@ NumPy kernels and builds the serving stack on top:
 
 * :mod:`repro.runtime.engine` — :class:`InferenceEngine`, pure-NumPy
   forward kernels compiled from a fitted model (no ``Tensor`` graph
-  bookkeeping, one shared encoder pass for both decoders);
-* :mod:`repro.runtime.streaming` — :class:`StreamingValidator`,
-  bounded-memory validation of arbitrarily large tables via mergeable
-  :class:`PartialReport` chunks;
+  bookkeeping, one shared encoder pass for both decoders), carrying the
+  pipeline's calibration context;
+* :mod:`repro.runtime.streaming` — :class:`StreamingValidator`, the one
+  validation core every validate path runs through: mergeable
+  :class:`PartialReport` chunks, from one-shot tables to bounded-memory
+  streams of arbitrarily large ones;
 * :mod:`repro.runtime.service` — :class:`ValidationService`, an LRU
   registry of fitted pipelines dispatching concurrent batch validation
   across a thread pool;

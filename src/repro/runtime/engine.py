@@ -5,8 +5,13 @@ on the seed implementation still ran through :class:`~repro.nn.tensor.Tensor`,
 allocating per-op graph nodes it immediately threw away. The
 :class:`InferenceEngine` instead *compiles* a fitted model once — each
 GNN layer exports its weights into a closure over raw ``np.ndarray`` ops
-(see ``export_kernel()`` on the layers in :mod:`repro.gnn`) — and then
-runs Phase 2 with:
+(see ``export_kernel()`` on the layers in :mod:`repro.gnn`) — and is the
+one carrier of a fitted pipeline's calibration context (preprocessor,
+threshold calibration, dataset rule, feature scales and thresholds):
+:meth:`InferenceEngine.assemble` is the only caller of
+:func:`~repro.core.validator.assemble_report`, and
+:class:`~repro.runtime.streaming.StreamingValidator` drives every
+validate path through it. It runs Phase 2 with:
 
 * zero ``Tensor`` bookkeeping (plain arrays end to end),
 * one shared encoder pass feeding both decoders (``forward``),
@@ -21,9 +26,6 @@ runs Phase 2 with:
   slab path, whose constant embedding region is written once per
   workspace buffer rather than once per chunk,
 * reconstruction-error / repair-value computation fused into the kernel,
-* table encoding through the preprocessor's compiled
-  :class:`~repro.data.plan.TransformPlan` (vectorized, bit-identical to
-  the legacy transform),
 * cache-sized row chunks: by default a chunk holds
   ``CHUNK_BYTES // (8 · n_features · hidden)`` rows (see
   :func:`cache_sized_chunk`), so the widest ``(rows, F, hidden)``
@@ -65,13 +67,11 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from repro.core.config import DQuaGConfig
 from repro.core.model import DQuaGModel
 from repro.core.thresholds import DatasetDecisionRule, ThresholdCalibration
 from repro.core.validator import ValidationReport, assemble_report
 from repro.data.preprocess import TablePreprocessor
-from repro.data.table import Table
-from repro.exceptions import NotFittedError, SchemaError
+from repro.exceptions import NotFittedError
 from repro.nn.kernels import Workspace, buffer
 from repro.nn.layers import MLP, NUMPY_ACTIVATIONS
 
@@ -101,10 +101,12 @@ class InferenceEngine:
     """A fitted :class:`DQuaGModel` compiled to pure-NumPy kernels.
 
     Construction snapshots all weights (training the model afterwards
-    does not affect the engine — recompile to pick up new weights). The
-    optional calibration context (preprocessor, thresholds, scales)
-    enables the full ``validate()`` path; without it the engine still
-    serves raw ``reconstruction_errors`` / ``repair_values``.
+    does not affect the engine — recompile to pick up new weights).
+    :class:`~repro.core.pipeline.DQuaG` attaches the calibration context
+    (``preprocessor``, ``calibration``, ``feature_scales``,
+    ``feature_thresholds``) once it has calibrated through the kernels;
+    :meth:`assemble` and :meth:`validate_matrix` need it, while
+    ``reconstruction_errors`` / ``repair_values`` serve without it.
 
     ``chunk_size`` defaults to :func:`cache_sized_chunk` of the model's
     shape and ``width`` — how many threads one call may run its chunks
@@ -115,11 +117,6 @@ class InferenceEngine:
         self,
         model: DQuaGModel,
         chunk_size: int | None = None,
-        preprocessor: TablePreprocessor | None = None,
-        calibration: ThresholdCalibration | None = None,
-        config: DQuaGConfig | None = None,
-        feature_scales: np.ndarray | None = None,
-        feature_thresholds: np.ndarray | None = None,
         width: int | None = None,
     ) -> None:
         if chunk_size is None:
@@ -155,14 +152,16 @@ class InferenceEngine:
         self._validation_decoder = self._compile_decoder(model.validation_decoder)
         self._repair_decoder = self._compile_decoder(model.repair_decoder)
 
-        # -- optional validation context ---------------------------------
-        self.config = config or model.config
-        self.attach_context(
-            preprocessor=preprocessor,
-            calibration=calibration,
-            feature_scales=feature_scales,
-            feature_thresholds=feature_thresholds,
+        # -- calibration context, attached by DQuaG ----------------------
+        self.config = model.config
+        self.rule = DatasetDecisionRule(
+            percentile=self.config.threshold_percentile,
+            n_multiplier=self.config.dataset_rule_n,
         )
+        self.preprocessor: TablePreprocessor | None = None
+        self.calibration: ThresholdCalibration | None = None
+        self.feature_scales: np.ndarray | None = None
+        self.feature_thresholds: np.ndarray | None = None
 
         # Workspaces are kept thread-local: one engine may serve
         # concurrent validations from a thread pool, and each fan-out
@@ -172,51 +171,6 @@ class InferenceEngine:
         # multi-chunk call.
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
-
-    # -- construction helpers ----------------------------------------------
-    @classmethod
-    def from_validator(cls, validator) -> "InferenceEngine":
-        """Compile a :class:`~repro.core.validator.DataQualityValidator`
-        together with its calibration context."""
-        return cls(
-            validator.model,
-            preprocessor=validator.preprocessor,
-            calibration=validator.calibration,
-            config=validator.config,
-            feature_scales=validator.feature_scales,
-            feature_thresholds=validator.feature_thresholds,
-        )
-
-    @classmethod
-    def from_pipeline(cls, pipeline) -> "InferenceEngine":
-        """Compile a fitted :class:`~repro.core.pipeline.DQuaG`."""
-        validator = getattr(pipeline, "_validator", None)
-        if validator is None:
-            raise NotFittedError("cannot compile an unfitted DQuaG pipeline")
-        return cls.from_validator(validator)
-
-    def attach_context(
-        self,
-        preprocessor: TablePreprocessor | None = None,
-        calibration: ThresholdCalibration | None = None,
-        feature_scales: np.ndarray | None = None,
-        feature_thresholds: np.ndarray | None = None,
-    ) -> "InferenceEngine":
-        """Attach (or replace) the calibration context the full
-        ``validate()`` path needs; kernels are left untouched."""
-        self.preprocessor = preprocessor
-        self.calibration = calibration
-        self.feature_scales = (
-            None if feature_scales is None else np.asarray(feature_scales, dtype=np.float64)
-        )
-        self.feature_thresholds = (
-            None if feature_thresholds is None else np.asarray(feature_thresholds, dtype=np.float64)
-        )
-        self.rule = DatasetDecisionRule(
-            percentile=self.config.threshold_percentile,
-            n_multiplier=self.config.dataset_rule_n,
-        )
-        return self
 
     # -- kernel compilation ------------------------------------------------
     def _compile_decoder(self, mlp: MLP):
@@ -415,19 +369,16 @@ class InferenceEngine:
         self._for_each_chunk(matrix, run)
         return out
 
-    # -- full validation path ---------------------------------------------
-    def _require_context(self) -> None:
+    # -- the §3.2.1 report ------------------------------------------------
+    def assemble(self, cell_errors: np.ndarray) -> ValidationReport:
+        """The full §3.2.1 report for raw per-cell errors."""
         if self.calibration is None:
             raise NotFittedError(
-                "engine compiled without calibration context; build it via "
-                "InferenceEngine.from_validator/from_pipeline to validate()"
+                "engine has no calibration context; use the engine of a fitted "
+                "DQuaG pipeline (DQuaG.engine)"
             )
-
-    def validate_matrix(self, matrix: np.ndarray) -> ValidationReport:
-        """Full §3.2.1 report for an already-preprocessed matrix."""
-        self._require_context()
         return assemble_report(
-            self.reconstruction_errors(matrix),
+            cell_errors,
             calibration=self.calibration,
             rule=self.rule,
             feature_sigma=self.config.feature_sigma,
@@ -436,14 +387,9 @@ class InferenceEngine:
             feature_names=list(self.preprocessor.schema.names) if self.preprocessor else None,
         )
 
-    def validate(self, table: Table) -> ValidationReport:
-        """Full validation report for an unseen table."""
-        self._require_context()
-        if self.preprocessor is None:
-            raise NotFittedError("engine compiled without a preprocessor; cannot validate tables")
-        if table.schema != self.preprocessor.schema:
-            raise SchemaError("table schema does not match the compiled pipeline")
-        return self.validate_matrix(self.preprocessor.compile().transform(table))
+    def validate_matrix(self, matrix: np.ndarray) -> ValidationReport:
+        """Full §3.2.1 report for an already-preprocessed matrix."""
+        return self.assemble(self.reconstruction_errors(matrix))
 
     def __repr__(self) -> str:
         context = "with context" if self.calibration is not None else "kernels only"

@@ -24,7 +24,13 @@ fronts: ``validate``/``repair``/``submit_many`` plus per-pipeline
 :meth:`pipeline_stats` and a wire-encodable :class:`ServiceStats`
 snapshot. Every pipeline additionally gets a lazy per-generation
 :class:`~repro.monitor.monitor.DriftMonitor` (see :meth:`monitor_for`)
-that every validate path folds its traffic into.
+and an optional declarative rule plan (see :meth:`rule_plan_for`).
+:meth:`validator_for` wraps both around the pipeline's engine in the
+validation core, :class:`~repro.runtime.streaming.StreamingValidator`:
+:meth:`validate` is its one-shot case plus counting, and the scheduler,
+the in-process stream and the gateway's stream handler run on it too.
+The sharded paths, whose workers run the core in their own processes,
+observe on the coordinator through :func:`~repro.runtime.streaming.observe`.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from repro.core.repair import RepairSummary
 from repro.core.validator import ValidationReport
 from repro.data.table import Table
 from repro.exceptions import ReproError
+from repro.runtime.streaming import StreamingValidator, observe
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -321,20 +328,13 @@ class ValidationService:
     def validate(self, name: str, table: Table) -> ValidationReport:
         """Validate one batch on the named pipeline (synchronous).
 
-        The batch is preprocessed exactly once: the same matrix feeds
-        the validator, the rule plan (when :meth:`set_rules` attached
-        one), and the drift monitor — rules add vectorized comparisons
-        over the already-encoded matrix, not a second transform.
+        The one-chunk case of :meth:`validator_for`: the batch is
+        preprocessed exactly once, and the same matrix feeds the engine,
+        the rule plan (when :meth:`set_rules` attached one), and the
+        drift monitor.
         """
-        validator = self.get(name)._require_validator()
-        matrix, report = validator.validate_with_matrix(table)
-        plan = self.rule_plan_for(name)
-        if plan is not None:
-            from repro.rules import apply_rules
-
-            report = apply_rules(report, matrix, plan)
+        report = self.validator_for(name).validate(table)
         self.count_validation(name, table.n_rows)
-        self._observe_matrix(name, matrix, report)
         return report
 
     # -- sharded dispatch --------------------------------------------------
@@ -390,7 +390,9 @@ class ValidationService:
         if report is None:  # a re-registration invalidated the pool build
             return self.validate(name, table)
         self.count_validation(name, table.n_rows)
-        self._observe_batch(name, table, report)
+        # The workers preprocess their own shards, so the coordinator's
+        # observation costs one transform of the table.
+        observe(self.monitor_for(name), rows=table, n_flagged=report.n_flagged)
         return report
 
     def validate_stream_sharded(
@@ -403,14 +405,13 @@ class ValidationService:
         re-registration invalidates the pool build.
 
         Drift monitoring: on the in-process fallback the monitor rides
-        the :class:`StreamingValidator` (observing each preprocessed
+        the core, :meth:`validator_for` (observing each preprocessed
         chunk with its flags); on the sharded path the coordinator
         observes each chunk's distribution as it hands it to the workers
         (Table chunks cost one extra preprocessing pass there) and feeds
         the flag-rate chart once from the merged summary.
         """
         from repro.exceptions import TransientServiceError
-        from repro.runtime.streaming import StreamingValidator
 
         monitor = self.monitor_for(name)
         rule_plan = self.rule_plan_for(name)
@@ -429,12 +430,17 @@ class ValidationService:
                     self._parallel_note_idle(name)
                     self._release_shard_workers(granted)
         if parallel is None:
-            summary = StreamingValidator(
-                self.get(name)._require_validator(), monitor=monitor, rules=rule_plan
-            ).validate_stream(chunks)
+            summary = self.validator_for(name).validate_stream(chunks)
         else:
             if monitor is not None:
-                chunks = self._observed_chunks(monitor, chunks)
+                # Distribution only: flags are not known until the
+                # workers report back.
+                def observed(chunks):
+                    for chunk in chunks:
+                        observe(monitor, rows=chunk)
+                        yield chunk
+
+                chunks = observed(chunks)
             try:
                 summary = parallel.validate_stream(
                     chunks,
@@ -453,11 +459,7 @@ class ValidationService:
             finally:
                 self._parallel_note_idle(name)
                 self._release_shard_workers(granted)
-            if monitor is not None:
-                try:
-                    monitor.observe_flags(summary.n_flagged, summary.n_rows)
-                except Exception:
-                    logger.warning("drift monitor update failed for %r", name, exc_info=True)
+            observe(monitor, n_flagged=summary.n_flagged, n_rows=summary.n_rows)
         self.count_validation(name, summary.n_rows)
         return summary
 
@@ -687,6 +689,17 @@ class ValidationService:
             self._rule_plans[name] = (generation, plan)
             return plan
 
+    # -- the validation core ----------------------------------------------
+    def validator_for(self, name: str) -> StreamingValidator:
+        """The validation core for ``name``: its engine with the attached
+        rule plan (:meth:`rule_plan_for`) and drift monitor
+        (:meth:`monitor_for`). Callers count their own traffic."""
+        return StreamingValidator(
+            self.get(name)._require_validator(),
+            monitor=self.monitor_for(name),
+            rules=self.rule_plan_for(name),
+        )
+
     # -- drift monitoring --------------------------------------------------
     def monitor_for(self, name: str) -> "DriftMonitor | None":
         """The drift monitor watching pipeline ``name``.
@@ -742,62 +755,6 @@ class ValidationService:
         with self._lock:
             live = {name: entry[1] for name, entry in self._monitors.items()}
         return {name: monitor.snapshot() for name, monitor in sorted(live.items())}
-
-    def observe_validation(self, name: str, matrix, report: ValidationReport) -> None:
-        """Fold one externally-validated batch into the drift monitor.
-
-        For dispatchers that drive the validator directly on an
-        already-preprocessed matrix (the micro-batching scheduler's fused
-        slabs): the monitor sees the same rows and flags it would have
-        seen per-request, in one histogram pass. Advisory, like every
-        monitor update — failures are logged, never raised.
-        """
-        self._observe_matrix(name, matrix, report)
-
-    def _observe_matrix(self, name: str, matrix, report: ValidationReport) -> None:
-        """Fold one already-preprocessed batch into the drift monitor.
-
-        Monitoring is advisory: any failure is logged and swallowed so
-        it can never fail a validation request that already succeeded.
-        """
-        if self.monitor_window < 1 or matrix.shape[0] == 0:
-            return
-        try:
-            monitor = self.monitor_for(name)
-            if monitor is not None:
-                monitor.observe_matrix(matrix, n_flagged=report.n_flagged)
-        except Exception:
-            logger.warning("drift monitor update failed for %r", name, exc_info=True)
-
-    def _observe_batch(self, name: str, table: Table, report: ValidationReport) -> None:
-        """Fold one validated batch into the pipeline's drift monitor.
-
-        Used by the sharded table path, where the workers preprocess
-        their own shards and the coordinator never sees a matrix — the
-        observation costs one coordinator-side transform there.
-        Monitoring is advisory: any failure is logged and swallowed.
-        """
-        if self.monitor_window < 1 or table.n_rows == 0:
-            return
-        try:
-            monitor = self.monitor_for(name)
-            if monitor is not None:
-                monitor.observe_table(table, n_flagged=report.n_flagged)
-        except Exception:
-            logger.warning("drift monitor update failed for %r", name, exc_info=True)
-
-    def _observed_chunks(self, monitor: "DriftMonitor", chunks: "Iterable[Chunk]"):
-        """Tee a chunk stream into ``monitor`` (distribution only —
-        flags are not known until the workers report back)."""
-        for chunk in chunks:
-            try:
-                if isinstance(chunk, Table):
-                    monitor.observe_table(chunk)
-                else:
-                    monitor.observe_matrix(chunk)
-            except Exception:
-                logger.warning("drift monitor chunk observation failed", exc_info=True)
-            yield chunk
 
     def repair(
         self,

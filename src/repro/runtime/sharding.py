@@ -12,8 +12,8 @@ speed (the Figure-4 scalability axis):
   ``read_csv_chunks``) into shard-sized super-chunks;
 * :class:`ParallelValidator` — executes shards on a
   :class:`~concurrent.futures.ProcessPoolExecutor`. Workers rebuild the
-  validator from a ``DQuaG.save`` weight archive (nothing live is
-  pickled); shard outcomes travel back as wire-encoded
+  engine from a ``DQuaG.save`` weight archive (nothing live is pickled)
+  and run the validation core over it; shard outcomes travel back as wire-encoded
   :class:`~repro.runtime.streaming.PartialReport` payloads via the
   :mod:`repro.api` protocol and are folded into the exact
   :class:`~repro.core.validator.ValidationReport` (dense mode) or
@@ -325,16 +325,14 @@ _WORKER: dict[str, object] = {}
 
 
 def _worker_init(archive: str, chunk_size: int) -> None:
-    """Process-pool initializer: rebuild the validator from the archive."""
+    """Process-pool initializer: rebuild the engine from the archive."""
     from repro.core.pipeline import DQuaG
 
-    pipeline = DQuaG().load_weights(archive)
-    validator = pipeline._require_validator()
-    if validator.engine is not None:
-        # The pool's processes already cover the CPUs; a worker fanning
-        # its engine out as well would only oversubscribe them.
-        validator.engine.width = 1
-    _WORKER["validator"] = validator
+    engine = DQuaG().load_weights(archive)._require_validator()
+    # The pool's processes already cover the CPUs; a worker fanning its
+    # engine out as well would only oversubscribe them.
+    engine.width = 1
+    _WORKER["validator"] = engine
     _WORKER["chunk_size"] = int(chunk_size)
 
 

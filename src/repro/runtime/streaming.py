@@ -1,21 +1,27 @@
-"""Bounded-memory validation of arbitrarily large tables.
+"""The validation core: every validate path, chunk by chunk.
 
 The §3.2.1 decision rules are row-local except for the final
 batch-level verdict (flagged fraction vs the 5%·n cutoff), so a table
-can be validated chunk by chunk and the chunk outcomes merged exactly:
+can be validated chunk by chunk and the chunk outcomes merged exactly,
+and a one-shot validate is simply the one-chunk case:
 
+* :class:`StreamingValidator` — the one place encoded rows become
+  reports, rule verdicts and drift-monitor observations. Callers are
+  chunking or placement policies over it: one-shot validates, the
+  scheduler's coalesced slabs (:meth:`StreamingValidator.validate_many`),
+  streams from a table, a matrix, or any iterator of row chunks (e.g.
+  ``repro.data.io.read_csv_chunks``), shard workers and replicas;
 * :class:`PartialReport` — the outcome of one chunk, mergeable;
-* :class:`StreamingValidator` — drives chunks from a table, a matrix, or
-  any iterator of row chunks (e.g. ``repro.data.io.read_csv_chunks``);
 * :class:`StreamSummary` — the fold result when dense per-cell errors
   are *not* retained: flagged-row indices, per-column flagged-cell
   counts, and running error statistics in O(flagged + features) memory —
-  a 10⁶-row table never materializes its (rows × features) error matrix.
+  a 10⁶-row table never materializes its (rows × features) error matrix;
+* :func:`observe` — the only caller of ``DriftMonitor.observe_*``.
 
-With ``keep_cell_errors=True`` the merge reproduces the one-shot
-:class:`~repro.core.validator.ValidationReport` exactly (chunk sizes
-that are multiples of the engine's chunk size, like the defaults, make
-it bit-for-bit identical).
+The engine's kernels are row-local, so with ``keep_cell_errors=True``
+the merge reproduces the one-shot
+:class:`~repro.core.validator.ValidationReport` bit for bit at any
+chunk size.
 """
 
 from __future__ import annotations
@@ -25,11 +31,11 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-from repro.core.validator import DataQualityValidator, ValidationReport
+from repro.core.validator import ValidationReport
 from repro.data.table import Table
-from repro.exceptions import ValidationError
+from repro.exceptions import SchemaError, ValidationError
 
-__all__ = ["PartialReport", "StreamSummary", "StreamingValidator", "fold_partials"]
+__all__ = ["PartialReport", "StreamSummary", "StreamingValidator", "fold_partials", "observe"]
 
 Chunk = Union[Table, np.ndarray]
 
@@ -43,6 +49,34 @@ def _logger():
     from repro.utils.logging import get_logger
 
     return get_logger("runtime.streaming")
+
+
+def observe(
+    monitor,
+    rows=None,
+    n_flagged: int | None = None,
+    n_rows: int | None = None,
+    timestamp: float | None = None,
+) -> None:
+    """Fold one observation into a :class:`~repro.monitor.monitor.DriftMonitor`.
+
+    ``rows`` — a preprocessed matrix or a raw :class:`Table` — feeds the
+    column histograms, and ``n_flagged`` (when known) the flag-rate
+    chart; without ``rows``, ``n_flagged`` of ``n_rows`` feeds the chart
+    alone. A ``None`` monitor observes nothing. Monitoring is advisory:
+    a failure is logged, never raised, so it cannot fail a validation.
+    """
+    if monitor is None:
+        return
+    try:
+        if rows is None:
+            monitor.observe_flags(n_flagged, n_rows, timestamp=timestamp)
+        elif isinstance(rows, Table):
+            monitor.observe_table(rows, n_flagged=n_flagged, timestamp=timestamp)
+        else:
+            monitor.observe_matrix(rows, n_flagged=n_flagged, timestamp=timestamp)
+    except Exception:
+        _logger().warning("drift monitor observation failed", exc_info=True)
 
 
 @dataclass
@@ -208,33 +242,42 @@ class StreamSummary:
 
 
 class StreamingValidator:
-    """Chunk-wise Phase 2 over a fitted validator/engine.
+    """The validation core: Phase 2 over a fitted engine, chunk by chunk.
 
-    ``chunk_size`` rows are preprocessed and validated at a time; memory
-    use is O(chunk_size × features) regardless of the table length. The
-    default is a multiple of the engine's internal chunk so streamed
-    numerics match the one-shot path exactly.
+    ``validator`` is the pipeline's
+    :class:`~repro.runtime.engine.InferenceEngine`, which carries the
+    calibration context. One engine pass over an encoded matrix yields
+    one :class:`PartialReport` per row span; every entry point is a
+    chunking policy over that step:
+
+    * :meth:`validate_chunk` — one chunk at a global row offset (streams,
+      shard workers, router replicas);
+    * :meth:`validate` — a one-shot table, the one-chunk case;
+    * :meth:`validate_many` — several tables fused into one engine pass,
+      with a verdict and rule report per table (the scheduler's slab);
+    * :meth:`validate_stream` / :meth:`validate_table` /
+      :meth:`validate_frame_file` — ``chunk_size``-row chunks merged or
+      folded exactly, in O(chunk_size × features) memory.
 
     ``monitor`` attaches a :class:`~repro.monitor.monitor.DriftMonitor`:
-    every validated chunk is observed (reusing the already-preprocessed
-    matrix, so the monitor costs a histogram pass, not a second
-    preprocessing). Monitor failures are logged, never raised — drift
-    observation is advisory and must not break validation.
+    every engine pass is observed once, on the already-encoded matrix,
+    so the monitor costs a histogram pass, not a second preprocessing
+    (see :func:`observe`; failures are logged, never raised).
 
     ``clock`` stamps each :class:`PartialReport` with an observation
     timestamp (injectable for tests); the default ``None`` leaves
     partials unstamped so streamed results stay fully deterministic.
 
     ``rules`` attaches a declarative rule set (any form accepted by
-    :func:`repro.rules.resolve_rules`): each chunk is additionally
+    :func:`repro.rules.resolve_rules`): each span is additionally
     evaluated against the compiled :class:`~repro.rules.RulePlan` and the
-    per-chunk rule outputs fold into ``rule_report`` on the final
+    per-span rule outputs fold into ``rule_report`` on the final
     report/summary — bit-identical to one-shot rule evaluation.
     """
 
     def __init__(
         self,
-        validator: DataQualityValidator,
+        validator,
         chunk_size: int = 8192,
         keep_cell_errors: bool = False,
         monitor=None,
@@ -275,39 +318,107 @@ class StreamingValidator:
             rules=rules,
         )
 
+    # -- the core step -------------------------------------------------------
+    def _encode(self, chunk: Chunk) -> np.ndarray:
+        """A Table chunk through the compiled plan, or a checked matrix."""
+        preprocessor = self.validator.preprocessor
+        if isinstance(chunk, Table):
+            return preprocessor.compile().transform(chunk)
+        matrix = np.asarray(chunk, dtype=np.float64)
+        n_features = len(preprocessor.schema)
+        if matrix.ndim != 2 or matrix.shape[1] != n_features:
+            raise SchemaError(
+                f"chunk matrix has shape {matrix.shape}; the trained schema "
+                f"expects (rows, {n_features})"
+            )
+        return matrix
+
+    def _validate_spans(
+        self,
+        matrix: np.ndarray,
+        sizes: "list[int]",
+        keep_cell_errors: bool,
+        offset: int = 0,
+        timestamp: float | None = None,
+    ) -> "list[PartialReport]":
+        """Run the engine once over ``matrix``; one partial per span.
+
+        ``sizes`` cuts the rows into consecutive spans, each reported at
+        ``offset`` as if validated alone: every decision but the verdict
+        is row-local, so a span's report is bit-identical to its rows'
+        one-shot report, and its rule partial sees only its own rows. The
+        monitor observes the whole matrix once.
+        """
+        errors = self.validator.reconstruction_errors(matrix)
+        partials = []
+        start = 0
+        for size in sizes:
+            rows = slice(start, start + size)
+            partial = PartialReport.from_report(
+                self.validator.assemble(errors[rows]), offset, keep_cell_errors, timestamp
+            )
+            if self.rule_plan is not None:
+                # The rule partial copies what it keeps, so evaluating on a
+                # reused transform buffer (validate_table) is safe.
+                partial.rule_partial = self.rule_plan.evaluate(matrix[rows])
+            partials.append(partial)
+            start += size
+        observe(
+            self.monitor,
+            rows=matrix,
+            n_flagged=sum(partial.n_flagged for partial in partials),
+            timestamp=timestamp,
+        )
+        return partials
+
+    def _fold_context(self) -> dict:
+        """What merging and folding partials needs besides the partials."""
+        return {
+            "threshold": self.validator.calibration.threshold,
+            "rule": self.validator.rule,
+            "feature_names": list(self.validator.preprocessor.schema.names),
+            "rules": None if self.rule_plan is None else self.rule_plan.ruleset,
+        }
+
+    def _timestamp(self) -> float | None:
+        return None if self.clock is None else float(self.clock())
+
+    # -- one-shot API --------------------------------------------------------
+    def validate(self, table: Table) -> ValidationReport:
+        """The one-shot report for ``table``: the one-chunk case."""
+        return self.validate_many([table])[0]
+
+    def validate_many(self, tables: "list[Table]") -> "list[ValidationReport]":
+        """Validate several tables in one fused engine pass, one report each.
+
+        The tables are encoded and run as one matrix, but each report —
+        its verdict and its rule report — covers only its own rows, so
+        it is bit-identical to validating that table alone (a ``unique``
+        rule sees only its own table).
+        """
+        fused = tables[0] if len(tables) == 1 else Table.concat(tables)
+        partials = self._validate_spans(
+            self._encode(fused),
+            [table.n_rows for table in tables],
+            keep_cell_errors=True,
+            timestamp=self._timestamp(),
+        )
+        context = self._fold_context()
+        return [PartialReport.merge([partial], **context) for partial in partials]
+
     # -- chunk-level API ---------------------------------------------------
     def validate_chunk(
         self, chunk: Chunk, offset: int = 0, timestamp: float | None = None
     ) -> PartialReport:
         """Validate one row chunk (a Table or a preprocessed matrix)."""
-        if timestamp is None and self.clock is not None:
-            timestamp = float(self.clock())
-        if isinstance(chunk, Table):
-            matrix = self.validator.preprocessor.compile().transform(chunk)
-        else:
-            from repro.exceptions import SchemaError
-
-            matrix = np.asarray(chunk, dtype=np.float64)
-            n_features = len(self.validator.preprocessor.schema)
-            if matrix.ndim != 2 or matrix.shape[1] != n_features:
-                raise SchemaError(
-                    f"chunk matrix has shape {matrix.shape}; the trained schema "
-                    f"expects (rows, {n_features})"
-                )
-        report = self.validator.validate_matrix(matrix)
-        partial = PartialReport.from_report(
-            report, offset, self.keep_cell_errors, timestamp=timestamp
-        )
-        if self.rule_plan is not None:
-            # The rule partial copies what it keeps, so evaluating on a
-            # reused transform buffer (validate_table) is safe.
-            partial.rule_partial = self.rule_plan.evaluate(matrix)
-        if self.monitor is not None:
-            try:
-                self.monitor.observe_partial(partial, matrix=matrix)
-            except Exception:
-                _logger().warning("drift monitor observation failed", exc_info=True)
-        return partial
+        matrix = self._encode(chunk)
+        return self._validate_spans(
+            matrix,
+            [matrix.shape[0]],
+            self.keep_cell_errors,
+            offset,
+            self._timestamp() if timestamp is None else timestamp,
+        )[0]
 
     def iter_partials(self, chunks: Iterable[Chunk]) -> Iterator[PartialReport]:
         """Yield one :class:`PartialReport` per incoming chunk."""
@@ -326,14 +437,7 @@ class StreamingValidator:
         :class:`StreamSummary` without retaining any dense chunk output.
         """
         if self.keep_cell_errors:
-            partials = list(self.iter_partials(chunks))
-            return PartialReport.merge(
-                partials,
-                threshold=self.validator.calibration.threshold,
-                rule=self.validator.rule,
-                feature_names=list(self.validator.preprocessor.schema.names),
-                rules=None if self.rule_plan is None else self.rule_plan.ruleset,
-            )
+            return PartialReport.merge(list(self.iter_partials(chunks)), **self._fold_context())
         return self.fold(self.iter_partials(chunks))
 
     def validate_table(self, table: Table) -> "ValidationReport | StreamSummary":
@@ -345,8 +449,6 @@ class StreamingValidator:
         (each chunk is fully consumed before the next overwrites it).
         """
         if table.schema != self.validator.preprocessor.schema:
-            from repro.exceptions import SchemaError
-
             raise SchemaError("table schema does not match the trained pipeline")
         plan = self.validator.preprocessor.compile()
         return self.validate_stream(plan.transform_chunks(table, self.chunk_size))
@@ -372,13 +474,7 @@ class StreamingValidator:
         Public so transports (e.g. the HTTP gateway's ``/validate_stream``)
         can interleave their own per-chunk acknowledgements with the fold.
         """
-        return fold_partials(
-            partials,
-            threshold=self.validator.calibration.threshold,
-            rule=self.validator.rule,
-            feature_names=list(self.validator.preprocessor.schema.names),
-            rules=None if self.rule_plan is None else self.rule_plan.ruleset,
-        )
+        return fold_partials(partials, **self._fold_context())
 
 
 def fold_partials(

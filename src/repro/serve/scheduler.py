@@ -5,11 +5,14 @@ call per connection but by **coalescing** many small requests into one
 engine slab: the per-call fixed costs (Python dispatch, kernel warm-up,
 BLAS setup) are paid once per *batch* instead of once per *request*, and
 the engine's matmuls finally see batch dimensions they are efficient at.
+A slab is one call of the validation core,
+:meth:`StreamingValidator.validate_many
+<repro.runtime.streaming.StreamingValidator.validate_many>`: one engine
+pass, cut back at the exact request row offsets into per-request reports.
 The §3.2.1 decision rules are row-local except the batch-level verdict,
-so a fused slab splits back into per-request reports **bit-identically**
-(the invariant the differential suite pins): row-local fields are sliced
-at the exact request row offsets and the batch verdict is recomputed from
-each request's own rows.
+which the core computes from each request's own rows, so every report is
+**bit-identical** to validating that request alone (the invariant the
+differential suite pins).
 
 :class:`RequestScheduler` is that coalescing layer:
 
@@ -27,8 +30,8 @@ each request's own rows.
 * :meth:`close` **drains**: pending requests are dispatched immediately
   (no window wait) and in-flight batches complete before shutdown.
 
-Single-request batches take the plain
-:meth:`~repro.runtime.service.ValidationService.validate` path — under
+A single-request batch is the core's one-shot case, exactly what
+:meth:`~repro.runtime.service.ValidationService.validate` runs — under
 low concurrency the scheduler adds one queue hop and nothing else.
 
 :class:`~repro.serve.transport.AsyncGateway` always rides it, and so do
@@ -51,50 +54,13 @@ from repro.data.table import Table
 from repro.exceptions import AdmissionError, ReproError
 from repro.utils.logging import get_logger
 
-__all__ = [
-    "BATCH_SIZE_BUCKETS",
-    "RequestScheduler",
-    "SchedulerStats",
-    "split_fused_report",
-]
+__all__ = ["BATCH_SIZE_BUCKETS", "RequestScheduler", "SchedulerStats"]
 
 logger = get_logger("serve.scheduler")
 
 #: coalesced-batch size histogram: upper bounds in requests/batch
 #: (cumulative, Prometheus-style; the implicit last bucket is +Inf)
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
-
-
-def split_fused_report(
-    fused: ValidationReport, spans: "list[tuple[int, int]]", rule
-) -> "list[ValidationReport]":
-    """Split one fused report back into per-request reports.
-
-    ``spans`` are the ``[start, stop)`` row ranges the requests occupy in
-    the fused slab. Row-local fields (errors, flags) are sliced views —
-    bit-identical to validating each request alone, because every §3.2.1
-    decision except the batch verdict is row-local. The batch-level
-    verdict (``flagged_fraction`` / ``is_problematic``) is recomputed
-    from each request's own rows via ``rule``, exactly as a solo validate
-    would.
-    """
-    reports: list[ValidationReport] = []
-    for start, stop in spans:
-        row_flags = fused.row_flags[start:stop]
-        fraction = float(row_flags.mean()) if row_flags.size else 0.0
-        reports.append(
-            ValidationReport(
-                sample_errors=fused.sample_errors[start:stop],
-                cell_errors=fused.cell_errors[start:stop],
-                row_flags=row_flags,
-                cell_flags=fused.cell_flags[start:stop],
-                threshold=fused.threshold,
-                flagged_fraction=fraction,
-                is_problematic=rule.is_problematic(fraction),
-                feature_names=fused.feature_names,
-            )
-        )
-    return reports
 
 
 @dataclass
@@ -400,34 +366,17 @@ class RequestScheduler:
     def _validate_batch(self, name: str, batch: "list[_Pending]") -> "list[ValidationReport]":
         """Run one coalesced batch; returns per-request reports in order.
 
-        Single-request batches take the service's ordinary validate path
-        — identical semantics, no concat. Fused slabs preprocess and run
-        the engine exactly once; rule plans are evaluated per request
-        slice so batch-scoped predicates (``unique``) keep per-request
-        semantics; the drift monitor observes the fused matrix once
-        (same rows, same flags — one histogram pass instead of N).
+        One :meth:`~repro.runtime.streaming.StreamingValidator.validate_many`
+        call: the slab is preprocessed and run through the engine once,
+        rule plans are evaluated per request so batch-scoped predicates
+        (``unique``) keep per-request semantics, and the drift monitor
+        observes the fused matrix once (same rows, same flags — one
+        histogram pass instead of N).
         """
-        if len(batch) == 1:
-            return [self.service.validate(name, batch[0].table)]
-        fused = Table.concat([p.table for p in batch])
-        validator = self.service.get(name)._require_validator()
-        matrix, report = validator.validate_with_matrix(fused)
-        spans: list[tuple[int, int]] = []
-        offset = 0
-        for pending in batch:
-            spans.append((offset, offset + pending.n_rows))
-            offset += pending.n_rows
-        reports = split_fused_report(report, spans, validator.rule)
-        plan = self.service.rule_plan_for(name)
-        if plan is not None:
-            from repro.rules import apply_rules
-
-            reports = [
-                apply_rules(sub, matrix[start:stop], plan)
-                for sub, (start, stop) in zip(reports, spans)
-            ]
-        self.service.count_validation(name, fused.n_rows, validations=len(batch))
-        self.service.observe_validation(name, matrix, report)
+        reports = self.service.validator_for(name).validate_many([p.table for p in batch])
+        self.service.count_validation(
+            name, sum(p.n_rows for p in batch), validations=len(batch)
+        )
         return reports
 
     # -- introspection -----------------------------------------------------

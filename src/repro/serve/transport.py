@@ -55,7 +55,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
 from typing import AsyncIterator
-from urllib.parse import unquote, urlsplit
+from urllib.parse import SplitResult, unquote, urlsplit
 
 from repro.api import framing
 from repro.api.protocol import SCHEMA_VERSION, envelope
@@ -63,7 +63,6 @@ from repro.api.requests import RepairRequest, ValidateRequest
 from repro.data.table import Table
 from repro.exceptions import SchemaError, ValidationError
 from repro.monitor.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from repro.runtime.streaming import StreamingValidator
 from repro.serve.gateway import (
     _MONITOR_ROUTE,
     _ROUTE,
@@ -95,12 +94,13 @@ class _Request:
 
     __slots__ = ("method", "target", "path", "query", "headers")
 
-    def __init__(self, method: str, target: str, headers: "dict[str, str]") -> None:
+    def __init__(
+        self, method: str, target: str, url: SplitResult, headers: "dict[str, str]"
+    ) -> None:
         self.method = method
         self.target = target
-        parts = urlsplit(target)
-        self.path = parts.path
-        self.query = parts.query
+        self.path = url.path
+        self.query = url.query
         self.headers = headers
 
     def header(self, name: str) -> str | None:
@@ -502,6 +502,10 @@ class _HTTPFront:
             method, target, version = parts
             if not version.strip().startswith("HTTP/1."):
                 raise _RequestError(400, f"unsupported protocol {version.strip()!r}")
+            try:
+                url = urlsplit(target)
+            except ValueError:  # e.g. an unclosed IPv6 bracket: "//[x"
+                raise _RequestError(400, "malformed request target") from None
             what = "header line"
             headers: "dict[str, str]" = {}
             for _ in range(_MAX_HEADERS):
@@ -520,7 +524,7 @@ class _HTTPFront:
         except _RequestError as exc:
             await self._send_error(writer, None, exc)
             return None
-        return _Request(method.upper(), target, headers)
+        return _Request(method.upper(), target, url, headers)
 
     async def _dispatch(
         self, request: _Request, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -944,8 +948,8 @@ class AsyncGateway(_HTTPFront):
         self, writer, request: _Request, body, name: str,
         query_workers: int | None, emit_partials: bool = False,
     ) -> None:
-        pipeline = self.service.get(name)
-        schema = pipeline.preprocessor.schema
+        validator = self.service.validator_for(name)
+        schema = validator.validator.preprocessor.schema
         framed = self._frame_request(request)
         acks: "list[dict]" = []
         if emit_partials and query_workers is not None and query_workers > 1:
@@ -959,11 +963,6 @@ class AsyncGateway(_HTTPFront):
             # response is the summary envelope alone.
             summary = await self._stream_sharded(body, schema, framed, name, query_workers)
         else:
-            validator = StreamingValidator.from_pipeline(
-                pipeline,
-                monitor=self.service.monitor_for(name),
-                rules=self.service.rule_plan_for(name),
-            )
             partials = []
             offset = 0
             async for table in self._iter_stream_tables(body, schema, framed):

@@ -532,6 +532,38 @@ class TestExpectContinue:
             assert sock.recv(4096) == b""  # the server hung up
 
 
+class TestMalformedTarget:
+    """Bugfix pin: a request target that ``urlsplit`` rejects (here an
+    unclosed IPv6 bracket) is answered 400 with the JSON error envelope
+    on the gateway and the router alike. It used to escape the
+    connection handler, which closed the socket without a byte sent."""
+
+    @pytest.fixture(params=["gateway", "router"])
+    def front_port(self, request, served):
+        _, gateway, _ = served
+        if request.param == "gateway":
+            yield gateway.port
+            return
+        router = RouterGateway(
+            [("replica-0", "127.0.0.1", gateway.port)], port=0, health_interval=0
+        ).start()
+        try:
+            yield router.port
+        finally:
+            router.close()
+
+    def test_answered_400_with_the_error_envelope(self, front_port):
+        with socket.create_connection(("127.0.0.1", front_port), timeout=5.0) as sock:
+            sock.sendall(b"GET //[x HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n")
+            reply = b""
+            while piece := sock.recv(4096):  # the server hangs up after the 400
+                reply += piece
+        assert reply.startswith(b"HTTP/1.1 400")
+        payload = json.loads(reply.partition(b"\r\n\r\n")[2])
+        assert payload["kind"] == "error"
+        assert payload["error"] == "malformed request target"
+
+
 class TestStress:
     N_CLIENTS = 100
     REQUESTS_PER_CLIENT = 3

@@ -30,6 +30,7 @@ from repro.monitor import (
 from repro.runtime import ValidationService
 from repro.runtime.streaming import StreamingValidator
 from repro.serve import AsyncGateway, Client
+from repro.serve.scheduler import RequestScheduler
 
 
 def make_schema() -> TableSchema:
@@ -463,6 +464,131 @@ class TestServiceMonitoring:
         assert service.monitor_snapshots() == {}
         service.validate("demo", make_table(100, seed=240))
         assert list(service.monitor_snapshots()) == ["demo"]
+
+
+def one_chart_update(before: MonitorSnapshot, n_flagged: int, n_rows: int) -> tuple:
+    """The flag-rate chart's (EWMA, limit) after ``before`` folds in one
+    observation of ``n_flagged`` flagged rows out of ``n_rows``."""
+    chart = EwmaChart(center=before.flag_rate_center)
+    chart.value = before.flag_rate_ewma
+    chart.observe(n_flagged / n_rows, n_rows)
+    return chart.value, chart.limit
+
+
+class TestMonitorHookContract:
+    """What one call on each validate path adds to the pipeline monitor,
+    and that a failing monitor never changes what a path returns."""
+
+    @pytest.fixture(scope="class")
+    def service(self, fitted):
+        # One service for every case: its 2-worker budget lets the
+        # sharded paths really shard.
+        with ValidationService(capacity=2, shard_workers=2) as service:
+            service.add("demo", fitted)
+            yield service
+
+    @staticmethod
+    def observed(service, call):
+        """Run ``call``; return its result, the snapshot before it, and
+        the observations and rows it added to the monitor."""
+        before = service.monitor_snapshot("demo")
+        result = call()
+        after = service.monitor_snapshot("demo")
+        added = (
+            after.total_observations - before.total_observations,
+            after.total_rows - before.total_rows,
+        )
+        return result, before, after, added
+
+    def test_validate_observes_once(self, service):
+        table = make_table(300, seed=400)
+        report, before, after, added = self.observed(
+            service, lambda: service.validate("demo", table)
+        )
+        assert added == (1, 300)
+        assert (after.flag_rate_ewma, after.flag_rate_limit) == one_chart_update(
+            before, report.n_flagged, 300
+        )
+
+    def test_coalesced_batch_observes_once(self, service):
+        tables = [make_table(40 + 10 * i, seed=410 + i) for i in range(4)]
+
+        def coalesced():
+            with RequestScheduler(service, batch_window_ms=100.0) as scheduler:
+                futures = scheduler.submit_many([("demo", table) for table in tables])
+                reports = [future.result(timeout=30) for future in futures]
+                return reports, scheduler.stats_snapshot().batches
+
+        (reports, batches), before, after, added = self.observed(service, coalesced)
+        assert batches == 1
+        rows = sum(table.n_rows for table in tables)
+        assert added == (1, rows)
+        assert (after.flag_rate_ewma, after.flag_rate_limit) == one_chart_update(
+            before, sum(report.n_flagged for report in reports), rows
+        )
+
+    def test_in_process_stream_observes_every_chunk(self, service):
+        chunks = [make_table(128, seed=420 + i) for i in range(3)]
+        # One worker is below the sharding threshold: the stream runs in process.
+        summary, _, _, added = self.observed(
+            service, lambda: service.validate_stream_sharded("demo", chunks, workers=1)
+        )
+        assert summary.n_chunks == 3
+        assert added == (3, 3 * 128)
+
+    def test_sharded_validate_observes_once(self, service):
+        table = make_table(600, seed=430)
+        report, before, after, added = self.observed(
+            service, lambda: service.validate_sharded("demo", table, workers=2)
+        )
+        assert "demo" in service._parallel  # the shard pool served it
+        assert added == (1, 600)
+        assert (after.flag_rate_ewma, after.flag_rate_limit) == one_chart_update(
+            before, report.n_flagged, 600
+        )
+
+    def test_sharded_stream_observes_every_chunk_and_charts_the_summary(self, service):
+        chunks = [make_table(128, seed=440 + i) for i in range(3)]
+        summary, before, after, added = self.observed(
+            service, lambda: service.validate_stream_sharded("demo", chunks, workers=2)
+        )
+        assert "demo" in service._parallel
+        assert added == (3, 3 * 128)
+        # The chunks carry no flags to the coordinator; the chart moves
+        # once, by the merged summary's counts.
+        assert (after.flag_rate_ewma, after.flag_rate_limit) == one_chart_update(
+            before, summary.n_flagged, summary.n_rows
+        )
+
+    def test_failing_monitor_changes_no_result(self, service, monkeypatch):
+        table = make_table(300, seed=450)
+        chunks = [make_table(128, seed=460 + i) for i in range(3)]
+
+        def coalesced():
+            with RequestScheduler(service, batch_window_ms=100.0) as scheduler:
+                futures = scheduler.submit_many([("demo", table), ("demo", chunks[0])])
+                return [future.result(timeout=30).to_dict() for future in futures]
+
+        paths = {
+            "validate": lambda: service.validate("demo", table).to_dict(),
+            "scheduler": coalesced,
+            "stream": lambda: service.validate_stream_sharded("demo", chunks, workers=1).to_dict(),
+            "sharded": lambda: service.validate_sharded("demo", table, workers=2).to_dict(),
+            "sharded stream": lambda: service.validate_stream_sharded(
+                "demo", chunks, workers=2
+            ).to_dict(),
+        }
+        monkeypatch.setattr(service, "monitor_window", 0)
+        unmonitored = {name: path() for name, path in paths.items()}
+        monkeypatch.undo()
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("monitor down")
+
+        monkeypatch.setattr(DriftMonitor, "observe_matrix", broken)
+        monkeypatch.setattr(DriftMonitor, "observe_table", broken)
+        assert service.monitor_for("demo") is not None
+        assert {name: path() for name, path in paths.items()} == unmonitored
 
 
 # ---------------------------------------------------------------------------

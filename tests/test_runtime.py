@@ -3,9 +3,13 @@ and the persistence/config satellites that ship with it."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import DQuaG, DQuaGConfig
 from repro.data import ColumnKind, ColumnSpec, Table, TableSchema, read_csv_chunks, write_csv
 from repro.data.preprocess import TablePreprocessor
@@ -16,6 +20,7 @@ from repro.exceptions import (
     ReproError,
     SerializationError,
 )
+from repro.gnn import ENCODER_ARCHITECTURES
 from repro.nn.kernels import Workspace
 from repro.nn.serialization import load_state, save_state
 from repro.runtime import InferenceEngine, PartialReport, StreamingValidator, ValidationService
@@ -62,12 +67,10 @@ def fitted() -> tuple[DQuaG, Table]:
 
 
 # ---------------------------------------------------------------------------
-# engine-vs-autograd parity (satellite: all four architectures, 1e-10)
+# engine-vs-autograd parity (every encoder architecture, 1e-10)
 # ---------------------------------------------------------------------------
 class TestEngineParity:
-    @pytest.mark.parametrize(
-        "architecture", ["gat_gin", "gcn", "gcn_gat", "gcn_gin", "graphsage", "graph2vec"]
-    )
+    @pytest.mark.parametrize("architecture", ENCODER_ARCHITECTURES)
     def test_errors_and_repairs_match_autograd(self, architecture):
         pipeline = fit_small(architecture)
         assert pipeline.engine is not None
@@ -137,7 +140,7 @@ class TestEngineParity:
 
     def test_engine_validate_matches_pipeline(self, fitted):
         pipeline, holdout = fitted
-        via_engine = pipeline.engine.validate(holdout)
+        via_engine = pipeline.engine.validate_matrix(pipeline.preprocessor.transform(holdout))
         via_pipeline = pipeline.validate(holdout)
         np.testing.assert_array_equal(via_engine.row_flags, via_pipeline.row_flags)
         np.testing.assert_array_equal(via_engine.cell_flags, via_pipeline.cell_flags)
@@ -155,7 +158,7 @@ class TestEngineParity:
         pipeline, holdout = fitted
         bare = InferenceEngine(pipeline.model)
         with pytest.raises(NotFittedError):
-            bare.validate(holdout)
+            bare.validate_matrix(pipeline.preprocessor.transform(holdout))
 
     def test_bad_matrix_shape_rejected(self, fitted):
         pipeline, _ = fitted
@@ -252,7 +255,7 @@ class TestEngineParity:
         pipeline.save(archive)
         monkeypatch.setattr(sharding, "_WORKER", {})
         sharding._worker_init(str(archive), 64)
-        assert sharding._WORKER["validator"].engine.width == 1
+        assert sharding._WORKER["validator"].width == 1
 
         if not hasattr(os, "sched_setaffinity"):
             pytest.skip("os.sched_setaffinity is unavailable on this platform")
@@ -379,6 +382,45 @@ class TestStreaming:
             list(pipeline.preprocessor.transform_chunks(holdout, chunk_size=123)), axis=0
         )
         np.testing.assert_array_equal(full, chunked)
+
+
+# ---------------------------------------------------------------------------
+# one validation core: hooks live in the core, report assembly in the engine
+# ---------------------------------------------------------------------------
+def modules_calling(names: set[str]) -> set[str]:
+    """Modules of ``src/repro`` (paths relative to it) that call any of
+    ``names``, as a function or a method. ``rules/`` and ``monitor/``
+    define the hooks and ``baselines/`` holds the rule-only comparator,
+    so they are not scanned."""
+    root = Path(repro.__file__).parent
+    found = set()
+    for path in root.rglob("*.py"):
+        module = path.relative_to(root).as_posix()
+        if module.split("/")[0] in {"rules", "monitor", "baselines"}:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in names:
+                    found.add(module)
+    return found
+
+
+class TestOneValidationCore:
+    def test_rules_and_monitor_hooks_are_called_only_by_the_core(self):
+        hooks = {
+            "apply_rules",
+            "evaluate",
+            "observe_matrix",
+            "observe_table",
+            "observe_flags",
+            "observe_partial",
+        }
+        assert modules_calling(hooks) == {"runtime/streaming.py"}
+
+    def test_reports_are_assembled_only_by_the_engine(self):
+        assert modules_calling({"assemble_report"}) == {"runtime/engine.py"}
 
 
 # ---------------------------------------------------------------------------

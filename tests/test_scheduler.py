@@ -18,15 +18,9 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from repro.data import Table
 from repro.exceptions import AdmissionError, ReproError
 from repro.runtime import ValidationService
-from repro.serve.scheduler import (
-    BATCH_SIZE_BUCKETS,
-    RequestScheduler,
-    _Pending,
-    split_fused_report,
-)
+from repro.serve.scheduler import BATCH_SIZE_BUCKETS, RequestScheduler, _Pending
 from tests.test_serve import fit_demo_pipeline, make_batch
 
 
@@ -65,18 +59,15 @@ class TestCoalescingParity:
         assert stats.batches < len(tables)
         assert stats.completed == len(tables)
 
-    def test_split_fused_report_recomputes_verdict_per_span(self, demo):
+    def test_validate_many_recomputes_verdict_per_request(self, demo):
         pipeline, service = demo
         # One heavily corrupted request + one clean request: fused, the
-        # batch verdict would smear; split, each span gets its own.
+        # batch verdict would smear; per request, each gets its own.
         dirty = make_batch(pipeline, 50, seed=1, corrupt=40)
         clean = make_batch(pipeline, 50, seed=2)
-        fused_table = Table.concat([dirty, clean])
-        validator = pipeline._require_validator()
-        fused_report = validator.validate(fused_table)
-        parts = split_fused_report(fused_report, [(0, 50), (50, 100)], validator.rule)
-        solo_dirty = validator.validate(dirty)
-        solo_clean = validator.validate(clean)
+        parts = pipeline.streaming_validator().validate_many([dirty, clean])
+        solo_dirty = pipeline.validate(dirty)
+        solo_clean = pipeline.validate(clean)
         assert parts[0].flagged_fraction == solo_dirty.flagged_fraction
         assert parts[0].is_problematic == solo_dirty.is_problematic
         assert parts[1].flagged_fraction == solo_clean.flagged_fraction
