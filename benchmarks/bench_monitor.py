@@ -105,8 +105,7 @@ def test_monitor_overhead(monitor_setup, scale):
     )
     if scale.name == "smoke":
         # On a CI-sized slab the 5% margin is tens of milliseconds — a
-        # noisy-neighbor blip, not a code defect, can cross it. Same
-        # precedent as bench_sharding's throughput bar.
+        # noisy-neighbor blip, not a code defect, can cross it.
         pytest.skip("overhead bar asserted at standard scale and above; numbers recorded")
     assert overhead <= 0.05, f"monitor overhead {overhead:.2%} exceeds the 5% bar"
 

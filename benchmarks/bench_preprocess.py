@@ -5,8 +5,8 @@ buys on a categorical-heavy table (the Airbnb/Playstore-shaped workloads
 of Figure 3, where per-value label encoding dominated the encode half):
 
 * ``test_categorical_transform_speedup`` — the streaming ingest
-  transform (chunked encode of a table, as the streaming validator and
-  shard workers run it). Legacy: ``take(np.arange(...))`` row copies +
+  transform (chunked encode of a table, as the streaming validator
+  runs it). Legacy: ``take(np.arange(...))`` row copies +
   per-value dict-lookup label encoding. Plan: zero-copy row views +
   vectorized sorted-vocabulary encode into one reused buffer.
   Acceptance: **≥ 5×**, with bit-identical output.

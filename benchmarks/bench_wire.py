@@ -220,7 +220,7 @@ def test_out_of_core_frame_stream(scale, tmp_path):
     # the file for any single frame/body — oversized requests get 413 —
     # yet the framed stream passes, because each frame stays under it.
     max_body_bytes = file_bytes // 4
-    service = ValidationService(capacity=2, shard_workers=0)
+    service = ValidationService(capacity=2)
     service.add("demo", pipeline)
     rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     with AsyncGateway(service, port=0, max_body_bytes=max_body_bytes) as gateway:

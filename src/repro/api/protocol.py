@@ -105,7 +105,9 @@ SCHEMA_VERSION = 1
 #: 5 — shared-memory data plane + idle-pool reaping: optional
 #:     ``pool_reaps`` on service_stats and ``shm_ingest`` on health,
 #:     both omitted when zero/false so quiescent payloads stay
-#:     byte-identical to revision 4.
+#:     byte-identical to revision 4. The shard pools are gone since:
+#:     ``pool_reaps`` is no longer sent (a revision-5 payload at zero)
+#:     and is ignored when an older peer sends it.
 CODEC_REVISION = 5
 
 
@@ -468,10 +470,6 @@ def service_stats_to_dict(stats: ServiceStats) -> dict:
         rows_validated=int(stats.rows_validated),
         pipelines=jsonable(stats.pipelines),
     )
-    # Revision 5, omitted while zero: pre-reaper snapshots stay
-    # byte-identical to revision 4.
-    if stats.pool_reaps:
-        payload["pool_reaps"] = int(stats.pool_reaps)
     return payload
 
 
@@ -486,7 +484,6 @@ def service_stats_from_dict(payload: dict) -> ServiceStats:
         validations=int(payload["validations"]),
         repairs=int(payload["repairs"]),
         rows_validated=int(payload["rows_validated"]),
-        pool_reaps=int(payload.get("pool_reaps", 0)),
         pipelines={name: dict(entry) for name, entry in payload["pipelines"].items()},
     )
 

@@ -58,11 +58,10 @@ class ValidateRequest:
         Return dense per-row/per-cell error matrices instead of the
         sparse flagged-only encoding.
     workers:
-        Optional sharded-execution request: validate the batch across
-        this many worker processes (see
-        :meth:`~repro.runtime.service.ValidationService.validate_sharded`).
-        The gateway treats it as an upper bound — the service's shard
-        budget may grant fewer. ``None``/1 means in-process.
+        Optional parallelism hint, validated (an integer >= 1) and kept
+        on the wire for compatibility. The gateway answers every request
+        the same way — the engine already fans each call out over every
+        CPU the process may use — so the report never depends on it.
     """
 
     records: list[dict] = field(default_factory=list)

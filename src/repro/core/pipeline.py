@@ -25,8 +25,6 @@ pipelines concurrently.
 
 from __future__ import annotations
 
-import os
-import threading
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -83,9 +81,6 @@ class DQuaG(BaselineValidator):
         #: training-time distribution baseline for drift monitoring
         #: (built at fit(), persisted in save() archives)
         self._monitor_baseline = None
-        #: one cached sharded executor, widened on demand (see validate())
-        self._parallel_validator = None
-        self._parallel_lock = threading.Lock()
 
     # -- phase 1 -----------------------------------------------------------
     def fit(
@@ -116,9 +111,6 @@ class DQuaG(BaselineValidator):
         """
         generator = ensure_rng(rng if rng is not None else self.config.seed)
 
-        # Refitting invalidates any sharded worker pools serving the old
-        # weights; their workers would keep validating with stale state.
-        self.close_parallel()
         self._future_categories = future_categories
         self.preprocessor = TablePreprocessor(
             clean.schema, missing_sentinel=self.config.missing_sentinel
@@ -193,21 +185,14 @@ class DQuaG(BaselineValidator):
         return self
 
     # -- phase 2 --------------------------------------------------------------
-    def validate(
-        self, table: Table, workers: int | None = None, rules=None, use_shm: bool | None = None
-    ) -> ValidationReport:
+    def validate(self, table: Table, rules=None) -> ValidationReport:
         """Full validation report for an unseen table.
 
-        In process this is the one-chunk case of the validation core,
+        This is the one-chunk case of the validation core,
         :meth:`StreamingValidator.validate
-        <repro.runtime.streaming.StreamingValidator.validate>`. With
-        ``workers > 1`` the table is split into chunk-aligned row shards
-        validated on a process pool (see :mod:`repro.runtime.sharding`);
-        the merged report is bit-identical to the single-process path. The pool is cached per worker count —
-        release with :meth:`close_parallel` when done. ``use_shm``
-        controls the shared-memory data plane of that pool (None =
-        auto-detect, False = pickled fan-out, True = prefer shm with
-        automatic fallback); single-process runs ignore it.
+        <repro.runtime.streaming.StreamingValidator.validate>`; the
+        engine fans its row chunks out over every CPU the process may
+        use, with the same bits at any width.
 
         ``rules`` attaches a declarative rule set (any form accepted by
         :func:`repro.rules.resolve_rules`): the encoded matrix is also
@@ -215,27 +200,7 @@ class DQuaG(BaselineValidator):
         the outcome fused into ``report.rule_report`` — the GNN-derived
         fields are never altered, so a rules-off run stays bit-identical.
         """
-        validator = self.streaming_validator(rules=rules)
-        # Empty tables fall through: their one-shot report is
-        # well-defined while a zero-shard plan is not.
-        if workers is not None and workers > 1 and table.n_rows > 0:
-            from repro.exceptions import TransientServiceError
-
-            if table.schema != self.preprocessor.schema:
-                raise SchemaError("table schema does not match the trained pipeline")
-            ruleset = None if validator.rule_plan is None else validator.rule_plan.ruleset
-            try:
-                return self.parallel_validator(workers, use_shm=use_shm).validate_table(
-                    table, shards=workers, keep_cell_errors=True, rules=ruleset
-                )
-            except TransientServiceError:
-                # A concurrent wider validate() closed our pool between
-                # lookup and submission; the cache now holds the wider
-                # pool, so one retry lands on it.
-                return self.parallel_validator(workers, use_shm=use_shm).validate_table(
-                    table, shards=workers, keep_cell_errors=True, rules=ruleset
-                )
-        return validator.validate(table)
+        return self.streaming_validator(rules=rules).validate(table)
 
     def validate_batch(self, batch: Table) -> BatchVerdict:
         """Batch verdict on the shared baseline interface.
@@ -382,51 +347,6 @@ class DQuaG(BaselineValidator):
         )
         return self
 
-    def parallel_validator(
-        self,
-        workers: int | None = None,
-        chunk_size: int = 8192,
-        use_shm: bool | None = None,
-    ):
-        """The cached sharded executor over this fitted pipeline.
-
-        One pool is kept, rebuilt wider when a larger worker count (or a
-        different chunk size, or an explicitly different ``use_shm``
-        setting) is requested; any shard count runs on it with
-        bit-identical results. The pipeline is persisted to a temp
-        archive on first use (workers rebuild from it — no live state is
-        pickled); subsequent calls reuse the warm pool.
-        """
-        from repro.runtime.sharding import ParallelValidator
-
-        self._require_validator()
-        workers = (os.cpu_count() or 1) if workers is None else max(1, int(workers))
-        # Serialized: concurrent first calls must not each save a temp
-        # archive and spawn a pool, orphaning all but the last.
-        with self._parallel_lock:
-            parallel = self._parallel_validator
-            if parallel is not None and (
-                parallel.workers < workers
-                or parallel.chunk_size != chunk_size
-                or (use_shm is not None and parallel.use_shm != use_shm)
-            ):
-                self._parallel_validator = None
-                parallel.close()
-                parallel = None
-            if parallel is None:
-                parallel = ParallelValidator.from_pipeline(
-                    self, workers=workers, chunk_size=chunk_size, use_shm=use_shm
-                )
-                self._parallel_validator = parallel
-            return parallel
-
-    def close_parallel(self) -> None:
-        """Shut down the cached sharded worker pool and its temp archive."""
-        with self._parallel_lock:
-            parallel, self._parallel_validator = self._parallel_validator, None
-        if parallel is not None:
-            parallel.close()
-
     def _build_phase2(
         self,
         engine: InferenceEngine,
@@ -513,7 +433,6 @@ class DQuaG(BaselineValidator):
         """
         from repro.runtime.engine import InferenceEngine
 
-        self.close_parallel()
         state, metadata = load_state(path)
         if "preprocessor" not in metadata:
             raise SerializationError(

@@ -18,8 +18,8 @@ does for the model:
   sentinel, all as array ops;
 * :meth:`TransformPlan.transform_into` writes straight into a
   caller-provided output buffer, so chunked consumers (the streaming
-  validator, shard workers) run allocation-free: one buffer per stream,
-  reused for every chunk.
+  validator) run allocation-free: one buffer per stream, reused for
+  every chunk.
 
 A plan is immutable after construction and safe to share across threads
 (the serving layer calls one plan from many request threads at once).

@@ -90,7 +90,7 @@ class TablePreprocessor:
         The plan encodes tables bit-identically to :meth:`transform`
         with vectorized categorical encoding and buffer-reusing chunked
         execution — the preprocessing hot path every serving consumer
-        (validator, streaming, shard workers, drift monitor) runs on.
+        (validator, streaming, drift monitor) runs on.
         :meth:`transform` below is kept as the scalar reference
         implementation the differential suite checks the plan against.
         """

@@ -75,7 +75,7 @@ class FrameSizeError(FrameError):
 
 
 class TransientServiceError(ReproError):
-    """A server-side interruption (e.g. a pipeline re-registered mid-request)
+    """A server-side interruption (e.g. a router with no healthy replica)
     hit an otherwise well-formed request; retrying is expected to succeed."""
 
 

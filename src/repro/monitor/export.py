@@ -76,10 +76,6 @@ def render_prometheus(stats, snapshots: dict, scheduler=None) -> str:
         "repro_service_evictions_total", stats.evictions,
         "LRU evictions since service start.", "counter",
     )
-    writer.sample(
-        "repro_service_pool_reaps_total", getattr(stats, "pool_reaps", 0),
-        "Idle shard worker pools reclaimed since service start.", "counter",
-    )
     for name, entry in sorted(stats.pipelines.items()):
         writer.sample(
             "repro_pipeline_validations_total", int(entry.get("validations", 0)),

@@ -203,8 +203,7 @@ class DriftMonitor:
         """Observe one preprocessed chunk (the streaming hot path).
 
         ``n_flagged`` additionally feeds the flag-rate control chart;
-        omit it when flags are not known at observation time (e.g. the
-        coordinator side of a sharded stream).
+        omit it when flags are not known at observation time.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         n_rows = int(matrix.shape[0]) if matrix.ndim == 2 else 0

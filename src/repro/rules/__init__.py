@@ -13,8 +13,8 @@ Rule flags land in a :class:`RuleReport` that rides the existing
 ``ValidationReport`` additively (``report.rule_report``), with per-cell
 provenance (model vs rule vs both) and severity rollups; chunk-local
 :class:`RulePartial` results merge bit-exactly through
-:func:`fold_rule_partials`, so the streamed and sharded paths agree
-with one-shot evaluation to the last bit.
+:func:`fold_rule_partials`, so streams and router scatters agree with
+one-shot evaluation to the last bit.
 """
 
 from repro.rules.plan import RulePlan
@@ -37,10 +37,9 @@ from repro.rules.ruleset import RULE_SCHEMA_VERSION, SEVERITIES, SEVERITY_CODES,
 def resolve_ruleset(rules) -> "RuleSet | None":
     """Normalize any rules argument into an (uncompiled) :class:`RuleSet`.
 
-    The sharded executor ships rule sets to worker processes as wire
-    payloads and folds their outputs with only rule *metadata* — no
-    preprocessor in sight — so it normalizes here rather than through
-    :func:`resolve_rules`.
+    For callers with no preprocessor to compile against — e.g. the
+    client, which ships the rule set as a wire payload — so they
+    normalize here rather than through :func:`resolve_rules`.
     """
     if rules is None or isinstance(rules, RuleSet):
         return rules

@@ -10,7 +10,7 @@ directly over the already-encoded float64 matrix:
   encoded space (a value equal to a bound never flags); ``compare``
   recovers raw values via the inverse affine
   ``raw = encoded * span + minimum`` — both deterministic across the
-  one-shot / streamed / sharded paths because they all share the
+  one-shot / streamed / scattered paths because they all share the
   bit-identical encoded matrix;
 * categorical membership (``in_set``/``regex``) compiles the allowed
   vocabulary entries to their scaled code positions (the same

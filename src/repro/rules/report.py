@@ -12,8 +12,7 @@ time.
 
 Folding needs only the rule *metadata* (ids, severities, columns) plus
 the feature-name order, never a preprocessor — that is what lets the
-sharded coordinator fold worker partials without loading a weight
-archive.
+router fold replica partials with no live pipeline.
 """
 
 from __future__ import annotations

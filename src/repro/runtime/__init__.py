@@ -18,15 +18,19 @@ NumPy kernels and builds the serving stack on top:
 * :mod:`repro.runtime.service` — :class:`ValidationService`, an LRU
   registry of fitted pipelines dispatching concurrent batch validation
   across a thread pool;
-* :mod:`repro.runtime.sharding` — :class:`ShardPlanner` /
-  :class:`ParallelValidator`, multi-process sharded validation whose
-  merged result is bit-identical to the one-shot path.
+* :mod:`repro.runtime.sharding` — :class:`ShardPlanner`, the
+  chunk-aligned row ranges the router scatters and folds back into a
+  result bit-identical to the one-shot path.
+
+Inside one host the engine itself is the parallel path: a multi-chunk
+call runs its row chunks on every CPU in the process's affinity mask
+(:attr:`InferenceEngine.width`), bit-identical at any width.
 """
 
 from repro.runtime.engine import InferenceEngine
 from repro.runtime.streaming import PartialReport, StreamingValidator, StreamSummary, fold_partials
 from repro.runtime.service import PipelineEntry, ServiceStats, ValidationService
-from repro.runtime.sharding import ParallelValidator, Shard, ShardPlanner
+from repro.runtime.sharding import Shard, ShardPlanner
 
 __all__ = [
     "InferenceEngine",
@@ -37,7 +41,6 @@ __all__ = [
     "PipelineEntry",
     "ServiceStats",
     "ValidationService",
-    "ParallelValidator",
     "Shard",
     "ShardPlanner",
 ]

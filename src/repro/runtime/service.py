@@ -27,17 +27,13 @@ snapshot. Every pipeline additionally gets a lazy per-generation
 and an optional declarative rule plan (see :meth:`rule_plan_for`).
 :meth:`validator_for` wraps both around the pipeline's engine in the
 validation core, :class:`~repro.runtime.streaming.StreamingValidator`:
-:meth:`validate` is its one-shot case plus counting, and the scheduler,
-the in-process stream and the gateway's stream handler run on it too.
-The sharded paths, whose workers run the core in their own processes,
-observe on the coordinator through :func:`~repro.runtime.streaming.observe`.
+:meth:`validate` is its one-shot case plus counting, and the scheduler
+and the gateway's stream handler run on it too.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -49,13 +45,11 @@ from repro.core.repair import RepairSummary
 from repro.core.validator import ValidationReport
 from repro.data.table import Table
 from repro.exceptions import ReproError
-from repro.runtime.streaming import StreamingValidator, observe
+from repro.runtime.streaming import StreamingValidator
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.monitor.monitor import DriftMonitor, MonitorSnapshot
-    from repro.runtime.sharding import ParallelValidator
-    from repro.runtime.streaming import Chunk, StreamSummary
 
 __all__ = ["PipelineEntry", "ServiceStats", "ValidationService"]
 
@@ -87,9 +81,6 @@ class ServiceStats:
     validations: int
     repairs: int
     rows_validated: int
-    #: shard pools reclaimed by the idle-timeout reaper (see
-    #: ``shard_idle_timeout``); additive in codec revision 5
-    pool_reaps: int = 0
     #: per-pipeline detail: resident/pinned/hits/source plus lifetime
     #: loads/validations/repairs/rows_validated counters
     pipelines: dict[str, dict] = field(default_factory=dict)
@@ -124,10 +115,7 @@ class ValidationService:
         self,
         capacity: int = 4,
         max_workers: int | None = None,
-        shard_workers: int | None = None,
         monitor_window: int = 32,
-        use_shm: bool | None = None,
-        shard_idle_timeout: float | None = 300.0,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
@@ -145,33 +133,8 @@ class ValidationService:
         self._pool = ThreadPoolExecutor(max_workers=max_workers, thread_name_prefix="dquag-validate")
         self.n_loads = 0
         self.n_evictions = 0
-        #: total shard-worker budget across all pipelines: concurrent
-        #: sharded requests draw from it and fall back to the in-process
-        #: path when it is exhausted (see validate_sharded). 0 disables
-        #: sharded execution entirely (every request runs in-process).
-        self.shard_workers = (
-            (os.cpu_count() or 1) if shard_workers is None else max(0, int(shard_workers))
-        )
-        self._shard_available = self.shard_workers
-        #: one pool per pipeline name, built at shard_workers width; the
-        #: per-request grant caps how many shards run on it concurrently
-        self._parallel: dict[str, "ParallelValidator"] = {}
-        #: shared-memory data plane toggle handed to every shard pool
-        #: (None = auto-detect, False = pickled only, True = prefer shm)
-        self.use_shm = use_shm
-        #: idle seconds after which a quiet pipeline's shard pool is
-        #: reaped (its worker processes released); None/0 disables the
-        #: reaper. A reaped pool rebuilds transparently on next use.
-        self.shard_idle_timeout = (
-            None if not shard_idle_timeout else float(shard_idle_timeout)
-        )
-        self.n_pool_reaps = 0
-        self._parallel_last_used: dict[str, float] = {}
-        self._parallel_busy: dict[str, int] = {}
-        self._reaper: threading.Thread | None = None
-        self._reaper_stop = threading.Event()
-        #: bumped on every register()/add(); lets a shard-pool build that
-        #: raced a re-registration detect that it is stale
+        #: bumped on every register()/add(); lets a cache fill that raced
+        #: a re-registration detect that it is stale
         self._generations: dict[str, int] = {}
         #: rolling-window size of per-pipeline drift monitors (chunks);
         #: 0 disables monitoring entirely
@@ -193,7 +156,6 @@ class ValidationService:
         #: when set, submit()/submit_many() coalesce through it instead
         #: of dispatching one engine call per request on the thread pool
         self._scheduler = None
-        self._closed = False
 
     # -- registration ------------------------------------------------------
     def register(self, name: str, archive: str | Path) -> None:
@@ -204,12 +166,11 @@ class ValidationService:
         with self._lock:
             self._sources[name] = archive
             # A stale resident copy must not outlive its re-registration,
-            # and neither must shard pools serving the old archive, nor
-            # drift monitors watching the old weights' baseline.
+            # and neither must drift monitors watching the old weights'
+            # baseline.
             self._entries.pop(name, None)
             self._generations[name] = self._generations.get(name, 0) + 1
             self._monitors.pop(name, None)
-        self._close_parallel_for(name)
 
     def add(self, name: str, pipeline: DQuaG) -> None:
         """Insert an already-fitted pipeline (pinned: never evicted)."""
@@ -219,9 +180,6 @@ class ValidationService:
             self._entries.move_to_end(name)
             self._generations[name] = self._generations.get(name, 0) + 1
             self._monitors.pop(name, None)
-        # Shard pools built from a previously-added pipeline of the same
-        # name would keep serving the old weights.
-        self._close_parallel_for(name)
 
     @property
     def registered(self) -> list[str]:
@@ -292,27 +250,19 @@ class ValidationService:
                 )
                 self._entries.move_to_end(name)
                 self._invalidated_loads.pop(name, None)
-                victims = self._evict_over_capacity()
-        # Shard pools of LRU-evicted pipelines hold a full pipeline copy
-        # per worker process; keeping them alive would defeat the
-        # capacity bound. Closed outside the registry lock (slow).
-        for victim in victims:
-            self._close_parallel_for(victim)
+                self._evict_over_capacity()
         return pipeline
 
-    def _evict_over_capacity(self) -> list[str]:
+    def _evict_over_capacity(self) -> None:
         # Pinned entries are exempt from the capacity budget entirely:
         # a directly-add()ed pipeline must never crowd archive-backed
         # ones out of their LRU slots (nor be evicted itself).
-        victims: list[str] = []
         evictable = [n for n, e in self._entries.items() if not e.pinned]
         while len(evictable) > self.capacity:
             victim = evictable.pop(0)
             del self._entries[victim]
             self.n_evictions += 1
-            victims.append(victim)
             logger.info("evicted pipeline %r (capacity %d)", victim, self.capacity)
-        return victims
 
     def evict(self, name: str) -> bool:
         """Drop a resident pipeline (no-op for pinned or absent entries)."""
@@ -321,7 +271,6 @@ class ValidationService:
             if entry is None or entry.pinned:
                 return False
             del self._entries[name]
-        self._close_parallel_for(name)
         return True
 
     # -- dispatch ----------------------------------------------------------
@@ -336,263 +285,6 @@ class ValidationService:
         report = self.validator_for(name).validate(table)
         self.count_validation(name, table.n_rows)
         return report
-
-    # -- sharded dispatch --------------------------------------------------
-    def validate_sharded(
-        self, name: str, table: Table, workers: int | None = None
-    ) -> ValidationReport:
-        """Validate one batch across a per-pipeline shard worker pool.
-
-        ``workers`` is a request, not a guarantee: the grant is capped by
-        the service-wide ``shard_workers`` budget, and what other sharded
-        requests currently hold. With fewer than 2 grantable workers, or
-        when a re-registration invalidates the pool build, the batch runs
-        on the ordinary in-process path — the result is bit-identical
-        either way, only the wall-clock changes.
-        """
-        from repro.exceptions import TransientServiceError
-
-        requested = self.shard_workers if workers is None else int(workers)
-        granted = self._acquire_shard_workers(requested)
-        # Empty batches take the in-process path too: the one-shot report
-        # for zero rows is well-defined, while a zero-shard plan is not.
-        if granted < 2 or table.n_rows == 0:
-            if granted:
-                self._release_shard_workers(granted)
-            return self.validate(name, table)
-        # Resolved before dispatch so a rule set incompatible with the
-        # current weights fails the request instead of a worker.
-        rule_plan = self.rule_plan_for(name)
-        ruleset = None if rule_plan is None else rule_plan.ruleset
-
-        def sharded() -> ValidationReport | None:
-            parallel = self._parallel_for(name)
-            if parallel is None:
-                return None
-            return parallel.validate_table(
-                table, shards=granted, keep_cell_errors=True, rules=ruleset
-            )
-
-        self._parallel_note_busy(name)
-        try:
-            try:
-                report = sharded()
-            except TransientServiceError:
-                # A concurrent re-register()/add()/eviction closed the
-                # pool under us. _close_parallel_for popped it from the
-                # cache, so one retry builds a fresh pool against the
-                # current registration. Deterministic failures (schema
-                # errors, broken workers) are not retried.
-                report = sharded()
-        finally:
-            self._parallel_note_idle(name)
-            self._release_shard_workers(granted)
-        if report is None:  # a re-registration invalidated the pool build
-            return self.validate(name, table)
-        self.count_validation(name, table.n_rows)
-        # The workers preprocess their own shards, so the coordinator's
-        # observation costs one transform of the table.
-        observe(self.monitor_for(name), rows=table, n_flagged=report.n_flagged)
-        return report
-
-    def validate_stream_sharded(
-        self, name: str, chunks: "Iterable[Chunk]", workers: int | None = None
-    ) -> "StreamSummary":
-        """Validate a chunk stream across a per-pipeline shard worker pool.
-
-        Falls back to the bounded-memory in-process streaming path when
-        the worker budget grants fewer than 2 workers or a
-        re-registration invalidates the pool build.
-
-        Drift monitoring: on the in-process fallback the monitor rides
-        the core, :meth:`validator_for` (observing each preprocessed
-        chunk with its flags); on the sharded path the coordinator
-        observes each chunk's distribution as it hands it to the workers
-        (Table chunks cost one extra preprocessing pass there) and feeds
-        the flag-rate chart once from the merged summary.
-        """
-        from repro.exceptions import TransientServiceError
-
-        monitor = self.monitor_for(name)
-        rule_plan = self.rule_plan_for(name)
-        requested = self.shard_workers if workers is None else int(workers)
-        granted = self._acquire_shard_workers(requested)
-        parallel = None
-        if granted:
-            # The pool is resolved before the stream is touched, so a
-            # build that a re-registration invalidates leaves every chunk
-            # to the in-process path.
-            self._parallel_note_busy(name)
-            try:
-                parallel = self._parallel_for(name)
-            finally:
-                if parallel is None:
-                    self._parallel_note_idle(name)
-                    self._release_shard_workers(granted)
-        if parallel is None:
-            summary = self.validator_for(name).validate_stream(chunks)
-        else:
-            if monitor is not None:
-                # Distribution only: flags are not known until the
-                # workers report back.
-                def observed(chunks):
-                    for chunk in chunks:
-                        observe(monitor, rows=chunk)
-                        yield chunk
-
-                chunks = observed(chunks)
-            try:
-                summary = parallel.validate_stream(
-                    chunks,
-                    keep_cell_errors=False,
-                    max_parallel=granted,
-                    rules=None if rule_plan is None else rule_plan.ruleset,
-                )
-            except TransientServiceError as exc:
-                # Unlike the table path, the chunk iterator is partially
-                # consumed by now, so a closed-pool race cannot be
-                # retried transparently — fail with guidance instead.
-                raise TransientServiceError(
-                    f"sharded stream on {name!r} was interrupted (pipeline "
-                    "re-registered or pool closed mid-stream); retry the request"
-                ) from exc
-            finally:
-                self._parallel_note_idle(name)
-                self._release_shard_workers(granted)
-            observe(monitor, n_flagged=summary.n_flagged, n_rows=summary.n_rows)
-        self.count_validation(name, summary.n_rows)
-        return summary
-
-    def _acquire_shard_workers(self, requested: int) -> int:
-        with self._lock:
-            granted = min(max(0, requested), self._shard_available)
-            if granted < 2:
-                return 0
-            self._shard_available -= granted
-            return granted
-
-    def _release_shard_workers(self, granted: int) -> None:
-        with self._lock:
-            self._shard_available += granted
-
-    def _parallel_for(self, name: str) -> "ParallelValidator | None":
-        """The cached sharded executor for ``name``.
-
-        One pool per pipeline, built at ``shard_workers`` width (the
-        per-request grant then caps how many shards run concurrently).
-        Archive-backed pipelines shard straight from their registered
-        archive; pinned (directly-added) ones are persisted to a temp
-        archive on first use.
-
-        A build that a re-``register()``/re-``add()`` invalidates (the
-        per-name generation moved while it ran) is closed, never cached,
-        and ``None`` is returned: the caller then serves the request
-        in process. A retry could instead spin for as long as the name
-        keeps being re-registered.
-        """
-        from repro.runtime.sharding import ParallelValidator
-
-        with self._lock:
-            parallel = self._parallel.get(name)
-            if parallel is not None:
-                return parallel
-            source = self._sources.get(name)
-            generation = self._generations.get(name, 0)
-        pipeline = self.get(name)
-        built = ParallelValidator.from_pipeline(
-            pipeline, archive=source, workers=self.shard_workers, use_shm=self.use_shm
-        )
-        with self._lock:
-            closed = self._closed
-            stale = self._generations.get(name, 0) != generation
-            if not (closed or stale):
-                existing = self._parallel.setdefault(name, built)
-                self._parallel_last_used.setdefault(name, time.monotonic())
-        if closed:
-            # A racing service.close() already drained _parallel;
-            # inserting now would leak this pool's worker processes.
-            built.close()
-            raise ReproError("ValidationService is closed")
-        if stale:
-            built.close()
-            return None
-        if existing is not built:
-            built.close()
-        self._ensure_reaper()
-        return existing
-
-    def _close_parallel_for(self, name: str) -> None:
-        with self._lock:
-            parallel = self._parallel.pop(name, None)
-            self._parallel_last_used.pop(name, None)
-        if parallel is not None:
-            parallel.close()
-
-    # -- idle-pool reaping -------------------------------------------------
-    def _parallel_note_busy(self, name: str) -> None:
-        # Taken *before* the pool lookup, so the reaper (which checks
-        # busy counts under the same lock) can never close a pool
-        # between a request resolving it and submitting to it.
-        with self._lock:
-            self._parallel_busy[name] = self._parallel_busy.get(name, 0) + 1
-
-    def _parallel_note_idle(self, name: str) -> None:
-        with self._lock:
-            count = self._parallel_busy.get(name, 0) - 1
-            if count > 0:
-                self._parallel_busy[name] = count
-            else:
-                self._parallel_busy.pop(name, None)
-            self._parallel_last_used[name] = time.monotonic()
-
-    def reap_idle_pools(self) -> int:
-        """Close shard pools idle longer than ``shard_idle_timeout``.
-
-        Quiet pipelines would otherwise pin their worker processes
-        forever; a reaped pool rebuilds transparently on the next sharded
-        request. Returns how many pools were reclaimed (also summed into
-        ``pool_reaps`` in :meth:`stats_snapshot`). Runs periodically on a
-        background thread, and may be called directly.
-        """
-        timeout = self.shard_idle_timeout
-        if not timeout:
-            return 0
-        with self._lock:
-            now = time.monotonic()
-            victims = [
-                name
-                for name in self._parallel
-                if not self._parallel_busy.get(name)
-                and now - self._parallel_last_used.get(name, now) >= timeout
-            ]
-            pools = [self._parallel.pop(name) for name in victims]
-            for name in victims:
-                self._parallel_last_used.pop(name, None)
-            self.n_pool_reaps += len(victims)
-        for pool in pools:
-            pool.close()
-        if victims:
-            logger.info("reaped %d idle shard pool(s): %s", len(victims), ", ".join(victims))
-        return len(victims)
-
-    def _ensure_reaper(self) -> None:
-        if not self.shard_idle_timeout:
-            return
-        with self._lock:
-            if self._reaper is not None or self._closed:
-                return
-            self._reaper = threading.Thread(
-                target=self._reaper_loop, name="dquag-pool-reaper", daemon=True
-            )
-            self._reaper.start()
-
-    def _reaper_loop(self) -> None:
-        interval = max(0.05, min(self.shard_idle_timeout / 4, 30.0))
-        while not self._reaper_stop.wait(interval):
-            try:
-                self.reap_idle_pools()
-            except Exception:  # pragma: no cover - keep the reaper alive
-                logger.warning("idle-pool reap failed", exc_info=True)
 
     def count_validation(self, name: str, n_rows: int, validations: int = 1) -> None:
         """Record validation work done outside :meth:`validate`.
@@ -617,8 +309,8 @@ class ValidationService:
         column, unfitted category, …) raise
         :class:`~repro.exceptions.RuleConfigError` *here* — at
         registration time — never on a later validate. Every subsequent
-        validate/stream/sharded request on ``name`` then fuses rule
-        verdicts into its report until :meth:`clear_rules`.
+        validate/stream request on ``name`` then fuses rule verdicts
+        into its report until :meth:`clear_rules`.
 
         Rule sets survive pipeline re-registration (they are
         configuration, not weights); the compiled plan is rebuilt
@@ -829,7 +521,6 @@ class ValidationService:
                 "validations": sum(c["validations"] for c in self._counters.values()),
                 "repairs": sum(c["repairs"] for c in self._counters.values()),
                 "rows_validated": sum(c["rows_validated"] for c in self._counters.values()),
-                "pool_reaps": self.n_pool_reaps,
             }
 
     def pipeline_stats(self) -> dict[str, dict]:
@@ -854,34 +545,10 @@ class ValidationService:
         with self._lock:
             return ServiceStats(pipelines=self.pipeline_stats(), **self.stats())
 
-    def close_parallel(self) -> None:
-        """Close every cached shard pool without closing the service.
-
-        Used by gateway shutdown: once the socket stops taking requests
-        there is no traffic to shard, so the per-pipeline worker
-        processes are released. The service stays usable — a later
-        sharded request simply rebuilds its pool on demand.
-        """
-        with self._lock:
-            validators = list(self._parallel.values())
-            self._parallel.clear()
-        for parallel in validators:
-            parallel.close()
-
     def close(self) -> None:
         self._pool.shutdown(wait=True)
-        self._reaper_stop.set()
         with self._lock:
-            self._closed = True
-            reaper, self._reaper = self._reaper, None
-            validators = list(self._parallel.values())
-            self._parallel.clear()
-            self._parallel_last_used.clear()
             self._monitors.clear()
-        if reaper is not None:
-            reaper.join(timeout=5.0)
-        for parallel in validators:
-            parallel.close()
 
     def __enter__(self) -> "ValidationService":
         return self

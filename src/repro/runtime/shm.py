@@ -1,34 +1,24 @@
-"""Zero-copy shared-memory data plane for parallel validation.
+"""Shared-memory byte slabs: the same-host hand-off of encoded chunks.
 
-:class:`~repro.runtime.sharding.ParallelValidator` historically moved
-shard data to its worker processes by pickling rows through the
-``ProcessPoolExecutor`` — one full serialize/deserialize per shard plus
-a redundant per-worker preprocessing pass. Both compute halves of a
-validation are compiled, so that data movement *is* the fan-out cost.
-
-This module removes it:
+A router scattering a stream to replicas on its own host need not
+re-serialize each chunk range onto a socket: it writes the encoded
+frames into a :class:`SharedSlab` and sends only the segment's name
+(the ``X-Repro-Shm`` header); the replica's gateway attaches the slab
+and reads the frames straight out of shared memory.
 
 * :class:`SharedSlab` — one ``multiprocessing.shared_memory`` segment
-  viewed either as a float64 ``(capacity_rows, n_features)`` matrix (the
-  encoded table the engine consumes directly) or as raw bytes (the
-  router's scatter bodies). The parent runs
-  :meth:`~repro.data.plan.TransformPlan.transform_into` straight into
-  the slab — the transform must happen anyway, so the matrix lands in
-  shared memory at zero extra copy — and workers attach by name and
-  validate ``np.ndarray`` windows over their shard ranges zero-copy;
-* :class:`SlabPool` — a bounded ring of slabs for the streaming-sharded
-  path: super-chunks are written round-robin with backpressure and the
-  segments are reused across the whole stream;
-* crash-safe lifecycle — slabs unlink via parent-owned finalizers even
-  when :meth:`SharedSlab.close` is never called, segment names embed the
-  creator PID so :func:`reap_orphans` can reclaim the leftovers of a
-  crashed parent on the next pool open, and attaching processes
-  unregister from the ``resource_tracker`` so a worker exit can neither
-  unlink a live segment nor warn about one it merely mapped.
+  viewed as raw bytes (:attr:`SharedSlab.buf`). The creator owns it;
+  an attacher only maps it;
+* crash-safe lifecycle — slabs unlink via owner-side finalizers even
+  when :meth:`SharedSlab.close` is never called, segment names embed
+  the creator PID so :func:`reap_orphans` can reclaim the leftovers of
+  a crashed creator (run once per process, by the :func:`shm_available`
+  probe), and every open is unregistered from the ``resource_tracker``
+  so a process exit can neither unlink a live segment nor warn about
+  one it merely mapped.
 
-Every consumer treats shared memory as an optimization with an
-automatic pickled-path fallback — no validation request ever fails
-because shm is unavailable, budget-exhausted, or mid-flight broken.
+Every consumer treats shared memory as an optimization with a plain
+HTTP-body fallback — no request ever fails because shm is unavailable.
 """
 
 from __future__ import annotations
@@ -38,27 +28,19 @@ import secrets
 import threading
 from pathlib import Path
 
-import numpy as np
-
 from repro.utils.logging import get_logger
 
 __all__ = [
     "SLAB_PREFIX",
     "SharedSlab",
-    "SlabPool",
     "reap_orphans",
     "shm_available",
-    "slab_budget_bytes",
 ]
 
 logger = get_logger("runtime.shm")
 
 #: segment-name prefix; the embedded PID is what makes orphan reaping safe
 SLAB_PREFIX = "repro-slab"
-
-#: default ceiling on shared-memory bytes one validator may hold at once
-#: (overridable per validator, or globally via ``REPRO_SHM_BUDGET_MB``)
-DEFAULT_BUDGET_BYTES = 1 << 30
 
 _SHM_DIR = Path("/dev/shm")
 
@@ -77,7 +59,11 @@ def shm_available() -> bool:
 
     A platform can expose the module but refuse segments (no ``/dev/shm``
     mount, seccomp, exhausted shm quota) — probe with a tiny create/attach
-    round-trip instead of trusting the import.
+    round-trip instead of trusting the import. A successful probe also
+    reaps the orphaned slabs of crashed processes (:func:`reap_orphans`),
+    so every process that is about to create or attach slabs — a router
+    before its first scatter, a gateway enabling ``shm_ingest`` — has
+    swept them once.
     """
     global _available
     if _available is not None:
@@ -92,36 +78,34 @@ def shm_available() -> bool:
                 attached.close()
             finally:
                 slab.close()
-            _available = True
+            available = True
         except Exception:  # pragma: no cover - platform-dependent
             logger.info("shared-memory data plane unavailable", exc_info=True)
-            _available = False
+            available = False
+        if available:
+            reap_orphans()
+        _available = available
     return _available
-
-
-def slab_budget_bytes(budget: int | None = None) -> int:
-    """Resolve the shared-memory budget: explicit > env > default."""
-    if budget is not None:
-        return max(0, int(budget))
-    env = os.environ.get("REPRO_SHM_BUDGET_MB")
-    if env:
-        try:
-            return max(0, int(float(env) * 1024 * 1024))
-        except ValueError:
-            logger.warning("ignoring malformed REPRO_SHM_BUDGET_MB=%r", env)
-    return DEFAULT_BUDGET_BYTES
 
 
 def _untrack(shm) -> None:
     """Detach a segment from the resource tracker.
 
     On POSIX Pythons < 3.13 ``SharedMemory.__init__`` registers every
-    open — including attach-only ones — so a worker exiting would have
-    the tracker unlink slabs the parent still owns (and warn about a
-    "leak" it never had). Creators untrack too: the tracker keeps one
-    shared name-set for the whole process tree, so mixing its bookkeeping
-    with attach-side opens double-removes. Slab lifecycle is owned
-    entirely by the finalizers here plus :func:`reap_orphans`.
+    open — including attach-only ones — so an attaching process exiting
+    would have the tracker unlink a slab its creator still owns (and
+    warn about a "leak" it never had). Creators untrack too, and slab
+    lifecycle is owned entirely by the finalizers here plus
+    :func:`reap_orphans`.
+
+    The tracker keeps one name set for the whole process tree, so a
+    name registered twice before it is unregistered holds one entry,
+    and the second unregister fails inside the tracker (a ``KeyError``
+    traceback on stderr). Register/unregister pairs therefore must not
+    overlap per name: each slab has one creator and at most one
+    attacher, strictly in sequence — the attacher opens the segment
+    only after the creator's open has returned, which is how the
+    router's hand-off works (create, write, then send the name).
     """
     try:
         from multiprocessing import resource_tracker
@@ -154,101 +138,49 @@ def _release_segment(shm, owner: bool) -> None:
 
 
 class SharedSlab:
-    """One shared-memory segment, viewed as a matrix or as raw bytes.
+    """One shared-memory segment, viewed as raw bytes.
 
-    Matrix slabs (``n_features > 0``) expose :attr:`matrix`, a float64
-    ``(capacity_rows, n_features)`` ndarray backed directly by the
-    segment; byte slabs (:meth:`create_bytes`) expose :attr:`buf`.
     The creating process owns the segment: a ``weakref``-based finalizer
     unlinks it even if :meth:`close` is never reached (GC, crash-unwind),
     and :meth:`close` is idempotent. Attached copies only unmap.
     """
 
-    __slots__ = ("name", "capacity_rows", "n_features", "nbytes", "owner", "_shm", "_finalizer", "__weakref__")
+    __slots__ = ("name", "nbytes", "owner", "_shm", "_finalizer", "__weakref__")
 
-    def __init__(self, shm, capacity_rows: int, n_features: int, owner: bool) -> None:
+    def __init__(self, shm, nbytes: int, owner: bool) -> None:
         import weakref
 
         self._shm = shm
-        self.capacity_rows = capacity_rows
-        self.n_features = n_features
-        self.nbytes = (
-            capacity_rows * n_features * 8 if n_features else capacity_rows
-        )
+        self.nbytes = nbytes
         self.owner = owner
         self.name = shm.name
         _untrack(shm)
         self._finalizer = weakref.finalize(self, _release_segment, shm, owner)
 
     # -- construction ------------------------------------------------------
-    @staticmethod
-    def _new_name() -> str:
-        return f"{SLAB_PREFIX}-{os.getpid()}-{secrets.token_hex(6)}"
-
-    @classmethod
-    def create(cls, capacity_rows: int, n_features: int) -> "SharedSlab":
-        """Create an owned float64 matrix slab of the given shape."""
-        if capacity_rows < 1 or n_features < 1:
-            raise ValueError(
-                f"slab shape must be positive, got ({capacity_rows}, {n_features})"
-            )
-        shm = _shared_memory().SharedMemory(
-            name=cls._new_name(), create=True, size=capacity_rows * n_features * 8
-        )
-        return cls(shm, capacity_rows, n_features, owner=True)
-
     @classmethod
     def create_bytes(cls, n_bytes: int) -> "SharedSlab":
         """Create an owned raw-byte slab (router scatter bodies)."""
         if n_bytes < 1:
             raise ValueError(f"slab size must be positive, got {n_bytes}")
         shm = _shared_memory().SharedMemory(
-            name=cls._new_name(), create=True, size=n_bytes
+            name=f"{SLAB_PREFIX}-{os.getpid()}-{secrets.token_hex(6)}",
+            create=True,
+            size=n_bytes,
         )
-        return cls(shm, n_bytes, 0, owner=True)
-
-    @classmethod
-    def attach(cls, name: str, capacity_rows: int, n_features: int) -> "SharedSlab":
-        """Map an existing matrix slab by name (does not own the segment)."""
-        shm = _shared_memory().SharedMemory(name=name)
-        if shm.size < capacity_rows * n_features * 8:
-            _release_segment(shm, owner=False)
-            raise ValueError(
-                f"slab {name} holds {shm.size} bytes; "
-                f"shape ({capacity_rows}, {n_features}) needs {capacity_rows * n_features * 8}"
-            )
-        return cls(shm, capacity_rows, n_features, owner=False)
+        return cls(shm, n_bytes, owner=True)
 
     @classmethod
     def attach_bytes(cls, name: str) -> "SharedSlab":
         """Map an existing byte slab by name (does not own the segment)."""
         shm = _shared_memory().SharedMemory(name=name)
-        return cls(shm, shm.size, 0, owner=False)
+        return cls(shm, shm.size, owner=False)
 
     # -- views -------------------------------------------------------------
-    @property
-    def matrix(self) -> np.ndarray:
-        """The segment as a float64 ``(capacity_rows, n_features)`` matrix."""
-        if not self.n_features:
-            raise TypeError("byte slab has no matrix view")
-        return np.ndarray(
-            (self.capacity_rows, self.n_features), dtype=np.float64, buffer=self._shm.buf
-        )
-
     @property
     def buf(self) -> memoryview:
         """The raw segment bytes (may exceed ``nbytes`` by page rounding)."""
         return self._shm.buf
-
-    def spec(self, rows: int, start: int, stop: int) -> dict:
-        """Wire-able attachment descriptor for a worker-side shard window."""
-        return {
-            "name": self.name,
-            "rows": int(rows),
-            "features": int(self.n_features),
-            "start": int(start),
-            "stop": int(stop),
-        }
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -266,43 +198,7 @@ class SharedSlab:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        shape = f"({self.capacity_rows}, {self.n_features})" if self.n_features else f"{self.nbytes}B"
-        return f"SharedSlab({self.name}, {shape}, owner={self.owner})"
-
-
-# ---------------------------------------------------------------------------
-# worker-side attachment cache
-# ---------------------------------------------------------------------------
-#: pool slabs keep their names across a whole stream, so workers cache a
-#: bounded number of mappings instead of re-mmapping per shard
-_ATTACH_CACHE: "dict[str, SharedSlab]" = {}
-_ATTACH_CACHE_MAX = 8
-
-
-def attach_window(spec: dict, cache: bool) -> tuple[np.ndarray, "SharedSlab | None"]:
-    """Resolve a :meth:`SharedSlab.spec` descriptor into a matrix window.
-
-    Returns ``(window, slab_to_close)``: with ``cache=True`` (streaming
-    pool slabs, whose names recur) the mapping is kept in a small
-    process-local cache and the caller must *not* close it; with
-    ``cache=False`` (one-shot table slabs) the caller closes the returned
-    slab when done so an unlinked segment's memory is released promptly.
-    """
-    name = str(spec["name"])
-    rows, features = int(spec["rows"]), int(spec["features"])
-    if cache:
-        slab = _ATTACH_CACHE.pop(name, None)
-        if slab is None:
-            slab = SharedSlab.attach(name, rows, features)
-        while len(_ATTACH_CACHE) >= _ATTACH_CACHE_MAX:
-            _, evicted = _ATTACH_CACHE.popitem()
-            evicted.close()
-        _ATTACH_CACHE[name] = slab  # re-insert: LRU order
-        holder = None
-    else:
-        slab = SharedSlab.attach(name, rows, features)
-        holder = slab
-    return slab.matrix[int(spec["start"]) : int(spec["stop"])], holder
+        return f"SharedSlab({self.name}, {self.nbytes}B, owner={self.owner})"
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +218,10 @@ def reap_orphans() -> int:
     """Unlink slab segments whose creating process is gone.
 
     Scans ``/dev/shm`` for ``repro-slab-<pid>-*`` entries and removes the
-    ones whose PID no longer exists — the leftovers of a parent that died
-    before its finalizers ran. Called on every :meth:`SlabPool.open` so a
-    crashed serving process cannot leak shared memory past its successor.
-    Best-effort by design: never raises.
+    ones whose PID no longer exists — the leftovers of a creator that
+    died before its finalizers ran. :func:`shm_available` runs it once
+    per process, so a crashed router cannot leak shared memory past its
+    successor. Best-effort by design: never raises.
     """
     reaped = 0
     try:
@@ -350,82 +246,3 @@ def reap_orphans() -> int:
     if reaped:
         logger.info("reaped %d orphaned shared-memory slab(s)", reaped)
     return reaped
-
-
-# ---------------------------------------------------------------------------
-# slab ring for the streaming path
-# ---------------------------------------------------------------------------
-class SlabPool:
-    """A bounded ring of equally-shaped matrix slabs, reused across a stream.
-
-    The streaming-sharded path writes super-chunks into slabs round-robin;
-    a slab is only rewritten once the shard it carried has been folded
-    (the caller holds that backpressure — see
-    :meth:`ParallelValidator.validate_stream`). :meth:`open` returns
-    ``None`` instead of a pool whenever shared memory is unavailable or
-    the requested ring would blow the byte budget — the caller falls back
-    to the pickled path, it never fails.
-    """
-
-    def __init__(self, slabs: "list[SharedSlab]") -> None:
-        self.slabs = slabs
-        self._closed = False
-
-    @classmethod
-    def open(
-        cls,
-        n_slabs: int,
-        capacity_rows: int,
-        n_features: int,
-        budget_bytes: int | None = None,
-    ) -> "SlabPool | None":
-        """Build a ring of up to ``n_slabs`` slabs within ``budget_bytes``.
-
-        Reaps orphans first (a crashed predecessor's segments count
-        against the same kernel quota this pool is about to draw on).
-        Shrinks the ring to fit the budget; with fewer than 2 affordable
-        slabs there is nothing to overlap, so the pool declines entirely.
-        """
-        if not shm_available():
-            return None
-        reap_orphans()
-        slab_bytes = capacity_rows * n_features * 8
-        budget = slab_budget_bytes(budget_bytes)
-        affordable = slab_bytes and budget // slab_bytes
-        n_slabs = min(n_slabs, int(affordable))
-        if n_slabs < 2:
-            return None
-        slabs: "list[SharedSlab]" = []
-        try:
-            for _ in range(n_slabs):
-                slabs.append(SharedSlab.create(capacity_rows, n_features))
-        except OSError:  # pragma: no cover - quota exhausted mid-build
-            for slab in slabs:
-                slab.close()
-            return None
-        return cls(slabs)
-
-    def __len__(self) -> int:
-        return len(self.slabs)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(slab.nbytes for slab in self.slabs)
-
-    def slab(self, index: int) -> SharedSlab:
-        """The ring slab for slot ``index`` (round-robin)."""
-        return self.slabs[index % len(self.slabs)]
-
-    def close(self) -> None:
-        """Unlink every slab. Safe to call repeatedly."""
-        if self._closed:
-            return
-        self._closed = True
-        for slab in self.slabs:
-            slab.close()
-
-    def __enter__(self) -> "SlabPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

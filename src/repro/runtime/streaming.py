@@ -10,7 +10,7 @@ and a one-shot validate is simply the one-chunk case:
   chunking or placement policies over it: one-shot validates, the
   scheduler's coalesced slabs (:meth:`StreamingValidator.validate_many`),
   streams from a table, a matrix, or any iterator of row chunks (e.g.
-  ``repro.data.io.read_csv_chunks``), shard workers and replicas;
+  ``repro.data.io.read_csv_chunks``), and router replicas;
 * :class:`PartialReport` — the outcome of one chunk, mergeable;
 * :class:`StreamSummary` — the fold result when dense per-cell errors
   are *not* retained: flagged-row indices, per-column flagged-cell
@@ -40,7 +40,7 @@ __all__ = ["PartialReport", "StreamSummary", "StreamingValidator", "fold_partial
 Chunk = Union[Table, np.ndarray]
 
 #: The one error message for streams/tables with no rows: every entry
-#: point (dense merge, incremental fold, sharded execution) raises it so
+#: point (dense merge, incremental fold, router scatter) raises it so
 #: callers can match on a single string.
 EMPTY_STREAM_MESSAGE = "cannot validate an empty stream"
 
@@ -53,28 +53,21 @@ def _logger():
 
 def observe(
     monitor,
-    rows=None,
-    n_flagged: int | None = None,
-    n_rows: int | None = None,
+    matrix: np.ndarray,
+    n_flagged: int,
     timestamp: float | None = None,
 ) -> None:
-    """Fold one observation into a :class:`~repro.monitor.monitor.DriftMonitor`.
+    """Fold one encoded chunk into a :class:`~repro.monitor.monitor.DriftMonitor`.
 
-    ``rows`` — a preprocessed matrix or a raw :class:`Table` — feeds the
-    column histograms, and ``n_flagged`` (when known) the flag-rate
-    chart; without ``rows``, ``n_flagged`` of ``n_rows`` feeds the chart
-    alone. A ``None`` monitor observes nothing. Monitoring is advisory:
-    a failure is logged, never raised, so it cannot fail a validation.
+    ``matrix`` (the preprocessed rows) feeds the column histograms and
+    ``n_flagged`` the flag-rate chart. A ``None`` monitor observes
+    nothing. Monitoring is advisory: a failure is logged, never raised,
+    so it cannot fail a validation.
     """
     if monitor is None:
         return
     try:
-        if rows is None:
-            monitor.observe_flags(n_flagged, n_rows, timestamp=timestamp)
-        elif isinstance(rows, Table):
-            monitor.observe_table(rows, n_flagged=n_flagged, timestamp=timestamp)
-        else:
-            monitor.observe_matrix(rows, n_flagged=n_flagged, timestamp=timestamp)
+        monitor.observe_matrix(matrix, n_flagged=n_flagged, timestamp=timestamp)
     except Exception:
         _logger().warning("drift monitor observation failed", exc_info=True)
 
@@ -251,7 +244,7 @@ class StreamingValidator:
     chunking policy over that step:
 
     * :meth:`validate_chunk` — one chunk at a global row offset (streams,
-      shard workers, router replicas);
+      router replicas);
     * :meth:`validate` — a one-shot table, the one-chunk case;
     * :meth:`validate_many` — several tables fused into one engine pass,
       with a verdict and rule report per table (the scheduler's slab);
@@ -365,7 +358,7 @@ class StreamingValidator:
             start += size
         observe(
             self.monitor,
-            rows=matrix,
+            matrix,
             n_flagged=sum(partial.n_flagged for partial in partials),
             timestamp=timestamp,
         )
@@ -486,9 +479,9 @@ def fold_partials(
 ) -> StreamSummary:
     """Fold partial reports into a :class:`StreamSummary` incrementally.
 
-    Standalone so mergers that have no live validator — e.g. the sharded
-    executor folding worker outputs against archive metadata — apply the
-    exact same accumulation as :meth:`StreamingValidator.fold`.
+    Standalone so mergers that have no live validator — e.g. the router
+    folding replica outputs against archive metadata — apply the exact
+    same accumulation as :meth:`StreamingValidator.fold`.
     ``rules`` (a :class:`~repro.rules.RuleSet`) additionally folds the
     partials' chunk-local rule outputs into ``summary.rule_report``.
     """

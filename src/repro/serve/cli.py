@@ -121,13 +121,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--capacity", type=int, default=8, help="LRU capacity for archive-backed pipelines")
     parser.add_argument("--workers", type=int, default=None, help="validation thread-pool size")
     parser.add_argument(
-        "--shard-workers",
-        type=int,
-        default=None,
-        help="total shard-worker budget for ?workers=N sharded validation "
-        "(default: CPU count; 0 disables sharded execution)",
-    )
-    parser.add_argument(
         "--monitor-window",
         type=int,
         default=None,
@@ -180,9 +173,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-shm",
         action="store_true",
-        help="disable the shared-memory data plane: sharded validation "
-        "falls back to pickled fan-out and the router never hands stream "
-        "chunks to same-host replicas via slabs",
+        help="disable the shared-memory hand-off: gateways refuse "
+        "X-Repro-Shm ingest and the router never hands stream chunks to "
+        "same-host replicas via slabs",
     )
     parser.add_argument("--verbose", action="store_true", help="enable INFO logging")
     args = parser.parse_args(argv)
@@ -243,9 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     service = ValidationService(
         capacity=args.capacity,
         max_workers=args.workers,
-        shard_workers=args.shard_workers,
         monitor_window=32 if args.monitor_window is None else args.monitor_window,
-        use_shm=False if args.no_shm else None,
     )
     try:
         for name, archive in archives.items():
@@ -313,14 +304,12 @@ def _serve_fleet(args, archives, rules, max_body_bytes, qos_weights) -> int:
             rules=rules or None,
             capacity=args.capacity,
             workers=args.workers,
-            shard_workers=args.shard_workers,
             monitor_window=32 if args.monitor_window is None else args.monitor_window,
             max_body_bytes=max_body_bytes,
             batch_window_ms=args.batch_window_ms,
             max_batch_rows=args.max_batch_rows,
             max_queue_depth=args.max_queue_depth,
             qos_weights=qos_weights or None,
-            use_shm=False if args.no_shm else None,
             shm_ingest=not args.no_shm,
         )
         print(f"spawning {args.replicas} worker replica(s)...", flush=True)

@@ -222,28 +222,23 @@ class Client:
         pipeline: str,
         rows: "Table | list[dict]",
         include_errors: bool = False,
-        workers: int | None = None,
     ) -> ValidationReport:
         """Validate rows remotely; returns the decoded report.
 
         With ``include_errors=False`` (the wire-efficient default) the
         decoded report's flags, threshold, and verdict are exact, and its
         error values are populated only at flagged coordinates.
-        ``workers > 1`` requests sharded execution on the gateway (capped
-        by the service's shard budget; the report is identical).
         Table payloads ride the binary frame tier when negotiated (see
         the module docstring); record lists always go as JSON.
 
-        A 503 (the gateway's *retryable* signal: a shard pool closed by
-        a concurrent re-registration) is retried exactly once; every
-        4xx — including 422 rule-configuration rejections — is
-        deterministic and surfaces immediately.
+        A 503 (the *retryable* signal, e.g. a router that momentarily
+        has no healthy replica) is retried exactly once; every 4xx —
+        including 422 rule-configuration rejections — is deterministic
+        and surfaces immediately.
         """
         path = f"/v1/pipelines/{quote(pipeline, safe='')}/validate"
         if self._use_frames(framable=isinstance(rows, Table)):
-            request = ValidateRequest(
-                pipeline=pipeline, include_errors=include_errors, workers=workers
-            )
+            request = ValidateRequest(pipeline=pipeline, include_errors=include_errors)
             body = framing.encode_frame(table=rows, extra=request.to_options())
             try:
                 raw, content_type = self._retry_once_on_503(
@@ -261,7 +256,6 @@ class Client:
             records=_as_records(rows),
             pipeline=pipeline,
             include_errors=include_errors,
-            workers=workers,
         )
         payload = self._retry_once_on_503(
             lambda: self._request("POST", path, request.to_dict())
@@ -275,9 +269,9 @@ class Client:
     def _retry_once_on_503(cls, call):
         """Run ``call``, retrying exactly once on a transient status.
 
-        503 is the gateway's shard-pool race signal (TransientServiceError:
-        a pool torn down by a concurrent re-registration; the retry lands
-        on the fresh pool) and is retried immediately. 429 is the
+        503 is the server's retryable signal (TransientServiceError, e.g.
+        a router whose replicas are all marked down until the next health
+        probe) and is retried immediately. 429 is the
         scheduler's admission backpressure; the client honors the
         gateway's ``Retry-After`` hint — bounded by
         :attr:`RETRY_AFTER_CAP` so a hostile or confused server cannot
@@ -411,15 +405,13 @@ class Client:
         self,
         pipeline: str,
         chunks: "Iterable[Table | list[dict] | bytes]",
-        workers: int | None = None,
     ) -> StreamSummary:
         """Stream row chunks through ``/validate_stream``.
 
         Chunks are sent with chunked transfer encoding, so neither side
         ever holds the full stream; the gateway's per-chunk
         acknowledgements are consumed and the final :class:`StreamSummary`
-        returned. ``workers > 1`` asks the gateway for sharded execution
-        (the summary then arrives without per-chunk acknowledgements).
+        returned.
 
         ``bytes`` chunks are already-encoded frames, forwarded verbatim
         on the frame tier — so :func:`repro.api.framing.iter_file_frames`
@@ -482,8 +474,6 @@ class Client:
                     yield json.dumps({"records": _as_records(chunk)}).encode("utf-8") + b"\n"
 
         path = f"/v1/pipelines/{quote(pipeline, safe='')}/validate_stream"
-        if workers is not None and workers > 1:
-            path += f"?workers={int(workers)}"
         # Streams always open a dedicated connection: the chunked body is
         # a one-shot generator, so a stale pooled socket could not be
         # retried transparently. On clean completion the (fully drained)
@@ -539,9 +529,7 @@ class Client:
             self._park(connection)
         return summary
 
-    def validate_frame_file(
-        self, pipeline: str, path, workers: int | None = None
-    ) -> StreamSummary:
+    def validate_frame_file(self, pipeline: str, path) -> StreamSummary:
         """Stream a frame file through ``/validate_stream`` without decoding.
 
         Raw frames are read off disk and forwarded verbatim (see
@@ -554,9 +542,7 @@ class Client:
                 "validate_frame_file needs the frame tier, but the gateway "
                 "does not speak it (or wire='json' is pinned)"
             )
-        return self.validate_stream(
-            pipeline, framing.iter_file_frames(path), workers=workers
-        )
+        return self.validate_stream(pipeline, framing.iter_file_frames(path))
 
     # -- plumbing ----------------------------------------------------------
     #: socket failures that mean a pooled keep-alive went stale under us

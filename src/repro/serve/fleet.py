@@ -1,13 +1,12 @@
 """Spawn and supervise N gateway worker replicas from weight archives.
 
 :class:`GatewayFleet` is the process half of the router tier: it spawns
-``replicas`` worker processes the same way
-:class:`~repro.runtime.sharding.ParallelValidator` spawns shard workers
-(``spawn`` context — nothing live is pickled; each worker rebuilds its
-pipelines from the weight archives), waits until every worker has
-warmed its pipelines and bound its :class:`~repro.serve.transport.AsyncGateway`
-port, and hands the resulting addresses to a
-:class:`~repro.serve.router.RouterGateway` via :meth:`targets`.
+``replicas`` worker processes (``spawn`` context — nothing live is
+pickled; each worker rebuilds its pipelines from the weight archives),
+waits until every worker has warmed its pipelines and bound its
+:class:`~repro.serve.transport.AsyncGateway` port, and hands the
+resulting addresses to a :class:`~repro.serve.router.RouterGateway`
+via :meth:`targets`.
 
 Workers are independent full gateways: each owns a
 :class:`~repro.runtime.service.ValidationService`, a micro-batching
@@ -49,9 +48,7 @@ def _fleet_worker_main(spec: dict, conn) -> None:
         service = ValidationService(
             capacity=spec.get("capacity", 8),
             max_workers=spec.get("workers"),
-            shard_workers=spec.get("shard_workers", 0),
             monitor_window=spec.get("monitor_window", 32),
-            use_shm=spec.get("use_shm"),
         )
         for name, archive in spec["archives"].items():
             service.register(name, archive)
@@ -120,16 +117,13 @@ class GatewayFleet:
     ...                            archives=fleet.archives)     # doctest: +SKIP
 
     ``archives`` maps pipeline name → saved weight archive; every
-    replica registers and warms the same set (the fleet analogue of
-    ``ParallelValidator`` workers rebuilding from one archive).
+    replica registers and warms the same set.
     ``rules`` maps pipeline name → rule-set file/dict, attached on every
     replica at startup. Remaining ``gateway_options`` are forwarded into
     each worker's ``AsyncGateway``/service spec (``capacity``,
     ``monitor_window``, ``batch_window_ms``, ``max_batch_rows``,
     ``max_queue_depth``, ``qos_weights``, ``max_body_bytes``,
-    ``shard_workers``, ``workers``, plus the shared-memory data-plane
-    knobs: ``use_shm`` (sharded validation through slabs inside each
-    worker; None = auto) and ``shm_ingest`` (advertise slab ingest so a
+    ``workers``, and ``shm_ingest`` (advertise slab ingest so a
     same-host router scatters stream chunks by name instead of HTTP
     bodies; defaults to True — the gateway re-probes availability and
     quietly drops the advertisement where /dev/shm is unusable).

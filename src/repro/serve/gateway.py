@@ -31,8 +31,8 @@ handling, and the exception → status mapping. The routes:
   detach a declarative :class:`~repro.rules.RuleSet`. Attached rules
   are compiled eagerly (malformed or pipeline-incompatible sets are
   refused with HTTP 422, never retried by clients) and every validate
-  path — JSON, framed, streamed, sharded — then fuses rule verdicts
-  into its reports.
+  path — JSON, framed, streamed — then fuses rule verdicts into its
+  reports.
 
 Wire negotiation: every POST endpoint also speaks the binary columnar
 frame codec (:mod:`repro.api.framing`, ``application/x-repro-frame``).
@@ -48,12 +48,12 @@ when ``Accept-Encoding: gzip`` is present, and gzipped request bodies
 (``Content-Encoding: gzip``) are accepted with ``max_body_bytes``
 enforced on the *decompressed* size.
 
-Sharded execution: a ``workers`` field on the validate request (or a
-``?workers=N`` query parameter on either POST endpoint) routes the batch
-through :meth:`ValidationService.validate_sharded` /
-:meth:`~ValidationService.validate_stream_sharded` — shard worker
-processes governed by the service's budget, results identical to the
-in-process path.
+Parallelism: a ``workers`` field on the validate request (or a
+``?workers=N`` query parameter on either POST endpoint) is accepted —
+a malformed value is a 400 — and answered like any other request, with
+the same report: the engine already runs each call's row chunks on
+every CPU the process may use, and a router fleet spreads streams over
+hosts.
 
 Errors come back as ``{"kind": "error", ...}`` envelopes with
 conventional status codes (:func:`failure_status`): 400 malformed, 404
@@ -205,8 +205,8 @@ def failure_status(exc: Exception) -> tuple[int, str, float | None]:
         # when the queue is expected to have drained.
         return 429, str(exc), max(exc.retry_after, 0.0)
     if isinstance(exc, TransientServiceError):
-        # Well-formed request hit a server-side race (pool closed by
-        # a concurrent re-registration); a retry is expected to
+        # Well-formed request hit a server-side interruption (e.g. no
+        # healthy replica behind a router); a retry is expected to
         # succeed, so signal retryable, not client error.
         return 503, str(exc), None
     if isinstance(exc, FrameSizeError):

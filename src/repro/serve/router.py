@@ -904,13 +904,14 @@ class RouterGateway(_HTTPFront):
 
     async def _route_stream(self, writer, request, body, name: str) -> bool:
         """The scatter path: split, scatter, fold, answer like one gateway."""
-        query_workers = parse_query_workers(request.query)
+        # A malformed ``?workers=`` is a 400 here as on a gateway; a
+        # well-formed one scatters like any other stream.
+        parse_query_workers(request.query)
         emit_partials = parse_query_flag(request.query, "partials")
         order = self.scatter_order(name)
         context = await self._run(self.merge_context, name)
         if (
             emit_partials          # the caller is itself a merger
-            or query_workers is not None  # explicit shard-worker routing
             or len(order) < 2      # nothing to scatter across
             or context is None     # no archive → no local merge context
         ):

@@ -24,8 +24,9 @@ In the gateway the event loop itself never blocks:
   one fused engine slab and resolves each request's future with its own
   bit-identical report. A full queue surfaces as HTTP 429 +
   ``Retry-After`` — admission control instead of unbounded latency.
-  ``?workers=N`` sharded requests bypass the scheduler (they manage
-  their own parallelism) and run on the gateway's executor;
+  A ``workers`` request (body field or ``?workers=N``) takes the same
+  path with the same report: the engine already runs each slab's row
+  chunks on every CPU the process may use;
 * **repair** and other engine work run on the executor
   (``loop.run_in_executor``) — the NumPy kernels release the GIL, so
   slabs overlap while the loop keeps accepting connections;
@@ -36,8 +37,8 @@ In the gateway the event loop itself never blocks:
 ``close()`` drains: the listener stops, in-flight requests get
 ``drain_timeout`` seconds to finish, idle keep-alive connections are
 cancelled, the executor finishes its work, and only then does each
-server release what it owns (the gateway's scheduler and shard pools,
-the router's health prober).
+server release what it owns (the gateway's scheduler, the router's
+health prober).
 
 Errors map to statuses through the shared contract,
 :func:`repro.serve.gateway.failure_status`.
@@ -49,7 +50,6 @@ import asyncio
 import gzip
 import json
 import os
-import queue
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -670,7 +670,6 @@ class AsyncGateway(_HTTPFront):
     def _release(self) -> None:
         if self._owns_scheduler:
             self.scheduler.close(drain=True)
-        self.service.close_parallel()
 
     # -- service facade ----------------------------------------------------
     def healthz(self) -> dict:
@@ -734,15 +733,17 @@ class AsyncGateway(_HTTPFront):
                 raise _RequestError(404, f"no such route: POST {path}")
             name = unquote(match["name"])
             self._require_pipeline(name)
-            workers = parse_query_workers(request.query)
+            # Still part of the contract: a malformed ``?workers=`` is a
+            # 400, a well-formed one changes nothing (see the docstring).
+            parse_query_workers(request.query)
             action = match["action"]
             if action == "validate":
-                await self._handle_validate(writer, request, body, name, workers)
+                await self._handle_validate(writer, request, body, name)
             elif action == "repair":
                 await self._handle_repair(writer, request, body, name)
             else:
                 await self._handle_validate_stream(
-                    writer, request, body, name, workers,
+                    writer, request, body, name,
                     parse_query_flag(request.query, "partials"),
                 )
         else:
@@ -822,19 +823,14 @@ class AsyncGateway(_HTTPFront):
             raise _RequestError(400, f"records do not fit pipeline schema: {exc}") from exc
 
     async def _handle_validate(
-        self, writer, request: _Request, body: _BodyReader, name: str,
-        query_workers: int | None,
+        self, writer, request: _Request, body: _BodyReader, name: str
     ) -> None:
         vreq, table = await self._read_request(request, body, name, ValidateRequest)
-        workers = vreq.workers if vreq.workers is not None else query_workers
-        if workers is not None and workers > 1:
-            report = await self._run(self.service.validate_sharded, name, table, workers)
-        else:
-            # The coalescing path: submit() is just an enqueue (raises
-            # AdmissionError → 429 when the queue is full); the
-            # concurrent future resolves on a slab thread and wrap_future
-            # bridges it back to the loop without blocking it.
-            report = await asyncio.wrap_future(self.scheduler.submit(name, table))
+        # The coalescing path: submit() is just an enqueue (raises
+        # AdmissionError → 429 when the queue is full); the concurrent
+        # future resolves on a slab thread and wrap_future bridges it
+        # back to the loop without blocking it.
+        report = await asyncio.wrap_future(self.scheduler.submit(name, table))
         errors = "dense" if vreq.include_errors else "sparse"
         if self._accepts_frame(request):
             payload = await self._run(framing.report_to_frame, report, errors)
@@ -910,12 +906,12 @@ class AsyncGateway(_HTTPFront):
 
     async def _handle_validate_stream(
         self, writer, request: _Request, body: _BodyReader, name: str,
-        query_workers: int | None, emit_partials: bool = False,
+        emit_partials: bool = False,
     ) -> None:
         shm_header = request.header("x-repro-shm")
         if shm_header is None:
             await self._handle_validate_stream_body(
-                writer, request, body, name, query_workers, emit_partials
+                writer, request, body, name, emit_partials
             )
             return
         # Same-host slab hand-off: the router already wrote the encoded
@@ -939,54 +935,42 @@ class AsyncGateway(_HTTPFront):
         slab_body = _SlabBody(slab, min(size, len(slab.buf)))
         try:
             await self._handle_validate_stream_body(
-                writer, request, slab_body, name, query_workers, emit_partials
+                writer, request, slab_body, name, emit_partials
             )
         finally:
             slab_body.close()
 
     async def _handle_validate_stream_body(
-        self, writer, request: _Request, body, name: str,
-        query_workers: int | None, emit_partials: bool = False,
+        self, writer, request: _Request, body, name: str, emit_partials: bool = False
     ) -> None:
         validator = self.service.validator_for(name)
         schema = validator.validator.preprocessor.schema
         framed = self._frame_request(request)
         acks: "list[dict]" = []
-        if emit_partials and query_workers is not None and query_workers > 1:
-            # Sharded execution re-cuts the chunk partition, so its
-            # partials would not line up with the caller's chunks.
-            raise _RequestError(400, "'partials' cannot be combined with 'workers'")
-
-        if query_workers is not None and query_workers > 1:
-            # Sharded execution regroups the stream into shard-sized
-            # super-chunks, so per-client-chunk acks do not apply; the
-            # response is the summary envelope alone.
-            summary = await self._stream_sharded(body, schema, framed, name, query_workers)
-        else:
-            partials = []
-            offset = 0
-            async for table in self._iter_stream_tables(body, schema, framed):
-                partial = await self._run(validator.validate_chunk, table, offset)
-                offset += partial.n_rows
-                if emit_partials:
-                    # ``?partials=1`` (the router's scatter path): each
-                    # ack line is the full wire-encoded partial report,
-                    # so a merger with no live validator can fold them.
-                    acks.append(partial.to_dict())
-                else:
-                    ack = envelope("stream_chunk")
-                    ack.update(
-                        offset=int(partial.offset),
-                        n_rows=int(partial.n_rows),
-                        n_flagged=int(partial.n_flagged),
-                    )
-                    acks.append(ack)
-                partials.append(partial)
-            try:
-                summary = validator.fold(iter(partials))
-            except ValidationError as exc:
-                raise _RequestError(400, str(exc)) from exc
-            self.service.count_validation(name, summary.n_rows)
+        partials = []
+        offset = 0
+        async for table in self._iter_stream_tables(body, schema, framed):
+            partial = await self._run(validator.validate_chunk, table, offset)
+            offset += partial.n_rows
+            if emit_partials:
+                # ``?partials=1`` (the router's scatter path): each ack
+                # line is the full wire-encoded partial report, so a
+                # merger with no live validator can fold them.
+                acks.append(partial.to_dict())
+            else:
+                ack = envelope("stream_chunk")
+                ack.update(
+                    offset=int(partial.offset),
+                    n_rows=int(partial.n_rows),
+                    n_flagged=int(partial.n_flagged),
+                )
+                acks.append(ack)
+            partials.append(partial)
+        try:
+            summary = validator.fold(iter(partials))
+        except ValidationError as exc:
+            raise _RequestError(400, str(exc)) from exc
+        self.service.count_validation(name, summary.n_rows)
 
         # Nothing is written until the whole body is consumed: clients
         # send the body before reading, so acks interleaved with a long
@@ -997,64 +981,6 @@ class AsyncGateway(_HTTPFront):
         await self._send_body(
             writer, request, 200, b"\n".join(lines) + b"\n", "application/x-ndjson"
         )
-
-    async def _stream_sharded(
-        self, body: _BodyReader, schema, framed: bool, name: str, workers: int
-    ):
-        """Bridge the async chunk stream into the sharded (sync) validator.
-
-        The validator pulls chunk tables from a small bounded queue on an
-        executor thread while the loop keeps feeding it — neither side
-        ever holds the whole stream. A mid-stream parse failure aborts
-        the consumer and surfaces the parse error as a 400.
-        """
-        loop = asyncio.get_running_loop()
-        bridge: "queue.Queue" = queue.Queue(maxsize=8)
-        sentinel = object()
-        abort = object()
-
-        def chunks():
-            while True:
-                item = bridge.get()
-                if item is sentinel:
-                    return
-                if item is abort:
-                    raise ValidationError("client stream aborted")
-                yield item
-
-        future = loop.run_in_executor(
-            self._executor,
-            lambda: self.service.validate_stream_sharded(name, chunks(), workers=workers),
-        )
-
-        def feed(item) -> None:
-            # The consumer can die early (e.g. empty-stream rejection);
-            # never block forever on a queue nobody reads.
-            while True:
-                try:
-                    bridge.put(item, timeout=0.25)
-                    return
-                except queue.Full:
-                    if future.done():
-                        return
-
-        try:
-            async for table in self._iter_stream_tables(body, schema, framed):
-                await loop.run_in_executor(self._executor, feed, table)
-                if future.done():
-                    break
-            await loop.run_in_executor(self._executor, feed, sentinel)
-        except BaseException:
-            await loop.run_in_executor(self._executor, feed, abort)
-            try:
-                await future
-            except Exception:
-                pass
-            raise
-        try:
-            return await future
-        except ValidationError as exc:
-            raise _RequestError(400, str(exc)) from exc
 
 
 class _FrameSplitter:

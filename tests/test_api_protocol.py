@@ -249,6 +249,12 @@ class TestOtherObjectsRoundTrip:
         )
         clone = ServiceStats.from_dict(wire(stats.to_dict()))
         assert clone == stats
+        # A revision-5 peer that still runs shard pools may send the
+        # optional ``pool_reaps`` counter; it decodes and is dropped.
+        older = stats.to_dict()
+        assert "pool_reaps" not in older
+        older["pool_reaps"] = 3
+        assert ServiceStats.from_dict(wire(older)) == stats
 
     def test_result_table(self):
         table = ResultTable("Table 1", ["method", "f1"], notes=["smoke scale"])

@@ -25,6 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.api.requests import ValidateRequest
+from repro.core.validator import ValidationReport
 from repro.exceptions import GatewayError
 from repro.runtime import ValidationService
 from repro.serve import AsyncGateway, Client, RouterGateway
@@ -35,9 +37,7 @@ from tests.test_serve import make_batch
 @pytest.fixture(scope="module")
 def served():
     pipeline = fit_demo_pipeline()
-    # shard_workers=2 gives the ?workers= sharded path a real budget
-    # even on single-core CI runners.
-    service = ValidationService(capacity=2, shard_workers=2)
+    service = ValidationService(capacity=2)
     service.add("demo", pipeline)
     with AsyncGateway(service, port=0, batch_window_ms=2.0) as gateway:
         yield pipeline, gateway, Client(port=gateway.port)
@@ -85,7 +85,13 @@ class TestEndpoints:
         pipeline, _, client = served
         batch = make_batch(pipeline, 600, seed=7, corrupt=80)
         local = pipeline.validate(batch)
-        remote = client.validate("demo", batch, workers=2, include_errors=True)
+        # The field is sent raw: the wire still accepts ``workers``.
+        request = ValidateRequest(
+            records=batch.to_records(), pipeline="demo", include_errors=True, workers=2
+        )
+        remote = ValidationReport.from_dict(
+            client._request("POST", "/v1/pipelines/demo/validate", request.to_dict())
+        )
         assert_reports_identical(local, remote, dense=True)
 
     def test_repair_matches_in_process(self, served):

@@ -2,18 +2,18 @@
 
 A seeded generator drives random tables through paper-style corruptions
 (:mod:`repro.errors`) and asserts that the one-shot path, the streaming
-path, sharded execution (2 and 4 shards), and the full HTTP round-trip —
-over both the JSON tier and the binary frame tier
-(``application/x-repro-frame``), one-shot and streamed — all produce
-**bit-identical** :class:`ValidationReport` objects — the invariant that
-makes every future refactor of the serving stack safe.
+path, the shard fold (2 and 4 chunk-aligned row shards, validated apart
+and merged), and the full HTTP round-trip — over both the JSON tier and
+the binary frame tier (``application/x-repro-frame``), one-shot and
+streamed — all produce **bit-identical** :class:`ValidationReport`
+objects — the invariant that makes every future refactor of the serving
+stack safe. The shard fold is what a router relies on when it scatters
+row ranges over replicas and merges their partial reports; here it runs
+in process, and the shared-memory byte slabs a same-host router hands
+those ranges over in are checked the same way.
 The compiled preprocessing plan (:class:`repro.data.plan.TransformPlan`)
 is additionally pinned bit-identical to the legacy per-value
 ``TablePreprocessor.transform`` on every scenario.
-
-Pool spawns are expensive, so the sharded paths share one module-scoped
-2-worker executor; shard-count parity (2 vs 4) is a planner claim, not
-a pool-size claim.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from repro.errors import (
     NumericAnomalyInjector,
     StringTypoInjector,
 )
-from repro.runtime import ParallelValidator, ValidationService
+from repro.api import framing
+from repro.runtime import PartialReport, ShardPlanner, ValidationService
 from repro.serve import AsyncGateway, Client
 
 N_SCENARIOS = 20
@@ -100,34 +101,8 @@ def fitted() -> DQuaG:
 
 
 @pytest.fixture(scope="module")
-def parallel(fitted):
-    with ParallelValidator.from_pipeline(
-        fitted, workers=2, chunk_size=CHUNK_SIZE
-    ) as validator:
-        yield validator
-
-
-@pytest.fixture(scope="module")
-def shm_parallel(fitted):
-    """Sharded validation forced through the shared-memory data plane."""
-    with ParallelValidator.from_pipeline(
-        fitted, workers=2, chunk_size=CHUNK_SIZE, use_shm=True
-    ) as validator:
-        yield validator
-
-
-@pytest.fixture(scope="module")
-def pickled_parallel(fitted):
-    """Sharded validation forced onto the pickled fan-out path."""
-    with ParallelValidator.from_pipeline(
-        fitted, workers=2, chunk_size=CHUNK_SIZE, use_shm=False
-    ) as validator:
-        yield validator
-
-
-@pytest.fixture(scope="module")
 def served(fitted):
-    service = ValidationService(capacity=2, shard_workers=0)
+    service = ValidationService(capacity=2)
     service.add("demo", fitted)
     with AsyncGateway(service, port=0) as gateway:
         yield Client(port=gateway.port)
@@ -138,6 +113,29 @@ def served(fitted):
 def frame_client(served):
     """A client pinned to the binary frame tier, against the same gateway."""
     return Client(port=served.port, wire="frame")
+
+
+def merge(core, partials: "list[PartialReport]", rules=None) -> ValidationReport:
+    """Merge dense partials with the calibration of ``core``'s engine."""
+    engine = core.validator
+    return PartialReport.merge(
+        partials,
+        threshold=engine.calibration.threshold,
+        rule=engine.rule,
+        feature_names=list(engine.preprocessor.schema.names),
+        rules=rules,
+    )
+
+
+def shard_fold(fitted, table: Table, shards: int, rules=None) -> ValidationReport:
+    """The shard fold, in process: plan ``shards`` chunk-aligned row
+    ranges, validate each range's rows at its offset, merge the partials."""
+    core = fitted.streaming_validator(keep_cell_errors=True, rules=rules)
+    partials = [
+        core.validate_chunk(table.slice_rows(shard.offset, shard.stop), shard.offset)
+        for shard in ShardPlanner(CHUNK_SIZE).plan(table.n_rows, shards)
+    ]
+    return merge(core, partials, rules)
 
 
 def assert_reports_identical(reference: ValidationReport, other: ValidationReport, path: str):
@@ -192,7 +190,7 @@ def test_compiled_plan_bit_identical_to_legacy_transform(index, fitted):
 
 
 @pytest.mark.parametrize("index", range(N_SCENARIOS))
-def test_all_paths_bit_identical(index, fitted, parallel, served):
+def test_all_paths_bit_identical(index, fitted, served):
     table = make_scenario(index)
     reference = fitted.validate(table)
 
@@ -202,7 +200,7 @@ def test_all_paths_bit_identical(index, fitted, parallel, served):
     assert_reports_identical(reference, streamed, "streaming")
 
     for shards in (2, 4):
-        sharded = parallel.validate_table(table, shards=shards, keep_cell_errors=True)
+        sharded = shard_fold(fitted, table, shards)
         assert_reports_identical(reference, sharded, f"sharded[{shards}]")
 
     remote = served.validate("demo", table, include_errors=True)
@@ -214,15 +212,45 @@ def test_all_paths_bit_identical(index, fitted, parallel, served):
     assert_reports_identical(reference, decoded, "json-round-trip")
 
 
-@pytest.mark.parametrize("index", range(N_SCENARIOS))
-def test_shm_data_plane_bit_identical(index, fitted, shm_parallel, pickled_parallel):
-    """shm == pickled == one-shot, on every corruption scenario.
+def scatter_partials(core, table: Table, hand_off) -> "list[PartialReport]":
+    """A router's scatter of ``table``, in process: ``CHUNK_SIZE``-row
+    frames cut into 2 contiguous ranges, each range's body passed
+    through ``hand_off`` (bytes in, the bytes a replica reads out), and
+    every chunk validated at its global offset."""
+    frames = [
+        framing.encode_frame(table=table.slice_rows(start, start + CHUNK_SIZE))
+        for start in range(0, table.n_rows, CHUNK_SIZE)
+    ]
+    partials: "list[PartialReport]" = []
+    offset = 0
+    for shard in ShardPlanner(1).plan(len(frames), 2):
+        body = hand_off(b"".join(frames[shard.offset : shard.stop]))
+        for raw in framing.iter_frames([body]):
+            chunk = framing.decode_frame(raw, table.schema).table
+            partials.append(core.validate_chunk(chunk, offset))
+            offset += chunk.n_rows
+    return partials
 
-    The shared-memory data plane replaces the shard transport (slab
-    windows instead of pickled rows) without touching the compute — so
-    its reports must match the pickled fan-out and the one-shot
-    reference bit for bit, and the counters must prove the slab path
-    actually ran rather than silently falling back.
+
+def through_slab(body: bytes) -> bytes:
+    """Hand ``body`` over as the router does: written into an owned byte
+    slab, read back through a second mapping attached by name."""
+    from repro.runtime.shm import SharedSlab
+
+    with SharedSlab.create_bytes(len(body)) as slab:
+        slab.buf[: len(body)] = body
+        with SharedSlab.attach_bytes(slab.name) as attached:
+            return bytes(attached.buf[: len(body)])
+
+
+@pytest.mark.parametrize("index", range(N_SCENARIOS))
+def test_shm_data_plane_bit_identical(index, fitted):
+    """slab hand-off == plain body == one-shot, on every corruption scenario.
+
+    A same-host router hands each replica its chunk range in a shared
+    byte slab instead of an HTTP body, without touching the compute — so
+    ranges read out of slabs must fold to the one-shot reference and to
+    the same ranges read from plain bytes, bit for bit.
     """
     from repro.runtime.shm import shm_available
 
@@ -231,25 +259,16 @@ def test_shm_data_plane_bit_identical(index, fitted, shm_parallel, pickled_paral
     table = make_scenario(index)
     reference = fitted.validate(table)
 
-    before = shm_parallel.shm_stats["shm_tables"]
-    via_shm = shm_parallel.validate_table(table, shards=2, keep_cell_errors=True)
-    assert shm_parallel.shm_stats["shm_tables"] == before + 1, "shm path did not run"
-    via_pickled = pickled_parallel.validate_table(table, shards=2, keep_cell_errors=True)
-    assert pickled_parallel.shm_stats["shm_tables"] == 0
+    core = fitted.streaming_validator(keep_cell_errors=True)
+    via_shm = scatter_partials(core, table, through_slab)
+    via_plain = scatter_partials(core, table, bytes)
+    assert_reports_identical(reference, merge(core, via_shm), "shm")
+    assert_reports_identical(merge(core, via_plain), merge(core, via_shm), "shm-vs-plain")
 
-    assert_reports_identical(reference, via_shm, "shm")
-    assert_reports_identical(via_pickled, via_shm, "shm-vs-pickled")
-
-    if index % 5 == 0:  # streamed parity is slower: sample the scenarios
-        chunks = [
-            table.slice_rows(start, start + CHUNK_SIZE)
-            for start in range(0, table.n_rows, CHUNK_SIZE)
-        ]
-        shards_before = shm_parallel.shm_stats["shm_stream_shards"]
-        shm_summary = shm_parallel.validate_stream(iter(chunks))
-        assert shm_parallel.shm_stats["shm_stream_shards"] > shards_before
-        pickled_summary = pickled_parallel.validate_stream(iter(chunks))
-        assert shm_summary.to_dict() == pickled_summary.to_dict(), "shm stream parity"
+    if index % 5 == 0:  # streamed parity: sample the scenarios
+        shm_summary = core.fold(iter(via_shm))
+        local = fitted.streaming_validator(chunk_size=CHUNK_SIZE).validate_table(table)
+        assert shm_summary.to_dict() == local.to_dict(), "shm stream parity"
 
 
 @pytest.mark.parametrize("index", range(N_SCENARIOS))
@@ -330,7 +349,7 @@ def demo_rules():
 def served_rules(fitted, demo_rules):
     """A second gateway with rules attached, so the rules-off gateway
     fixtures above keep exercising the unchanged legacy behavior."""
-    service = ValidationService(capacity=2, shard_workers=0)
+    service = ValidationService(capacity=2)
     service.add("demo", fitted)
     service.set_rules("demo", demo_rules)
     with AsyncGateway(service, port=0) as gateway:
@@ -345,7 +364,7 @@ def frame_rules_client(served_rules):
 
 @pytest.mark.parametrize("index", range(N_SCENARIOS))
 def test_rules_on_all_paths_bit_identical(
-    index, fitted, parallel, demo_rules, served_rules, frame_rules_client
+    index, fitted, demo_rules, served_rules, frame_rules_client
 ):
     """With rules on, every path must agree bit for bit — on the GNN
     fields (which must match the rules-off output exactly: fusion is
@@ -365,9 +384,7 @@ def test_rules_on_all_paths_bit_identical(
     assert streamed.rule_report.to_dict() == reference, "rules-streaming"
 
     for shards in (2, 4):
-        sharded = parallel.validate_table(
-            table, shards=shards, keep_cell_errors=True, rules=demo_rules
-        )
+        sharded = shard_fold(fitted, table, shards, rules=demo_rules)
         assert_reports_identical(fused, sharded, f"rules-sharded[{shards}]")
         assert sharded.rule_report.to_dict() == reference, f"rules-sharded[{shards}]"
 
@@ -413,7 +430,7 @@ def test_scenarios_cover_clean_and_problematic():
 def async_served(fitted):
     """The asyncio gateway with an aggressive coalescing window: the
     concurrent sub-requests below must fuse into shared slabs."""
-    service = ValidationService(capacity=2, shard_workers=0)
+    service = ValidationService(capacity=2)
     service.add("demo", fitted)
     with AsyncGateway(service, port=0, batch_window_ms=20.0) as gateway:
         yield gateway, Client(port=gateway.port)

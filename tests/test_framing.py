@@ -450,7 +450,7 @@ class TestGatewayHostileFrames:
         from repro.serve.cli import fit_demo_pipeline
 
         pipeline = fit_demo_pipeline()
-        service = ValidationService(capacity=2, shard_workers=0)
+        service = ValidationService(capacity=2)
         service.add("demo", pipeline)
         with AsyncGateway(service, port=0, max_body_bytes=1 << 20) as gateway:
             yield pipeline, gateway

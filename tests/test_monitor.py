@@ -418,7 +418,7 @@ class TestPipelineIntegration:
 class TestServiceMonitoring:
     @pytest.fixture()
     def service(self, fitted):
-        with ValidationService(capacity=2, shard_workers=0) as service:
+        with ValidationService(capacity=2) as service:
             service.add("demo", fitted)
             yield service
 
@@ -437,7 +437,7 @@ class TestServiceMonitoring:
     def test_eviction_keeps_the_monitor(self, fitted, tmp_path):
         archive = tmp_path / "demo.npz"
         fitted.save(archive)
-        with ValidationService(capacity=1, shard_workers=0) as service:
+        with ValidationService(capacity=1) as service:
             service.register("a", archive)
             service.validate("a", make_table(100, seed=210))
             monitor = service.monitor_for("a")
@@ -446,7 +446,7 @@ class TestServiceMonitoring:
             assert monitor.snapshot().total_rows == 100
 
     def test_monitoring_disabled(self, fitted):
-        with ValidationService(capacity=2, shard_workers=0, monitor_window=0) as service:
+        with ValidationService(capacity=2, monitor_window=0) as service:
             service.add("demo", fitted)
             service.validate("demo", make_table(100, seed=220))
             assert service.monitor_for("demo") is None
@@ -455,7 +455,7 @@ class TestServiceMonitoring:
 
     def test_stream_fallback_path_feeds_monitor(self, service, fitted):
         chunks = [make_table(128, seed=230 + i) for i in range(3)]
-        summary = service.validate_stream_sharded("demo", chunks, workers=1)
+        summary = service.validator_for("demo").validate_stream(chunks)
         snapshot = service.monitor_snapshot("demo")
         assert snapshot.total_rows == summary.n_rows
         assert snapshot.total_observations == summary.n_chunks
@@ -481,9 +481,8 @@ class TestMonitorHookContract:
 
     @pytest.fixture(scope="class")
     def service(self, fitted):
-        # One service for every case: its 2-worker budget lets the
-        # sharded paths really shard.
-        with ValidationService(capacity=2, shard_workers=2) as service:
+        # One service for every case.
+        with ValidationService(capacity=2) as service:
             service.add("demo", fitted)
             yield service
 
@@ -529,36 +528,11 @@ class TestMonitorHookContract:
 
     def test_in_process_stream_observes_every_chunk(self, service):
         chunks = [make_table(128, seed=420 + i) for i in range(3)]
-        # One worker is below the sharding threshold: the stream runs in process.
         summary, _, _, added = self.observed(
-            service, lambda: service.validate_stream_sharded("demo", chunks, workers=1)
+            service, lambda: service.validator_for("demo").validate_stream(chunks)
         )
         assert summary.n_chunks == 3
         assert added == (3, 3 * 128)
-
-    def test_sharded_validate_observes_once(self, service):
-        table = make_table(600, seed=430)
-        report, before, after, added = self.observed(
-            service, lambda: service.validate_sharded("demo", table, workers=2)
-        )
-        assert "demo" in service._parallel  # the shard pool served it
-        assert added == (1, 600)
-        assert (after.flag_rate_ewma, after.flag_rate_limit) == one_chart_update(
-            before, report.n_flagged, 600
-        )
-
-    def test_sharded_stream_observes_every_chunk_and_charts_the_summary(self, service):
-        chunks = [make_table(128, seed=440 + i) for i in range(3)]
-        summary, before, after, added = self.observed(
-            service, lambda: service.validate_stream_sharded("demo", chunks, workers=2)
-        )
-        assert "demo" in service._parallel
-        assert added == (3, 3 * 128)
-        # The chunks carry no flags to the coordinator; the chart moves
-        # once, by the merged summary's counts.
-        assert (after.flag_rate_ewma, after.flag_rate_limit) == one_chart_update(
-            before, summary.n_flagged, summary.n_rows
-        )
 
     def test_failing_monitor_changes_no_result(self, service, monkeypatch):
         table = make_table(300, seed=450)
@@ -572,11 +546,7 @@ class TestMonitorHookContract:
         paths = {
             "validate": lambda: service.validate("demo", table).to_dict(),
             "scheduler": coalesced,
-            "stream": lambda: service.validate_stream_sharded("demo", chunks, workers=1).to_dict(),
-            "sharded": lambda: service.validate_sharded("demo", table, workers=2).to_dict(),
-            "sharded stream": lambda: service.validate_stream_sharded(
-                "demo", chunks, workers=2
-            ).to_dict(),
+            "stream": lambda: service.validator_for("demo").validate_stream(chunks).to_dict(),
         }
         monkeypatch.setattr(service, "monitor_window", 0)
         unmonitored = {name: path() for name, path in paths.items()}
@@ -597,7 +567,7 @@ class TestMonitorHookContract:
 class TestGatewayMonitoring:
     @pytest.fixture(scope="class")
     def served(self, fitted):
-        service = ValidationService(capacity=2, shard_workers=0)
+        service = ValidationService(capacity=2)
         service.add("demo", fitted)
         with AsyncGateway(service, port=0) as gateway:
             yield gateway, Client(port=gateway.port)
@@ -628,7 +598,7 @@ class TestGatewayMonitoring:
             client.monitor("nope")
 
     def test_monitor_disabled_404(self, fitted):
-        service = ValidationService(capacity=2, shard_workers=0, monitor_window=0)
+        service = ValidationService(capacity=2, monitor_window=0)
         service.add("demo", fitted)
         with AsyncGateway(service, port=0) as gateway:
             client = Client(port=gateway.port)
@@ -637,7 +607,7 @@ class TestGatewayMonitoring:
         service.close()
 
     def test_streamed_chunks_feed_the_monitor(self, fitted):
-        service = ValidationService(capacity=2, shard_workers=0)
+        service = ValidationService(capacity=2)
         service.add("demo", fitted)
         with AsyncGateway(service, port=0) as gateway:
             client = Client(port=gateway.port)

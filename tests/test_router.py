@@ -48,6 +48,7 @@ from tests.test_differential import (
     make_clean,
     make_scenario,
 )
+from tests.test_serve import stream_lines
 
 from repro.core import DQuaG, DQuaGConfig
 
@@ -71,7 +72,7 @@ def cluster(archive):
     """Single-node reference + a 2-replica router, all from one archive."""
     services, gateways = [], []
     for _ in range(3):  # [0] = single-node reference, [1:] = replicas
-        service = ValidationService(capacity=2, shard_workers=0)
+        service = ValidationService(capacity=2)
         service.register("demo", archive)
         services.append(service)
         gateways.append(AsyncGateway(service, port=0).start())
@@ -214,6 +215,33 @@ class TestParity:
         ]
         cluster.routed.validate_stream("demo", chunks)
         assert cluster.router._counters["streams_scattered"] == before + 1
+
+    def test_workers_stream_scatters_like_any_stream(self, cluster):
+        table = make_scenario(2)
+        chunks = [
+            table.slice_rows(start, start + CHUNK_SIZE)
+            for start in range(0, table.n_rows, CHUNK_SIZE)
+        ]
+        single_port = cluster.gateways[0].port
+        plain = stream_lines(single_port, chunks)
+        assert stream_lines(single_port, chunks, "?workers=2") == plain
+        before = cluster.router._counters["streams_scattered"]
+        assert stream_lines(cluster.router.port, chunks, "?workers=2") == plain
+        assert cluster.router._counters["streams_scattered"] == before + 1
+
+    def test_bad_workers_query_rejected_by_router(self, cluster):
+        connection = HTTPConnection("127.0.0.1", cluster.router.port, timeout=30)
+        try:
+            connection.request(
+                "POST",
+                "/v1/pipelines/demo/validate_stream?workers=banana",
+                body=json.dumps({"records": make_scenario(0).slice_rows(0, 4).to_records()})
+                + "\n",
+                headers={"Content-Type": "application/x-ndjson"},
+            )
+            assert connection.getresponse().status == 400
+        finally:
+            connection.close()
 
     def test_rules_fan_out_and_fold_identically(self, cluster):
         table = make_scenario(3)

@@ -612,7 +612,7 @@ class TestFusion:
 class TestService:
     @pytest.fixture()
     def service(self, pipeline):
-        service = ValidationService(capacity=2, shard_workers=0)
+        service = ValidationService(capacity=2)
         service.add("demo", pipeline)
         yield service
         service.close()
@@ -678,7 +678,7 @@ class TestService:
 class TestGateway:
     @pytest.fixture(scope="class")
     def gateway(self, pipeline):
-        service = ValidationService(capacity=2, shard_workers=0)
+        service = ValidationService(capacity=2)
         service.add("demo", pipeline)
         with AsyncGateway(service, port=0) as gw:
             yield gw

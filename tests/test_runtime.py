@@ -243,20 +243,11 @@ class TestEngineParity:
         engine._pool.shutdown()
         np.testing.assert_array_equal(engine.reconstruction_errors(matrix), expected)
 
-    def test_width_follows_the_cpus_the_process_may_use(self, fitted, tmp_path, monkeypatch):
+    def test_width_follows_the_cpus_the_process_may_use(self, fitted):
         import os
-
-        from repro.runtime import sharding
 
         pipeline, holdout = fitted
         matrix = pipeline.preprocessor.transform(holdout)
-        # Shard workers already cover the CPUs: their engines never fan out.
-        archive = tmp_path / "p.npz"
-        pipeline.save(archive)
-        monkeypatch.setattr(sharding, "_WORKER", {})
-        sharding._worker_init(str(archive), 64)
-        assert sharding._WORKER["validator"].width == 1
-
         if not hasattr(os, "sched_setaffinity"):
             pytest.skip("os.sched_setaffinity is unavailable on this platform")
         previous = os.sched_getaffinity(0)

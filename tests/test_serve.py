@@ -14,12 +14,36 @@ import json
 import numpy as np
 import pytest
 
+from repro.api.requests import ValidateRequest
 from repro.core import DQuaG
+from repro.core.validator import ValidationReport
 from repro.data import Table
 from repro.exceptions import GatewayError
-from repro.runtime import ValidationService
+from repro.runtime import StreamSummary, ValidationService
 from repro.serve import AsyncGateway, Client
 from repro.serve.cli import DEMO_RECORD, fit_demo_pipeline
+
+
+def stream_lines(port: int, chunks, query: str = "") -> "list[bytes]":
+    """POST ``chunks`` as an NDJSON stream to ``/validate_stream`` (plus
+    ``query``); returns the response lines, asserting a 200."""
+    body = b"".join(
+        json.dumps({"records": chunk.to_records()}).encode("utf-8") + b"\n" for chunk in chunks
+    )
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        connection.request(
+            "POST",
+            "/v1/pipelines/demo/validate_stream" + query,
+            body=body,
+            headers={"Content-Type": "application/x-ndjson"},
+        )
+        response = connection.getresponse()
+        raw = response.read()
+        assert response.status == 200, raw
+        return raw.splitlines()
+    finally:
+        connection.close()
 
 
 def make_batch(pipeline: DQuaG, n: int, seed: int, corrupt: int = 0) -> Table:
@@ -42,9 +66,7 @@ def make_batch(pipeline: DQuaG, n: int, seed: int, corrupt: int = 0) -> Table:
 @pytest.fixture(scope="module")
 def served():
     pipeline = fit_demo_pipeline()
-    # shard_workers=2 gives the ?workers= sharded paths a real budget
-    # even on single-core CI runners.
-    service = ValidationService(capacity=2, shard_workers=2)
+    service = ValidationService(capacity=2)
     service.add("demo", pipeline)
     with AsyncGateway(service, port=0) as gateway:
         yield pipeline, gateway, Client(port=gateway.port)
@@ -142,14 +164,17 @@ class TestShardedOverHTTP:
         pipeline, _, client = served
         batch = make_batch(pipeline, 400, seed=21, corrupt=50)
         local = pipeline.validate(batch)
-        remote = client.validate("demo", batch, workers=2)
+        # The field is sent raw: the wire still accepts ``workers``.
+        request = ValidateRequest(records=batch.to_records(), pipeline="demo", workers=2)
+        remote = ValidationReport.from_dict(
+            client._request("POST", "/v1/pipelines/demo/validate", request.to_dict())
+        )
         np.testing.assert_array_equal(remote.row_flags, local.row_flags)
         np.testing.assert_array_equal(remote.cell_flags, local.cell_flags)
         assert remote.threshold == local.threshold
         assert remote.is_problematic == local.is_problematic
 
     def test_workers_field_round_trips_on_requests(self):
-        from repro.api.requests import ValidateRequest
         from repro.exceptions import ProtocolError
 
         request = ValidateRequest(records=[DEMO_RECORD], pipeline="demo", workers=4)
@@ -170,11 +195,37 @@ class TestShardedOverHTTP:
             batch.take(np.arange(i, min(i + 100, batch.n_rows)))
             for i in range(0, batch.n_rows, 100)
         ]
-        summary = client.validate_stream("demo", chunks, workers=2)
+        # The parameter is sent raw: the wire still accepts ``?workers=``.
+        lines = stream_lines(client.port, chunks, "?workers=2")
+        summary = StreamSummary.from_dict(json.loads(lines[-1]))
         assert summary.n_rows == batch.n_rows
         assert summary.n_flagged == local.n_flagged
         np.testing.assert_array_equal(summary.flagged_rows, local.flagged_rows)
         assert summary.is_problematic == local.is_problematic
+
+    def test_workers_stream_answers_like_any_stream(self, served):
+        pipeline, gateway, _ = served
+        batch = make_batch(pipeline, 350, seed=23, corrupt=30)
+        chunks = [batch.slice_rows(start, start + 100) for start in range(0, batch.n_rows, 100)]
+        plain = stream_lines(gateway.port, chunks)
+        assert stream_lines(gateway.port, chunks, "?workers=2") == plain
+        # Per-chunk acks in the caller's chunking, then the summary.
+        assert len(plain) == len(chunks) + 1
+        assert json.loads(plain[-1])["n_chunks"] == len(chunks)
+
+    def test_zero_workers_field_rejected(self, served):
+        _, gateway, _ = served
+        connection = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=30)
+        try:
+            connection.request(
+                "POST",
+                "/v1/pipelines/demo/validate",
+                body=json.dumps({"records": [DEMO_RECORD], "workers": 0}),
+                headers={"Content-Type": "application/json"},
+            )
+            assert connection.getresponse().status == 400
+        finally:
+            connection.close()
 
     def test_bad_workers_query_rejected(self, served):
         pipeline, gateway, _ = served

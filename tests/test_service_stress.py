@@ -58,7 +58,7 @@ def archive(tmp_path_factory):
 class TestServiceStress:
     def test_counts_survive_reregister_and_evict_races(self, archive):
         n_submitters, batches_each, batch_rows = 4, 25, 50
-        with ValidationService(capacity=2, shard_workers=0, monitor_window=8) as service:
+        with ValidationService(capacity=2, monitor_window=8) as service:
             service.register("p", archive)
             stop = threading.Event()
             errors: list[BaseException] = []
@@ -121,7 +121,7 @@ class TestServiceStress:
             assert stats.pipelines["p"]["rows_validated"] == expected_rows
 
     def test_reregister_never_resurrects_a_stale_monitor(self, archive):
-        with ValidationService(capacity=2, shard_workers=0, monitor_window=8) as service:
+        with ValidationService(capacity=2, monitor_window=8) as service:
             service.register("p", archive)
             service.validate("p", make_table(60, seed=1))
             before = service.monitor_for("p")
@@ -142,7 +142,7 @@ class TestServiceStress:
 
     def test_monitor_builds_race_to_one_winner(self, archive):
         """Concurrent first-touch builds converge on a single monitor."""
-        with ValidationService(capacity=2, shard_workers=0, monitor_window=8) as service:
+        with ValidationService(capacity=2, monitor_window=8) as service:
             service.register("p", archive)
             barrier = threading.Barrier(8)
             winners = []
@@ -164,7 +164,7 @@ class TestServiceStress:
             assert all(monitor is winners[0] for monitor in winners)
 
     def test_eviction_under_load_keeps_lifetime_counters(self, archive):
-        with ValidationService(capacity=1, shard_workers=0, monitor_window=4) as service:
+        with ValidationService(capacity=1, monitor_window=4) as service:
             service.register("p", archive)
             total = 0
             for i in range(10):

@@ -1,25 +1,21 @@
-"""Shared-memory data plane tests: slab lifecycle, orphan reaping,
-pool budgets, parity with the pickled path, and crash recovery.
+"""Shared-memory byte-slab tests: slab lifecycle, orphan reaping, the
+gateway's ``X-Repro-Shm`` ingest and the router's same-host scatter.
 
 The standing invariant mirrors every other serving-tier suite: shared
-memory is an *optimization* — reports produced through slabs must be
-bit-identical to the pickled fan-out and to the one-shot path, and no
-request may ever fail because shm is unavailable, budget-exhausted, or
-broken mid-flight. The lifecycle half pins the crash-safety contract:
-double-close is idempotent, dropped references unlink via finalizers,
-a dead creator's segments are reaped on the next pool open, and a
-worker dying mid-shard falls back to the pickled path with the same
-answer.
+memory is an *optimization* — a stream handed over in a slab must
+answer byte-identically to the same stream sent as an HTTP body, and no
+request may ever fail because shm is unavailable or refused. The
+lifecycle half pins the crash-safety contract: double-close is
+idempotent, dropped references unlink via finalizers, and a dead
+creator's segments are reaped by the next process's availability probe.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import signal
 import subprocess
 import sys
-import time
 from http.client import HTTPConnection
 from pathlib import Path
 
@@ -27,16 +23,8 @@ import numpy as np
 import pytest
 
 from repro.core import DQuaG, DQuaGConfig
-from repro.runtime import ParallelValidator, ValidationService
-from repro.runtime.shm import (
-    SLAB_PREFIX,
-    SharedSlab,
-    SlabPool,
-    attach_window,
-    reap_orphans,
-    shm_available,
-    slab_budget_bytes,
-)
+from repro.runtime import ValidationService, shm
+from repro.runtime.shm import SLAB_PREFIX, SharedSlab, reap_orphans, shm_available
 from tests.test_sharding import make_table
 
 pytestmark = pytest.mark.skipif(
@@ -53,6 +41,29 @@ def slab_entries() -> set:
     return {entry.name for entry in _SHM_DIR.iterdir() if entry.name.startswith(SLAB_PREFIX)}
 
 
+def leak_dead_slab() -> str:
+    """A slab whose creator died hard: a child creates one and exits via
+    ``os._exit`` (skipping every finalizer) — the crashed-creator case
+    reap_orphans is for. Returns the leaked segment's name."""
+    script = (
+        "import os, sys\n"
+        "from repro.runtime.shm import SharedSlab\n"
+        "slab = SharedSlab.create_bytes(256)\n"
+        "print(slab.name, flush=True)\n"
+        "os._exit(1)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    name = result.stdout.strip()
+    assert name.startswith(SLAB_PREFIX), result.stderr
+    assert name in slab_entries()  # leaked: the child never unlinked
+    return name
+
+
 @pytest.fixture(scope="module")
 def fitted():
     train = make_table(500, seed=0)
@@ -64,19 +75,6 @@ def fitted():
 # slab lifecycle
 # ---------------------------------------------------------------------------
 class TestSharedSlab:
-    def test_matrix_visible_through_attach(self):
-        with SharedSlab.create(16, 4) as slab:
-            slab.matrix[:] = np.arange(64, dtype=np.float64).reshape(16, 4)
-            attached = SharedSlab.attach(slab.name, 16, 4)
-            try:
-                np.testing.assert_array_equal(attached.matrix, slab.matrix)
-                # same physical pages, not a copy
-                attached.matrix[3, 2] = -1.0
-                assert slab.matrix[3, 2] == -1.0
-            finally:
-                attached.close()
-        assert slab.name not in slab_entries()
-
     def test_byte_slab_roundtrip_and_no_matrix_view(self):
         payload = b"x" * 100
         with SharedSlab.create_bytes(len(payload)) as slab:
@@ -84,13 +82,12 @@ class TestSharedSlab:
             attached = SharedSlab.attach_bytes(slab.name)
             try:
                 assert bytes(attached.buf[: len(payload)]) == payload
-                with pytest.raises(TypeError):
-                    attached.matrix
+                assert not hasattr(attached, "matrix")
             finally:
                 attached.close()
 
     def test_double_close_is_idempotent(self):
-        slab = SharedSlab.create(4, 2)
+        slab = SharedSlab.create_bytes(64)
         assert not slab.closed
         slab.close()
         assert slab.closed
@@ -99,7 +96,7 @@ class TestSharedSlab:
         assert slab.name not in slab_entries()
 
     def test_dropped_reference_unlinks_via_finalizer(self):
-        slab = SharedSlab.create(8, 2)
+        slab = SharedSlab.create_bytes(128)
         name = slab.name
         assert name in slab_entries()
         del slab
@@ -108,28 +105,11 @@ class TestSharedSlab:
         gc.collect()
         assert name not in slab_entries()
 
-    def test_attach_rejects_undersized_segment(self):
-        with SharedSlab.create(4, 2) as slab:
-            with pytest.raises(ValueError, match="bytes"):
-                SharedSlab.attach(slab.name, 4096, 64)
-
     def test_rejects_degenerate_shapes(self):
         with pytest.raises(ValueError):
-            SharedSlab.create(0, 4)
-        with pytest.raises(ValueError):
-            SharedSlab.create(4, 0)
-        with pytest.raises(ValueError):
             SharedSlab.create_bytes(0)
-
-    def test_spec_window_roundtrip(self):
-        with SharedSlab.create(10, 3) as slab:
-            slab.matrix[:] = np.arange(30, dtype=np.float64).reshape(10, 3)
-            window, holder = attach_window(slab.spec(rows=10, start=2, stop=7), cache=False)
-            try:
-                np.testing.assert_array_equal(window, slab.matrix[2:7])
-            finally:
-                assert holder is not None  # one-shot specs hand back the mapping
-                holder.close()
+        with pytest.raises(ValueError):
+            SharedSlab.create_bytes(-8)
 
 
 # ---------------------------------------------------------------------------
@@ -137,151 +117,24 @@ class TestSharedSlab:
 # ---------------------------------------------------------------------------
 class TestOrphanReaping:
     def test_dead_creator_segment_is_reaped(self):
-        # A child creates a slab and dies hard (os._exit skips every
-        # finalizer) — exactly the crashed-parent case reap_orphans is for.
-        script = (
-            "import os, sys\n"
-            "from repro.runtime.shm import SharedSlab\n"
-            "slab = SharedSlab.create(64, 4)\n"
-            "print(slab.name, flush=True)\n"
-            "os._exit(1)\n"
-        )
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
-        )
-        name = result.stdout.strip()
-        assert name.startswith(SLAB_PREFIX), result.stderr
-        assert name in slab_entries()  # leaked: the child never unlinked
+        name = leak_dead_slab()
         assert reap_orphans() >= 1
         assert name not in slab_entries()
 
     def test_live_creator_segment_survives_reaping(self):
-        with SharedSlab.create(8, 2) as slab:
+        with SharedSlab.create_bytes(128) as slab:
             reap_orphans()
             assert slab.name in slab_entries()
         assert slab.name not in slab_entries()
 
-
-# ---------------------------------------------------------------------------
-# slab pool
-# ---------------------------------------------------------------------------
-class TestSlabPool:
-    def test_ring_round_robin_reuses_slabs(self):
-        pool = SlabPool.open(3, capacity_rows=32, n_features=4, budget_bytes=1 << 20)
-        assert pool is not None
-        try:
-            assert len(pool) == 3
-            assert pool.slab(0) is pool.slab(3)
-            assert pool.slab(1) is not pool.slab(2)
-            assert pool.nbytes == 3 * 32 * 4 * 8
-        finally:
-            pool.close()
-        assert not slab_entries() & {slab.name for slab in pool.slabs}
-
-    def test_budget_clamps_ring_then_declines(self):
-        slab_bytes = 32 * 4 * 8
-        clamped = SlabPool.open(8, 32, 4, budget_bytes=2 * slab_bytes)
-        assert clamped is not None and len(clamped) == 2
-        clamped.close()
-        # fewer than 2 affordable slabs → nothing to overlap → decline
-        assert SlabPool.open(8, 32, 4, budget_bytes=slab_bytes) is None
-        assert SlabPool.open(8, 32, 4, budget_bytes=0) is None
-
-    def test_double_close_is_idempotent(self):
-        pool = SlabPool.open(2, 16, 2, budget_bytes=1 << 20)
-        assert pool is not None
-        pool.close()
-        pool.close()
-
-    def test_budget_resolution_order(self, monkeypatch):
-        assert slab_budget_bytes(12345) == 12345
-        monkeypatch.setenv("REPRO_SHM_BUDGET_MB", "2")
-        assert slab_budget_bytes() == 2 * 1024 * 1024
-        monkeypatch.setenv("REPRO_SHM_BUDGET_MB", "garbage")
-        assert slab_budget_bytes() == 1 << 30
-
-
-# ---------------------------------------------------------------------------
-# parity: shm == pickled == one-shot
-# ---------------------------------------------------------------------------
-class TestShmParity:
-    def test_table_report_bit_identical_to_pickled_and_one_shot(self, fitted):
-        pipeline, table = fitted
-        reference = pipeline.streaming_validator(chunk_size=256).validate_table(table)
-        with ParallelValidator.from_pipeline(
-            pipeline, workers=2, chunk_size=256, use_shm=True
-        ) as shm_validator:
-            shm_report = shm_validator.validate_table(table)
-            assert shm_validator.shm_stats["shm_tables"] == 1
-            assert shm_validator.shm_stats["fallbacks"] == 0
-        with ParallelValidator.from_pipeline(
-            pipeline, workers=2, chunk_size=256, use_shm=False
-        ) as pickled_validator:
-            pickled_report = pickled_validator.validate_table(table)
-            assert pickled_validator.shm_stats["shm_tables"] == 0
-        assert shm_report.to_dict() == reference.to_dict()
-        assert pickled_report.to_dict() == reference.to_dict()
-
-    def test_stream_summary_bit_identical_and_slabs_reused(self, fitted):
-        pipeline, table = fitted
-        chunks = [table.slice_rows(i, min(i + 90, table.n_rows)) for i in range(0, table.n_rows, 90)]
-        with ParallelValidator.from_pipeline(
-            pipeline, workers=2, chunk_size=128, chunks_per_shard=2, use_shm=False
-        ) as pickled_validator:
-            reference = pickled_validator.validate_stream(iter(chunks))
-        with ParallelValidator.from_pipeline(
-            pipeline, workers=2, chunk_size=128, chunks_per_shard=2, use_shm=True
-        ) as shm_validator:
-            summary = shm_validator.validate_stream(iter(chunks))
-            shards = shm_validator.shm_stats["shm_stream_shards"]
-            assert shards > 2  # more shards than ring slabs → segments were reused
-            assert shm_validator.shm_stats["fallbacks"] == 0
-        assert summary.to_dict() == reference.to_dict()
-
-    def test_exhausted_budget_falls_back_with_same_answer(self, fitted):
-        pipeline, table = fitted
-        reference = pipeline.streaming_validator(chunk_size=256).validate_table(table)
-        with ParallelValidator.from_pipeline(
-            pipeline, workers=2, chunk_size=256, use_shm=True, slab_budget=64
-        ) as validator:
-            report = validator.validate_table(table)
-            assert validator.shm_stats["fallbacks"] == 1
-            assert validator.shm_stats["shm_tables"] == 0
-        assert report.to_dict() == reference.to_dict()
-
-    def test_no_segments_leak_after_validator_close(self, fitted):
-        pipeline, table = fitted
-        before = slab_entries()
-        with ParallelValidator.from_pipeline(
-            pipeline, workers=2, chunk_size=256, use_shm=True
-        ) as validator:
-            validator.validate_table(table)
-        assert slab_entries() <= before
-
-    def test_worker_death_mid_shard_recovers_with_same_answer(self, fitted):
-        pipeline, table = fitted
-        reference = pipeline.streaming_validator(chunk_size=256).validate_table(table)
-        with ParallelValidator.from_pipeline(
-            pipeline, workers=2, chunk_size=256, use_shm=True
-        ) as validator:
-            pool = validator._ensure_pool()
-            # Warm the workers up, then kill them all: the next shm drain
-            # hits BrokenProcessPool mid-shard and must replay the shard
-            # through a fresh pool on the pickled path.
-            validator.validate_table(table)
-            for pid in list(pool._processes):
-                os.kill(pid, signal.SIGKILL)
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and any(
-                process.is_alive() for process in pool._processes.values()
-            ):
-                time.sleep(0.05)
-            report = validator.validate_table(table)
-            assert validator.shm_stats["recoveries"] >= 1
-        assert report.to_dict() == reference.to_dict()
+    def test_availability_probe_reaps_orphans(self, monkeypatch):
+        # The probe runs once per process, before a router's first slab
+        # and when a gateway enables shm ingest; a fresh process (here: a
+        # reset probe cache) must sweep what a crashed one left behind.
+        name = leak_dead_slab()
+        monkeypatch.setattr(shm, "_available", None)
+        assert shm_available()
+        assert name not in slab_entries()
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +146,7 @@ class TestGatewayShmIngest:
         from repro.serve import AsyncGateway
 
         pipeline, table = fitted
-        service = ValidationService(capacity=2, shard_workers=0)
+        service = ValidationService(capacity=2)
         service.add("demo", pipeline)
         gateway = AsyncGateway(service, port=0, shm_ingest=True).start()
         yield gateway, table
@@ -365,7 +218,7 @@ class TestGatewayShmIngest:
         from repro.serve import AsyncGateway
 
         pipeline, table = fitted
-        service = ValidationService(capacity=2, shard_workers=0)
+        service = ValidationService(capacity=2)
         service.add("demo", pipeline)
         gateway = AsyncGateway(service, port=0, shm_ingest=False).start()
         try:
@@ -425,7 +278,7 @@ class TestRouterShmScatter:
 
         services, gateways = [], []
         for _ in range(3):  # [0] = single-node reference, [1:] = replicas
-            service = ValidationService(capacity=2, shard_workers=0)
+            service = ValidationService(capacity=2)
             service.register("demo", str(archive))
             services.append(service)
             gateways.append(AsyncGateway(service, port=0, shm_ingest=True).start())
@@ -461,7 +314,7 @@ class TestRouterShmScatter:
         pipeline.save(archive)
         services, gateways = [], []
         for _ in range(2):
-            service = ValidationService(capacity=2, shard_workers=0)
+            service = ValidationService(capacity=2)
             service.register("demo", str(archive))
             services.append(service)
             gateways.append(AsyncGateway(service, port=0, shm_ingest=True).start())
@@ -486,41 +339,3 @@ class TestRouterShmScatter:
                 gateway.close()
             for service in services:
                 service.close()
-
-
-# ---------------------------------------------------------------------------
-# service-tier idle pool reaping (satellite: ValidationService)
-# ---------------------------------------------------------------------------
-class TestIdlePoolReaping:
-    def test_idle_pools_reaped_and_counted(self, fitted, tmp_path):
-        pipeline, table = fitted
-        archive = tmp_path / "demo.npz"
-        pipeline.save(archive)
-        service = ValidationService(capacity=2, shard_workers=4, shard_idle_timeout=0.2)
-        try:
-            service.register("demo", str(archive))
-            sharded = service.validate_sharded("demo", table, workers=2)
-            assert sharded.n_flagged >= 0
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and service.stats_snapshot().pool_reaps == 0:
-                time.sleep(0.05)
-            stats = service.stats_snapshot()
-            assert stats.pool_reaps >= 1
-            # the pool is rebuilt transparently on next use
-            again = service.validate_sharded("demo", table, workers=2)
-            assert again.to_dict() == sharded.to_dict()
-        finally:
-            service.close()
-
-    def test_no_timeout_means_no_reaper(self, fitted, tmp_path):
-        pipeline, table = fitted
-        archive = tmp_path / "demo.npz"
-        pipeline.save(archive)
-        service = ValidationService(capacity=2, shard_workers=4, shard_idle_timeout=None)
-        try:
-            service.register("demo", str(archive))
-            service.validate_sharded("demo", table, workers=2)
-            time.sleep(0.3)
-            assert service.stats_snapshot().pool_reaps == 0
-        finally:
-            service.close()
