@@ -107,7 +107,10 @@ SCHEMA_VERSION = 1
 #:     both omitted when zero/false so quiescent payloads stay
 #:     byte-identical to revision 4. The shard pools are gone since:
 #:     ``pool_reaps`` is no longer sent (a revision-5 payload at zero)
-#:     and is ignored when an older peer sends it.
+#:     and is ignored when an older peer sends it. So is the slab
+#:     hand-off: ``shm_ingest`` is no longer sent (a revision-5 health
+#:     payload with ingest off) and is ignored when an older gateway
+#:     sends it.
 CODEC_REVISION = 5
 
 

@@ -26,20 +26,21 @@ def _records_of(payload: dict) -> list[dict]:
     return records
 
 
-def _workers_of(payload: dict) -> int | None:
-    workers = payload.get("workers")
-    if workers is None:
-        return None
-    # Strictly integral: 2.9 (or True) must not silently become a worker
-    # count — the query-param path rejects such values too.
-    if isinstance(workers, bool) or not isinstance(workers, (int, float, str)):
-        raise ProtocolError(f"'workers' must be an integer, got {workers!r}")
+def _integer_of(payload: dict, name: str, default: int | None = None) -> int | None:
+    """The integer field ``name``; ``default`` when absent or null."""
+    value = payload.get(name)
+    if value is None:
+        return default
+    # Strictly integral: 2.9 (or True) must not silently become a count
+    # — the ``?workers=`` query-param path rejects such values too.
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ProtocolError(f"{name!r} must be an integer, got {value!r}")
     try:
-        as_float = float(workers)
-    except ValueError:
-        raise ProtocolError(f"'workers' must be an integer, got {workers!r}") from None
+        as_float = float(value)
+    except (ValueError, OverflowError):
+        raise ProtocolError(f"{name!r} must be an integer, got {value!r}") from None
     if not as_float.is_integer():
-        raise ProtocolError(f"'workers' must be an integer, got {workers!r}")
+        raise ProtocolError(f"{name!r} must be an integer, got {value!r}")
     return int(as_float)
 
 
@@ -73,7 +74,7 @@ class ValidateRequest:
 
     def __post_init__(self) -> None:
         if self.workers is not None:
-            self.workers = _workers_of({"workers": self.workers})
+            self.workers = _integer_of({"workers": self.workers}, "workers")
             if self.workers < 1:
                 raise ProtocolError(f"workers must be >= 1, got {self.workers}")
 
@@ -94,7 +95,7 @@ class ValidateRequest:
             records=_records_of(payload),
             pipeline=payload.get("pipeline"),
             include_errors=bool(payload.get("include_errors", False)),
-            workers=_workers_of(payload),
+            workers=_integer_of(payload, "workers"),
         )
 
     @classmethod
@@ -109,7 +110,7 @@ class ValidateRequest:
                 records=_records_of(payload),
                 pipeline=payload.get("pipeline"),
                 include_errors=bool(payload.get("include_errors", False)),
-                workers=_workers_of(payload),
+                workers=_integer_of(payload, "workers"),
             )
         if request.pipeline is None:
             request.pipeline = pipeline
@@ -132,7 +133,7 @@ class ValidateRequest:
             records=[],
             pipeline=payload.get("pipeline"),
             include_errors=bool(payload.get("include_errors", False)),
-            workers=_workers_of(payload),
+            workers=_integer_of(payload, "workers"),
         )
         if request.pipeline is None:
             request.pipeline = pipeline
@@ -183,7 +184,7 @@ class RepairRequest:
         return cls(
             records=_records_of(payload),
             pipeline=payload.get("pipeline"),
-            iterations=int(payload.get("iterations", 1)),
+            iterations=_integer_of(payload, "iterations", default=1),
             include_errors=bool(payload.get("include_errors", False)),
         )
 
@@ -197,7 +198,7 @@ class RepairRequest:
             request = cls(
                 records=_records_of(payload),
                 pipeline=payload.get("pipeline"),
-                iterations=int(payload.get("iterations", 1)),
+                iterations=_integer_of(payload, "iterations", default=1),
                 include_errors=bool(payload.get("include_errors", False)),
             )
         if request.pipeline is None:
@@ -214,7 +215,7 @@ class RepairRequest:
         request = cls(
             records=[],
             pipeline=payload.get("pipeline"),
-            iterations=int(payload.get("iterations", 1)),
+            iterations=_integer_of(payload, "iterations", default=1),
             include_errors=bool(payload.get("include_errors", False)),
         )
         if request.pipeline is None:

@@ -1,91 +1,38 @@
-"""Shared-memory byte slabs: the same-host hand-off of encoded chunks.
+"""Shared-memory byte slabs: one ``multiprocessing.shared_memory``
+segment viewed as raw bytes.
 
-A router scattering a stream to replicas on its own host need not
-re-serialize each chunk range onto a socket: it writes the encoded
-frames into a :class:`SharedSlab` and sends only the segment's name
-(the ``X-Repro-Shm`` header); the replica's gateway attaches the slab
-and reads the frames straight out of shared memory.
+No served request uses them: a router hands every scatter range to its
+replica as an HTTP body. The last creator and attacher is the traced
+pass of the ``fleet-stream`` benchmark (``perfbench/fleet.py``), which
+times one create/copy/attach round trip per frame.
 
-* :class:`SharedSlab` — one ``multiprocessing.shared_memory`` segment
-  viewed as raw bytes (:attr:`SharedSlab.buf`). The creator owns it;
-  an attacher only maps it;
-* crash-safe lifecycle — slabs unlink via owner-side finalizers even
-  when :meth:`SharedSlab.close` is never called, segment names embed
-  the creator PID so :func:`reap_orphans` can reclaim the leftovers of
-  a crashed creator (run once per process, by the :func:`shm_available`
-  probe), and every open is unregistered from the ``resource_tracker``
-  so a process exit can neither unlink a live segment nor warn about
-  one it merely mapped.
-
-Every consumer treats shared memory as an optimization with a plain
-HTTP-body fallback — no request ever fails because shm is unavailable.
+* :class:`SharedSlab` — the segment (:attr:`SharedSlab.buf`). The
+  creator owns it; an attacher only maps it;
+* lifecycle — an owned slab unlinks via a finalizer even when
+  :meth:`SharedSlab.close` is never called, segment names embed the
+  creator PID, and every open is unregistered from the
+  ``resource_tracker`` so a process exit can neither unlink a live
+  segment nor warn about one it merely mapped.
 """
 
 from __future__ import annotations
 
 import os
 import secrets
-import threading
-from pathlib import Path
-
-from repro.utils.logging import get_logger
 
 __all__ = [
     "SLAB_PREFIX",
     "SharedSlab",
-    "reap_orphans",
-    "shm_available",
 ]
 
-logger = get_logger("runtime.shm")
-
-#: segment-name prefix; the embedded PID is what makes orphan reaping safe
+#: segment-name prefix; a name continues with the creator's PID
 SLAB_PREFIX = "repro-slab"
-
-_SHM_DIR = Path("/dev/shm")
-
-_available_lock = threading.Lock()
-_available: bool | None = None
 
 
 def _shared_memory():
     from multiprocessing import shared_memory
 
     return shared_memory
-
-
-def shm_available() -> bool:
-    """Whether POSIX shared memory actually works here (probed once).
-
-    A platform can expose the module but refuse segments (no ``/dev/shm``
-    mount, seccomp, exhausted shm quota) — probe with a tiny create/attach
-    round-trip instead of trusting the import. A successful probe also
-    reaps the orphaned slabs of crashed processes (:func:`reap_orphans`),
-    so every process that is about to create or attach slabs — a router
-    before its first scatter, a gateway enabling ``shm_ingest`` — has
-    swept them once.
-    """
-    global _available
-    if _available is not None:
-        return _available
-    with _available_lock:
-        if _available is not None:
-            return _available
-        try:
-            slab = SharedSlab.create_bytes(64)
-            try:
-                attached = SharedSlab.attach_bytes(slab.name)
-                attached.close()
-            finally:
-                slab.close()
-            available = True
-        except Exception:  # pragma: no cover - platform-dependent
-            logger.info("shared-memory data plane unavailable", exc_info=True)
-            available = False
-        if available:
-            reap_orphans()
-        _available = available
-    return _available
 
 
 def _untrack(shm) -> None:
@@ -95,8 +42,7 @@ def _untrack(shm) -> None:
     open — including attach-only ones — so an attaching process exiting
     would have the tracker unlink a slab its creator still owns (and
     warn about a "leak" it never had). Creators untrack too, and slab
-    lifecycle is owned entirely by the finalizers here plus
-    :func:`reap_orphans`.
+    lifecycle is owned entirely by the finalizers here.
 
     The tracker keeps one name set for the whole process tree, so a
     name registered twice before it is unregistered holds one entry,
@@ -104,8 +50,9 @@ def _untrack(shm) -> None:
     traceback on stderr). Register/unregister pairs therefore must not
     overlap per name: each slab has one creator and at most one
     attacher, strictly in sequence — the attacher opens the segment
-    only after the creator's open has returned, which is how the
-    router's hand-off works (create, write, then send the name).
+    only after the creator's open has returned. The last creator and
+    attacher is perfbench's traced fleet pass, which creates, writes
+    and then attaches within one process.
     """
     try:
         from multiprocessing import resource_tracker
@@ -129,7 +76,7 @@ def _release_segment(shm, owner: bool) -> None:
 
         _posixshmem.shm_unlink(shm._name)
     except FileNotFoundError:
-        pass  # reaped by someone else (orphan sweep) — already gone
+        pass  # unlinked by someone else — already gone
     except (ImportError, OSError):  # pragma: no cover - non-POSIX fallback
         try:
             shm.unlink()
@@ -160,7 +107,7 @@ class SharedSlab:
     # -- construction ------------------------------------------------------
     @classmethod
     def create_bytes(cls, n_bytes: int) -> "SharedSlab":
-        """Create an owned raw-byte slab (router scatter bodies)."""
+        """Create an owned raw-byte slab."""
         if n_bytes < 1:
             raise ValueError(f"slab size must be positive, got {n_bytes}")
         shm = _shared_memory().SharedMemory(
@@ -199,50 +146,3 @@ class SharedSlab:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SharedSlab({self.name}, {self.nbytes}B, owner={self.owner})"
-
-
-# ---------------------------------------------------------------------------
-# orphan reaping
-# ---------------------------------------------------------------------------
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):  # pragma: no cover - other owner
-        return True
-    return True
-
-
-def reap_orphans() -> int:
-    """Unlink slab segments whose creating process is gone.
-
-    Scans ``/dev/shm`` for ``repro-slab-<pid>-*`` entries and removes the
-    ones whose PID no longer exists — the leftovers of a creator that
-    died before its finalizers ran. :func:`shm_available` runs it once
-    per process, so a crashed router cannot leak shared memory past its
-    successor. Best-effort by design: never raises.
-    """
-    reaped = 0
-    try:
-        entries = list(_SHM_DIR.iterdir()) if _SHM_DIR.is_dir() else []
-    except OSError:  # pragma: no cover - /dev/shm unreadable
-        return 0
-    for entry in entries:
-        parts = entry.name.split("-")
-        if len(parts) < 4 or "-".join(parts[:2]) != SLAB_PREFIX:
-            continue
-        try:
-            pid = int(parts[2])
-        except ValueError:
-            continue
-        if pid == os.getpid() or _pid_alive(pid):
-            continue
-        try:
-            entry.unlink()
-            reaped += 1
-        except OSError:  # pragma: no cover - raced another reaper
-            pass
-    if reaped:
-        logger.info("reaped %d orphaned shared-memory slab(s)", reaped)
-    return reaped

@@ -119,7 +119,6 @@ def main(argv: list[str] | None = None) -> int:
         "(repeatable); a bare FILE applies to every served pipeline",
     )
     parser.add_argument("--capacity", type=int, default=8, help="LRU capacity for archive-backed pipelines")
-    parser.add_argument("--workers", type=int, default=None, help="validation thread-pool size")
     parser.add_argument(
         "--monitor-window",
         type=int,
@@ -169,13 +168,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="NAME=WEIGHT",
         help="QoS weight for a pipeline's scheduler queue (repeatable; "
         "unlisted pipelines weigh 1.0)",
-    )
-    parser.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="disable the shared-memory hand-off: gateways refuse "
-        "X-Repro-Shm ingest and the router never hands stream chunks to "
-        "same-host replicas via slabs",
     )
     parser.add_argument("--verbose", action="store_true", help="enable INFO logging")
     args = parser.parse_args(argv)
@@ -235,7 +227,6 @@ def main(argv: list[str] | None = None) -> int:
 
     service = ValidationService(
         capacity=args.capacity,
-        max_workers=args.workers,
         monitor_window=32 if args.monitor_window is None else args.monitor_window,
     )
     try:
@@ -259,7 +250,6 @@ def main(argv: list[str] | None = None) -> int:
             max_batch_rows=args.max_batch_rows,
             max_queue_depth=args.max_queue_depth,
             qos_weights=qos_weights or None,
-            shm_ingest=not args.no_shm,
         )
         print(f"serving {service.registered} on {gateway.url}", flush=True)
         try:
@@ -303,14 +293,12 @@ def _serve_fleet(args, archives, rules, max_body_bytes, qos_weights) -> int:
             host=args.host,
             rules=rules or None,
             capacity=args.capacity,
-            workers=args.workers,
             monitor_window=32 if args.monitor_window is None else args.monitor_window,
             max_body_bytes=max_body_bytes,
             batch_window_ms=args.batch_window_ms,
             max_batch_rows=args.max_batch_rows,
             max_queue_depth=args.max_queue_depth,
             qos_weights=qos_weights or None,
-            shm_ingest=not args.no_shm,
         )
         print(f"spawning {args.replicas} worker replica(s)...", flush=True)
         with fleet:
@@ -320,7 +308,6 @@ def _serve_fleet(args, archives, rules, max_body_bytes, qos_weights) -> int:
                 port=args.port,
                 max_body_bytes=max_body_bytes,
                 archives=archives,
-                use_shm=False if args.no_shm else None,
             )
             workers = ", ".join(f"{w.name}@{w.host}:{w.port}" for w in fleet.targets())
             print(

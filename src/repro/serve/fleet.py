@@ -6,7 +6,9 @@ pickled; each worker rebuilds its pipelines from the weight archives),
 waits until every worker has warmed its pipelines and bound its
 :class:`~repro.serve.transport.AsyncGateway` port, and hands the
 resulting addresses to a :class:`~repro.serve.router.RouterGateway`
-via :meth:`targets`.
+via :meth:`targets`. The router reaches a worker only over HTTP —
+proxied requests and scattered chunk ranges alike — so nothing a
+worker serves depends on sharing the router's host.
 
 Workers are independent full gateways: each owns a
 :class:`~repro.runtime.service.ValidationService`, a micro-batching
@@ -47,7 +49,6 @@ def _fleet_worker_main(spec: dict, conn) -> None:
 
         service = ValidationService(
             capacity=spec.get("capacity", 8),
-            max_workers=spec.get("workers"),
             monitor_window=spec.get("monitor_window", 32),
         )
         for name, archive in spec["archives"].items():
@@ -65,7 +66,6 @@ def _fleet_worker_main(spec: dict, conn) -> None:
             max_batch_rows=spec.get("max_batch_rows", 8192),
             max_queue_depth=spec.get("max_queue_depth", 1024),
             qos_weights=spec.get("qos_weights"),
-            shm_ingest=bool(spec.get("shm_ingest", True)),
         )
         gateway.start()
         conn.send(("ready", gateway.port))
@@ -122,11 +122,7 @@ class GatewayFleet:
     replica at startup. Remaining ``gateway_options`` are forwarded into
     each worker's ``AsyncGateway``/service spec (``capacity``,
     ``monitor_window``, ``batch_window_ms``, ``max_batch_rows``,
-    ``max_queue_depth``, ``qos_weights``, ``max_body_bytes``,
-    ``workers``, and ``shm_ingest`` (advertise slab ingest so a
-    same-host router scatters stream chunks by name instead of HTTP
-    bodies; defaults to True — the gateway re-probes availability and
-    quietly drops the advertisement where /dev/shm is unusable).
+    ``max_queue_depth``, ``qos_weights``, ``max_body_bytes``).
     """
 
     DEFAULT_START_TIMEOUT = 120.0

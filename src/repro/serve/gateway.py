@@ -159,9 +159,7 @@ def accepts_gzip(header: str | None) -> bool:
     return False
 
 
-def health_payload(
-    service, draining: bool = False, shm_ingest: bool = False
-) -> dict:
+def health_payload(service, draining: bool = False) -> dict:
     """A gateway's ``/v1/healthz`` envelope.
 
     ``draining=True`` reports ``status: "draining"`` — the gateway has
@@ -181,11 +179,6 @@ def health_payload(
         wire_formats=["application/json", framing.FRAME_CONTENT_TYPE],
         frame_version=framing.FRAME_VERSION,
     )
-    if shm_ingest:
-        # Revision 5, same negotiation pattern: a same-host router sees
-        # this and scatters stream chunks through shared-memory slabs
-        # instead of HTTP bodies; absent field → plain-body fallback.
-        payload["shm_ingest"] = True
     return payload
 
 

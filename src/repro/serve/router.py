@@ -22,15 +22,11 @@ executes it across a fleet of worker replicas (usually
   :func:`~repro.runtime.streaming.fold_partials` /
   ``fold_rule_partials`` merge reproduces the single-node summary bit
   for bit (client chunk boundaries are preserved, so even ``n_chunks``
-  and the float fold order match). A replica dying mid-scatter gets its
-  chunk range re-scattered onto survivors; only when no replica is left
-  does the client see a retryable 503. When a replica lives on the
-  router's own host and advertises ``shm_ingest`` in its healthz
-  payload, its chunk range travels through a shared-memory slab
-  (``X-Repro-Shm`` header, empty HTTP body) instead of being
-  re-serialized onto the socket — any slab failure replays the same
-  range as a plain body on the same replica, so shm can only speed a
-  request up, never fail it;
+  and the float fold order match). Each chunk range travels to its
+  replica as the HTTP body of that sub-stream, wherever the replica
+  runs. A replica dying mid-scatter gets its chunk range re-scattered
+  onto survivors; only when no replica is left does the client see a
+  retryable 503;
 * **health-checked membership** — a prober rides each replica's
   ``GET /v1/healthz``: anything but ``200 {"status": "ok"}`` (including
   the 503 ``"draining"`` a closing gateway reports) evicts the replica
@@ -99,10 +95,6 @@ _RELAY_RESPONSE_HEADERS = ("Content-Encoding", "Retry-After", "Vary")
 _SAMPLE_LINE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})?\s+(\S+)$")
 
 _MISSING = object()
-
-#: replica hosts that share this router's /dev/shm — the only addresses
-#: a shared-memory slab hand-off can reach
-_SAME_HOST = frozenset({"127.0.0.1", "localhost", "::1"})
 
 
 @dataclass
@@ -199,7 +191,6 @@ class RouterGateway(_HTTPFront):
         health_interval: float = 1.0,
         health_timeout: float = 2.0,
         upstream_timeout: float | None = None,
-        use_shm: bool | None = None,
     ) -> None:
         self.targets: dict[str, RouterTarget] = {}
         for spec in targets:
@@ -221,18 +212,12 @@ class RouterGateway(_HTTPFront):
         self._contexts: dict = {}
         self._rulesets: dict = {}
         self._state_lock = threading.Lock()
-        #: None = auto: slab hand-off to any same-host replica that
-        #: advertises ``shm_ingest`` in its healthz payload; False
-        #: disables the path outright (``repro-serve --no-shm``).
-        self.use_shm = use_shm
         self._counters = {
             "evictions": 0,
             "readmissions": 0,
             "streams_scattered": 0,
             "rescatters": 0,
             "proxy_retries": 0,
-            "shm_scatters": 0,
-            "shm_fallbacks": 0,
         }
         self._replica_requests = {name: 0 for name in self.targets}
         self._conn_local = threading.local()
@@ -538,64 +523,6 @@ class RouterGateway(_HTTPFront):
         except ValidationError as exc:
             raise _RequestError(400, str(exc)) from exc
 
-    def _shm_eligible(self, target: RouterTarget) -> bool:
-        """Whether a chunk range can reach ``target`` through a slab:
-        shm not disabled, the replica is on this host, and its last
-        healthz payload advertised ``shm_ingest`` (older or
-        shm-disabled gateways lack the field entirely → plain body)."""
-        if self.use_shm is False or target.host not in _SAME_HOST:
-            return False
-        payload = target.last_payload
-        if not (isinstance(payload, dict) and payload.get("shm_ingest")):
-            return False
-        from repro.runtime.shm import shm_available
-
-        return shm_available()
-
-    def _request_via_slab(
-        self, target: RouterTarget, path: str, body: bytes, headers: dict
-    ) -> "tuple[int, object, bytes]":
-        """POST a chunk range by name: the encoded chunks go into a
-        shared-memory slab and the request carries an empty body plus
-        ``X-Repro-Shm: <name>;<size>``. The slab outlives the request
-        only until the reply arrives — the worker has fully consumed it
-        by then (its stream validation completes before it answers)."""
-        from repro.runtime.shm import SharedSlab
-
-        slab = SharedSlab.create_bytes(len(body))
-        try:
-            slab.buf[: len(body)] = body
-            shm_headers = dict(headers)
-            shm_headers["X-Repro-Shm"] = f"{slab.name};{len(body)}"
-            return self._request(target, "POST", path, None, shm_headers)
-        finally:
-            slab.close()
-
-    def _post_range(
-        self, target: RouterTarget, path: str, body: bytes, headers: dict
-    ) -> "tuple[int, object, bytes]":
-        """One chunk-range POST, slab hand-off first when eligible.
-
-        Any slab-path failure — create/copy error, transport error, or
-        a 400 (the replica restarted without ingest behind a stale
-        advertisement, or could not attach) — replays the identical
-        request with the raw HTTP body on the *same* replica before the
-        caller's normal dead-marking/failover sees anything. No request
-        ever fails because of shm; a genuine client 400 simply repeats
-        identically on the replay and propagates as before.
-        """
-        if body and self._shm_eligible(target):
-            try:
-                result = self._request_via_slab(target, path, body, headers)
-            except (OSError, HTTPException, ValueError):
-                self._count("shm_fallbacks")
-            else:
-                if result[0] != 400:
-                    self._count("shm_scatters")
-                    return result
-                self._count("shm_fallbacks")
-        return self._request(target, "POST", path, body, headers)
-
     def _scatter_range(
         self,
         name: str,
@@ -609,10 +536,11 @@ class RouterGateway(_HTTPFront):
         replica = first_replica
         last_error: object = None
         while replica is not None:
-            target = self.targets[replica]
             failed = False
             try:
-                status, _, raw = self._post_range(target, path, body, headers)
+                status, _, raw = self._request(
+                    self.targets[replica], "POST", path, body, headers
+                )
             except (OSError, HTTPException) as exc:
                 last_error, failed = exc, True
             else:
@@ -773,12 +701,6 @@ class RouterGateway(_HTTPFront):
         gauge("repro_router_proxy_retries_total",
               "Proxied requests retried on a failover replica.",
               counters["proxy_retries"], "counter")
-        gauge("repro_router_shm_scatters_total",
-              "Chunk ranges handed to same-host replicas via shared-memory slabs.",
-              counters["shm_scatters"], "counter")
-        gauge("repro_router_shm_fallbacks_total",
-              "Slab hand-offs replayed as plain HTTP bodies after a shm failure.",
-              counters["shm_fallbacks"], "counter")
 
         # Prometheus requires all samples of one metric in one block —
         # regroup across replicas instead of concatenating expositions.

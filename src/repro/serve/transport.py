@@ -59,7 +59,7 @@ from urllib.parse import SplitResult, unquote, urlsplit
 
 from repro.api import framing
 from repro.api.protocol import SCHEMA_VERSION, envelope
-from repro.api.requests import RepairRequest, ValidateRequest
+from repro.api.requests import RepairRequest, ValidateRequest, _records_of
 from repro.data.table import Table
 from repro.exceptions import SchemaError, ValidationError
 from repro.monitor.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
@@ -273,28 +273,6 @@ class _BodyReader:
                     raise _limit_error(self.limit)
             yield await self.reader.readexactly(size)
             await self.reader.readexactly(2)  # trailing CRLF
-
-
-class _SlabBody:
-    """Stream-body source backed by an attached shared-memory slab.
-
-    Stands in for :class:`_BodyReader` on ``X-Repro-Shm`` requests (the
-    same-host router scatter path): the chunk bytes already sit in a
-    slab this process can map, so nothing crosses the socket, and the
-    HTTP request itself carries an empty body.
-    """
-
-    def __init__(self, slab, size: int) -> None:
-        self._slab = slab
-        self._size = size
-
-    async def iter_blocks(self, bound_total: bool) -> AsyncIterator[bytes]:
-        view = self._slab.buf
-        for start in range(0, self._size, _BLOCK):
-            yield bytes(view[start : min(start + _BLOCK, self._size)])
-
-    def close(self) -> None:
-        self._slab.close()
 
 
 class _HTTPFront:
@@ -627,8 +605,6 @@ class AsyncGateway(_HTTPFront):
     which is also attached to the service so
     :meth:`ValidationService.submit` coalesces too; ``scheduler=``
     shares an external one whose lifecycle stays with its creator.
-    ``shm_ingest=True`` accepts stream chunks handed over in
-    shared-memory slabs by a same-host router.
     """
 
     def __init__(
@@ -642,15 +618,8 @@ class AsyncGateway(_HTTPFront):
         max_batch_rows: int = 8192,
         max_queue_depth: int = 1024,
         qos_weights: "dict[str, float] | None" = None,
-        shm_ingest: bool = False,
     ) -> None:
         super().__init__(host, port, max_body_bytes)
-        if shm_ingest:
-            # Only advertise what can actually be attached here.
-            from repro.runtime.shm import shm_available
-
-            shm_ingest = shm_available()
-        self.shm_ingest = bool(shm_ingest)
         self.service = service
         self._owns_scheduler = scheduler is None
         self.scheduler = (
@@ -673,9 +642,7 @@ class AsyncGateway(_HTTPFront):
 
     # -- service facade ----------------------------------------------------
     def healthz(self) -> dict:
-        return health_payload(
-            self.service, draining=self._draining, shm_ingest=self.shm_ingest
-        )
+        return health_payload(self.service, draining=self._draining)
 
     def metrics_text(self) -> str:
         """Prometheus text: service stats, drift monitors, scheduler gauges."""
@@ -899,49 +866,15 @@ class AsyncGateway(_HTTPFront):
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise _RequestError(400, f"malformed NDJSON chunk: {exc}") from exc
-        records = payload.get("records") if isinstance(payload, dict) else payload
-        if not isinstance(records, list):
-            raise _RequestError(400, "each NDJSON line must be a record list")
-        return Table.from_records(schema, records)
+        # ``{"records": [...]}`` or the bare list: either way the rows
+        # must be row objects, exactly as in a /validate body.
+        if not isinstance(payload, dict):
+            payload = {"records": payload}
+        return Table.from_records(schema, _records_of(payload))
 
     async def _handle_validate_stream(
         self, writer, request: _Request, body: _BodyReader, name: str,
         emit_partials: bool = False,
-    ) -> None:
-        shm_header = request.header("x-repro-shm")
-        if shm_header is None:
-            await self._handle_validate_stream_body(
-                writer, request, body, name, emit_partials
-            )
-            return
-        # Same-host slab hand-off: the router already wrote the encoded
-        # chunk stream into a shared-memory segment, and the HTTP request
-        # carries only its name — ``<name>;<size>`` — with an empty body.
-        if not self.shm_ingest:
-            raise _RequestError(400, "shared-memory ingest is not enabled on this gateway")
-        try:
-            slab_name, _, size_text = shm_header.partition(";")
-            size = int(size_text)
-            if not slab_name or size < 0:
-                raise ValueError(shm_header)
-        except ValueError as exc:
-            raise _RequestError(400, f"malformed X-Repro-Shm header: {shm_header!r}") from exc
-        from repro.runtime.shm import SharedSlab
-
-        try:
-            slab = SharedSlab.attach_bytes(slab_name)
-        except (OSError, ValueError) as exc:
-            raise _RequestError(400, f"cannot attach shared-memory slab {slab_name!r}: {exc}") from exc
-        slab_body = _SlabBody(slab, min(size, len(slab.buf)))
-        try:
-            await self._handle_validate_stream_body(
-                writer, request, slab_body, name, emit_partials
-            )
-        finally:
-            slab_body.close()
-
-    async def _handle_validate_stream_body(
-        self, writer, request: _Request, body, name: str, emit_partials: bool = False
     ) -> None:
         validator = self.service.validator_for(name)
         schema = validator.validator.preprocessor.schema

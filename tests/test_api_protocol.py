@@ -313,6 +313,21 @@ class TestRequests:
         with pytest.raises(ProtocolError):
             RepairRequest(records=[], iterations=0)
 
+    def test_repair_iterations_read_strictly_on_every_form(self):
+        records = [{"x": 1.0}]
+        enveloped = RepairRequest(records=records).to_dict()
+        forms = (
+            lambda extra: RepairRequest.from_payload({"records": records, **extra}),
+            lambda extra: RepairRequest.from_dict({**enveloped, **extra}),
+            lambda extra: RepairRequest.from_options(extra),
+        )
+        for build in forms:
+            assert build({"iterations": None}).iterations == 1  # null means absent
+            assert build({"iterations": 3}).iterations == 3
+            for bad in ("banana", [1], 2.9, True):
+                with pytest.raises(ProtocolError, match="'iterations' must be an integer"):
+                    build({"iterations": bad})
+
     def test_bare_payload_accepted_enveloped_gated(self):
         bare = ValidateRequest.from_payload({"records": [{"x": 1.0}]}, pipeline="p")
         assert bare.pipeline == "p" and not bare.include_errors

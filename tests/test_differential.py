@@ -9,8 +9,7 @@ streamed — all produce **bit-identical** :class:`ValidationReport`
 objects — the invariant that makes every future refactor of the serving
 stack safe. The shard fold is what a router relies on when it scatters
 row ranges over replicas and merges their partial reports; here it runs
-in process, and the shared-memory byte slabs a same-host router hands
-those ranges over in are checked the same way.
+in process.
 The compiled preprocessing plan (:class:`repro.data.plan.TransformPlan`)
 is additionally pinned bit-identical to the legacy per-value
 ``TablePreprocessor.transform`` on every scenario.
@@ -212,11 +211,11 @@ def test_all_paths_bit_identical(index, fitted, served):
     assert_reports_identical(reference, decoded, "json-round-trip")
 
 
-def scatter_partials(core, table: Table, hand_off) -> "list[PartialReport]":
+def scatter_partials(core, table: Table) -> "list[PartialReport]":
     """A router's scatter of ``table``, in process: ``CHUNK_SIZE``-row
-    frames cut into 2 contiguous ranges, each range's body passed
-    through ``hand_off`` (bytes in, the bytes a replica reads out), and
-    every chunk validated at its global offset."""
+    frames cut into 2 contiguous ranges, each range's body read back
+    frame by frame as a replica does, and every chunk validated at its
+    global offset."""
     frames = [
         framing.encode_frame(table=table.slice_rows(start, start + CHUNK_SIZE))
         for start in range(0, table.n_rows, CHUNK_SIZE)
@@ -224,7 +223,7 @@ def scatter_partials(core, table: Table, hand_off) -> "list[PartialReport]":
     partials: "list[PartialReport]" = []
     offset = 0
     for shard in ShardPlanner(1).plan(len(frames), 2):
-        body = hand_off(b"".join(frames[shard.offset : shard.stop]))
+        body = b"".join(frames[shard.offset : shard.stop])
         for raw in framing.iter_frames([body]):
             chunk = framing.decode_frame(raw, table.schema).table
             partials.append(core.validate_chunk(chunk, offset))
@@ -232,43 +231,25 @@ def scatter_partials(core, table: Table, hand_off) -> "list[PartialReport]":
     return partials
 
 
-def through_slab(body: bytes) -> bytes:
-    """Hand ``body`` over as the router does: written into an owned byte
-    slab, read back through a second mapping attached by name."""
-    from repro.runtime.shm import SharedSlab
-
-    with SharedSlab.create_bytes(len(body)) as slab:
-        slab.buf[: len(body)] = body
-        with SharedSlab.attach_bytes(slab.name) as attached:
-            return bytes(attached.buf[: len(body)])
-
-
 @pytest.mark.parametrize("index", range(N_SCENARIOS))
-def test_shm_data_plane_bit_identical(index, fitted):
-    """slab hand-off == plain body == one-shot, on every corruption scenario.
+def test_frame_range_scatter_bit_identical(index, fitted):
+    """2-range frame scatter == one-shot, on every corruption scenario.
 
-    A same-host router hands each replica its chunk range in a shared
-    byte slab instead of an HTTP body, without touching the compute — so
-    ranges read out of slabs must fold to the one-shot reference and to
-    the same ranges read from plain bytes, bit for bit.
+    A router hands each replica a contiguous range of the client's
+    frames as its sub-stream body; the ranges read back from those
+    bytes must fold to the one-shot reference bit for bit.
     """
-    from repro.runtime.shm import shm_available
-
-    if not shm_available():
-        pytest.skip("POSIX shared memory unavailable on this platform")
     table = make_scenario(index)
     reference = fitted.validate(table)
 
     core = fitted.streaming_validator(keep_cell_errors=True)
-    via_shm = scatter_partials(core, table, through_slab)
-    via_plain = scatter_partials(core, table, bytes)
-    assert_reports_identical(reference, merge(core, via_shm), "shm")
-    assert_reports_identical(merge(core, via_plain), merge(core, via_shm), "shm-vs-plain")
+    scattered = scatter_partials(core, table)
+    assert_reports_identical(reference, merge(core, scattered), "frame-range-scatter")
 
     if index % 5 == 0:  # streamed parity: sample the scenarios
-        shm_summary = core.fold(iter(via_shm))
+        summary = core.fold(iter(scattered))
         local = fitted.streaming_validator(chunk_size=CHUNK_SIZE).validate_table(table)
-        assert shm_summary.to_dict() == local.to_dict(), "shm stream parity"
+        assert summary.to_dict() == local.to_dict(), "frame-range stream parity"
 
 
 @pytest.mark.parametrize("index", range(N_SCENARIOS))

@@ -48,7 +48,7 @@ from tests.test_differential import (
     make_clean,
     make_scenario,
 )
-from tests.test_serve import stream_lines
+from tests.test_serve import post_raw, stream_lines
 
 from repro.core import DQuaG, DQuaGConfig
 
@@ -242,6 +242,29 @@ class TestParity:
             assert connection.getresponse().status == 400
         finally:
             connection.close()
+
+    def test_malformed_stream_line_is_400_and_evicts_nobody(self, cluster):
+        # A replica refusing a client's range with a 400 is propagated,
+        # never counted as a replica failure: a 500 here would evict
+        # each replica in turn and empty the ring.
+        router = cluster.router
+        before = dict(router._counters)
+        body = (
+            json.dumps({"records": make_scenario(0).slice_rows(0, 4).to_records()})
+            + "\n"
+            + json.dumps({"records": [1, 2]})
+            + "\n"
+        )
+        status, payload = post_raw(
+            router.port, "/v1/pipelines/demo/validate_stream", body.encode(),
+            "application/x-ndjson",
+        )
+        assert status == 400, payload
+        assert "list of row objects" in payload["error"]
+        assert router._counters["evictions"] == before["evictions"]
+        assert router._counters["rescatters"] == before["rescatters"]
+        assert router.alive_names() == {"replica-0", "replica-1"}
+        assert router.check_workers() == {"replica-0": True, "replica-1": True}
 
     def test_rules_fan_out_and_fold_identically(self, cluster):
         table = make_scenario(3)

@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import framing
 from repro.api.requests import ValidateRequest
 from repro.core import DQuaG
 from repro.core.validator import ValidationReport
@@ -42,6 +43,17 @@ def stream_lines(port: int, chunks, query: str = "") -> "list[bytes]":
         raw = response.read()
         assert response.status == 200, raw
         return raw.splitlines()
+    finally:
+        connection.close()
+
+
+def post_raw(port: int, path: str, body: bytes, content_type: str) -> "tuple[int, dict]":
+    """POST ``body`` as is; returns the status and the decoded JSON reply."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        connection.request("POST", path, body=body, headers={"Content-Type": content_type})
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
     finally:
         connection.close()
 
@@ -451,6 +463,44 @@ class TestErrorHandling:
 
         with pytest.raises(GatewayError, match="400"):
             client.validate_stream("demo", chunks())
+
+    @pytest.mark.parametrize(
+        "line", [{"records": [1, 2]}, [["a"]]], ids=["enveloped", "bare-list"]
+    )
+    def test_non_object_stream_records_rejected(self, served, line):
+        # A stream line's records are checked like a /validate body's:
+        # a list of row objects, or the whole stream is a 400.
+        _, gateway, _ = served
+        status, payload = post_raw(
+            gateway.port,
+            "/v1/pipelines/demo/validate_stream",
+            (json.dumps({"records": [DEMO_RECORD]}) + "\n" + json.dumps(line) + "\n").encode(),
+            "application/x-ndjson",
+        )
+        assert status == 400, payload
+        assert "list of row objects" in payload["error"]
+
+    @pytest.mark.parametrize("iterations", ["banana", [1], 2.9, True])
+    def test_malformed_repair_iterations_rejected(self, served, iterations):
+        # Read like ``workers``: strictly an integer, on both wire tiers.
+        pipeline, gateway, _ = served
+        batch = make_batch(pipeline, 4, seed=31)
+        bodies = [
+            (
+                json.dumps({"records": batch.to_records(), "iterations": iterations}).encode(),
+                "application/json",
+            ),
+            (
+                framing.encode_frame(table=batch, extra={"iterations": iterations}),
+                framing.FRAME_CONTENT_TYPE,
+            ),
+        ]
+        for body, content_type in bodies:
+            status, payload = post_raw(
+                gateway.port, "/v1/pipelines/demo/repair", body, content_type
+            )
+            assert status == 400, (content_type, payload)
+            assert "'iterations' must be an integer" in payload["error"]
 
     def test_long_stream_does_not_deadlock(self, served):
         # Many chunks: the upload must complete even though the gateway
