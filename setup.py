@@ -1,9 +1,8 @@
 """Setuptools shim.
 
-The offline environment lacks the ``wheel`` package, so ``pip install -e .``
-cannot build an editable wheel. ``python setup.py develop`` (or the
-``.pth``-based fallback in ``scripts/dev_install.py``) installs the package
-in editable mode without it. All metadata lives in ``pyproject.toml``.
+Without the ``wheel`` package, ``pip install -e .`` cannot build an
+editable wheel; ``python setup.py develop`` installs the package in
+editable mode without it. All metadata lives in ``pyproject.toml``.
 """
 
 from setuptools import setup

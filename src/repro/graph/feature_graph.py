@@ -4,16 +4,23 @@ Nodes are the columns of a table; undirected edges mark inferred
 relationships between columns. The graph is consumed by the GNN encoder
 as dense adjacency matrices (feature graphs are small — one node per
 column — so dense message passing is exact).
+
+``networkx`` is imported inside ``to_networkx`` only: every serving
+process (gateway, router, replica) loads this module, and those
+processes only run Phase 2, so they must not pay for interop code. It
+is an optional dependency (the ``graph`` extra).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import GraphConstructionError
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import networkx as nx
 
 __all__ = ["FeatureGraph"]
 
@@ -110,6 +117,8 @@ class FeatureGraph:
 
     # -- interop ---------------------------------------------------------------
     def to_networkx(self) -> nx.Graph:
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.features)
         graph.add_edges_from(self._edges)

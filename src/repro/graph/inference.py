@@ -12,6 +12,11 @@ threshold become feature-graph edges.
 * categorical ↔ categorical — bias-corrected Cramér's V.
 
 All three live on [0, 1], so one threshold applies uniformly.
+
+``scipy.stats`` is imported inside the two scorers that use it, not at
+module scope: this module is reachable from every serving process
+(gateway, router, replica) through ``repro.graph``, and those processes
+only run Phase 2, so they must not pay for Phase-1 code.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.data.schema import TableSchema
 from repro.data.table import Table
@@ -39,6 +43,8 @@ def cramers_v(a: np.ndarray, b: np.ndarray) -> float:
     r, k = len(a_levels), len(b_levels)
     if r < 2 or k < 2:
         return 0.0
+    from scipy import stats
+
     contingency = np.zeros((r, k))
     np.add.at(contingency, (a_codes, b_codes), 1.0)
     chi2 = stats.chi2_contingency(contingency, correction=False)[0]
@@ -157,6 +163,8 @@ class StatisticalRelationshipInference:
             # rank signal; scipy would warn and return NaN.
             if np.ptp(a_vals) == 0 or np.ptp(b_vals) == 0:
                 return 0.0, "spearman"
+            from scipy import stats
+
             rho = stats.spearmanr(a_vals, b_vals).statistic
             return (0.0 if np.isnan(rho) else abs(float(rho))), "spearman"
         if spec_a.is_categorical and spec_b.is_categorical:

@@ -26,7 +26,8 @@ executes it across a fleet of worker replicas (usually
   replica as the HTTP body of that sub-stream, wherever the replica
   runs. A replica dying mid-scatter gets its chunk range re-scattered
   onto survivors; only when no replica is left does the client see a
-  retryable 503;
+  retryable 503. A replica answering 5xx is not evicted — the range
+  moves on, and a 5xx that every replica repeats is relayed;
 * **health-checked membership** — a prober rides each replica's
   ``GET /v1/healthz``: anything but ``200 {"status": "ok"}`` (including
   the 503 ``"draining"`` a closing gateway reports) evicts the replica
@@ -247,7 +248,7 @@ class RouterGateway(_HTTPFront):
             if target.alive:
                 target.alive = False
                 self._counters["evictions"] += 1
-                logger.warning("replica %s evicted (request failure)", name)
+                logger.warning("replica %s evicted (transport error)", name)
 
     def _probe(self, target: RouterTarget) -> bool:
         connection = HTTPConnection(target.host, target.port, timeout=self.health_timeout)
@@ -532,48 +533,55 @@ class RouterGateway(_HTTPFront):
         first_replica: str,
         n_chunks: int,
     ) -> "list[PartialReport]":
+        """Send one chunk range, moving it along the ring on failure.
+
+        Only a transport error evicts the replica (the prober re-admits
+        it). A 5xx may be the request's own doing, so the range moves on
+        but the replica stays in the ring; when every replica answered
+        5xx, the last answer is relayed. A 4xx is the client's and is
+        relayed at once.
+        """
         tried: set = set()
         replica = first_replica
         last_error: object = None
+        answer: "tuple[int, str] | None" = None  # last 5xx (status, message)
         while replica is not None:
-            failed = False
             try:
                 status, _, raw = self._request(
                     self.targets[replica], "POST", path, body, headers
                 )
             except (OSError, HTTPException) as exc:
-                last_error, failed = exc, True
+                self._mark_dead(replica)
+                last_error = exc
             else:
                 if status == 200:
                     partials = self._parse_partials(raw)
                     if len(partials) == n_chunks:
                         self._count("", replica=replica)
                         return partials
-                    # A replica answering with the wrong partial count is
-                    # as good as dead for this request: never merge a
-                    # wrong-shaped range, retry it elsewhere.
+                    # Never merge a wrong-shaped range: retry it elsewhere.
                     last_error = (
                         f"replica {replica} returned {len(partials)} partial(s) "
                         f"for {n_chunks} chunk(s)"
                     )
-                    failed = True
                 elif 400 <= status < 500:
                     # Client-caused (malformed chunk, schema mismatch, …):
                     # every replica would refuse identically — propagate.
                     raise _RequestError(status, self._error_message(raw, status))
                 else:
-                    last_error, failed = f"replica {replica} answered {status}", True
-            if failed:
-                self._mark_dead(replica)
-                tried.add(replica)
-                survivors = [
-                    candidate
-                    for candidate in self._ring.order(name, self.alive_names())
-                    if candidate not in tried
-                ]
-                replica = survivors[0] if survivors else None
-                if replica is not None:
-                    self._count("rescatters")
+                    answer = (status, self._error_message(raw, status))
+                    last_error = f"replica {replica} answered {status}"
+            tried.add(replica)
+            survivors = [
+                candidate
+                for candidate in self._ring.order(name, self.alive_names())
+                if candidate not in tried
+            ]
+            replica = survivors[0] if survivors else None
+            if replica is not None:
+                self._count("rescatters")
+        if answer is not None:
+            raise _RequestError(*answer)
         raise TransientServiceError(
             f"stream scatter failed on every replica ({last_error})"
         )
@@ -689,7 +697,7 @@ class RouterGateway(_HTTPFront):
         for name, count in replica_requests.items():
             lines.append(f'repro_router_requests_total{{replica="{name}"}} {count}')
         gauge("repro_router_evictions_total",
-              "Replica evictions (failed probe or request).", counters["evictions"], "counter")
+              "Replica evictions (failed probe or transport error).", counters["evictions"], "counter")
         gauge("repro_router_readmissions_total",
               "Replicas re-admitted after recovery.", counters["readmissions"], "counter")
         gauge("repro_router_streams_scattered_total",

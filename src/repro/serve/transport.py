@@ -578,7 +578,9 @@ class _HTTPFront:
         self, writer, request: _Request | None, exc: Exception
     ) -> None:
         status, message, retry_after = failure_status(exc)
-        if status == 500:
+        # A _RequestError 5xx is a replica's answer the router relays;
+        # the replica logged its own traceback.
+        if status == 500 and not isinstance(exc, _RequestError):
             path = "?" if request is None else request.path
             logger.exception("internal error serving %s", path)
         try:
@@ -844,13 +846,15 @@ class AsyncGateway(_HTTPFront):
         ``FrameFileWriter`` produces), one chunk per frame; frames are
         self-delimiting and ``max_body_bytes`` bounds each one, never
         the stream total. An NDJSON body carries one record list per
-        line.
+        line. Each chunk decodes on the executor, as a ``/validate``
+        body does, so a large chunk never stalls the gateway's other
+        connections.
         """
         if framed:
             splitter = _FrameSplitter(self.max_body_bytes)
             async for block in body.iter_blocks(bound_total=False):
                 for raw in splitter.push(block):
-                    frame = framing.decode_frame(raw, schema=schema)
+                    frame = await self._run(framing.decode_frame, raw, schema)
                     if frame.table is None:
                         raise _RequestError(400, "framed stream chunk carries no table")
                     yield frame.table
@@ -858,7 +862,7 @@ class AsyncGateway(_HTTPFront):
         else:
             lines = _iter_lines(body.iter_blocks(bound_total=False), self.max_body_bytes)
             async for line in lines:
-                yield self._ndjson_table(schema, line)
+                yield await self._run(self._ndjson_table, schema, line)
 
     @staticmethod
     def _ndjson_table(schema, line: bytes) -> Table:

@@ -25,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.api import framing
 from repro.api.requests import ValidateRequest
 from repro.core.validator import ValidationReport
 from repro.exceptions import GatewayError
@@ -120,6 +121,31 @@ class TestEndpoints:
         frame_client = Client(port=gateway.port, wire="frame")
         framed = frame_client.validate_stream("demo", chunks)
         assert framed.to_dict() == summary.to_dict()
+
+    def test_stream_chunks_decode_off_the_loop(self, served, monkeypatch):
+        # A large chunk must not stall the gateway's other connections:
+        # both stream decoders run on the executor, as /validate's do.
+        pipeline, gateway, client = served
+        seen: "dict[str, list[int]]" = {"frame": [], "ndjson": []}
+
+        def recorded(kind, fn):
+            def wrapper(*args, **kwargs):
+                seen[kind].append(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(framing, "decode_frame", recorded("frame", framing.decode_frame))
+        monkeypatch.setattr(
+            AsyncGateway, "_ndjson_table",
+            staticmethod(recorded("ndjson", AsyncGateway._ndjson_table)),
+        )
+        chunks = [make_batch(pipeline, 16, seed=seed) for seed in (21, 22)]
+        client.validate_stream("demo", chunks)
+        Client(port=gateway.port, wire="frame").validate_stream("demo", chunks)
+        assert len(seen["ndjson"]) == 2 and len(seen["frame"]) >= 2
+        loop_thread = gateway._thread.ident
+        assert loop_thread not in seen["ndjson"] + seen["frame"]
 
     def test_rules_roundtrip(self, served):
         pipeline, _, client = served

@@ -107,6 +107,7 @@ class TestFeatureGraph:
         assert FeatureGraph.from_dict(g.to_dict()) == g
 
     def test_networkx_roundtrip(self):
+        pytest.importorskip("networkx")  # the optional ``graph`` extra
         g = FeatureGraph(["a", "b", "c"], [("a", "c")])
         g2 = FeatureGraph.from_networkx(g.to_networkx())
         assert g2.has_edge("a", "c") and g2.n_nodes == 3

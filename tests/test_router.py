@@ -10,7 +10,9 @@ of that, the distributed failure contract: a draining or dead worker is
 evicted (and re-admitted on recovery) without moving any other
 pipeline's home replica; a worker dying mid-stream re-scatters its
 chunk range onto survivors or, with nobody left, surfaces a retryable
-503 — never a wrong or partial report. The router serves on the same
+503 — never a wrong or partial report; a worker answering 5xx is
+skipped but stays in the ring, and a 5xx every worker repeats is
+relayed. The router serves on the same
 asyncio front as a gateway, so drain-on-close, relayed keep-alive and
 gzipped bodies are pinned here too.
 
@@ -172,6 +174,26 @@ class TestHashRing:
         assert sorted(order) == ["a", "b", "c"]
         assert ring.route("demo") == order[0]
         assert ring.order("demo", set(order[1:])) == order[1:]
+
+
+def _fail_chunks(monkeypatch, cluster, replicas) -> None:
+    """Make the named ``cluster`` replicas answer every stream chunk with
+    a 500: their validation core raises, their sockets stay healthy."""
+    for replica in replicas:
+        port = cluster.router.targets[replica].port
+        service = next(gw.service for gw in cluster.gateways if gw.port == port)
+        build = service.validator_for
+
+        def broken(name, build=build):
+            validator = build(name)
+
+            def validate_chunk(table, offset=0):
+                raise RuntimeError("injected chunk failure")
+
+            validator.validate_chunk = validate_chunk
+            return validator
+
+        monkeypatch.setattr(service, "validator_for", broken)
 
 
 class TestParity:
@@ -384,6 +406,40 @@ class TestFailover:
         finally:
             router.close()
             stub.close()
+
+    def test_home_replica_5xx_rescatters_without_evicting(self, cluster, monkeypatch):
+        router = cluster.router
+        home = router.scatter_order("demo")[0]
+        _fail_chunks(monkeypatch, cluster, [home])
+        table = make_scenario(4)
+        chunks = [
+            table.slice_rows(start, start + CHUNK_SIZE)
+            for start in range(0, table.n_rows, CHUNK_SIZE)
+        ]
+        reference = cluster.single.validate_stream("demo", chunks)
+        before = dict(router._counters)
+        routed = cluster.routed.validate_stream("demo", chunks)
+        assert routed.to_dict() == reference.to_dict()
+        assert router._counters["rescatters"] == before["rescatters"] + 1
+        assert router._counters["evictions"] == before["evictions"]
+        assert router.alive_names() == {"replica-0", "replica-1"}
+
+    def test_5xx_on_every_replica_is_relayed_and_evicts_nobody(self, cluster, monkeypatch):
+        router = cluster.router
+        _fail_chunks(monkeypatch, cluster, ["replica-0", "replica-1"])
+        table = make_scenario(4)
+        chunks = [
+            table.slice_rows(start, start + CHUNK_SIZE)
+            for start in range(0, table.n_rows, CHUNK_SIZE)
+        ]
+        before = dict(router._counters)
+        with pytest.raises(GatewayError) as excinfo:
+            cluster.routed.validate_stream("demo", chunks)
+        assert excinfo.value.status == 500  # relayed, not a 503 from an empty ring
+        assert "injected chunk failure" in str(excinfo.value)
+        assert router._counters["evictions"] == before["evictions"]
+        assert router.alive_names() == {"replica-0", "replica-1"}
+        assert router.check_workers() == {"replica-0": True, "replica-1": True}
 
     def test_every_replica_dead_yields_retryable_503(self, archive):
         stubs = [_StubWorker(status="ok") for _ in range(2)]
