@@ -123,7 +123,7 @@ def test_router_fleet_throughput(demo_archive, scale):
         service.close()
 
     with GatewayFleet(archives, replicas=REPLICAS, capacity=N_PIPELINES) as fleet:
-        router = RouterGateway(fleet.targets(), port=0, archives=archives).start()
+        router = RouterGateway(fleet.targets(), port=0).start()
         try:
             # Parity gate: the routed report is bit-identical to local.
             routed = Client(port=router.port).validate(

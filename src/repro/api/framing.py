@@ -80,6 +80,7 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "frame_length",
+    "FrameSplitter",
     "iter_frames",
     "report_to_frame",
     "report_from_frame",
@@ -516,43 +517,64 @@ def decode_frame(buf, schema: TableSchema | None = None) -> Frame:
     return Frame(table=table, extra=extra, arrays=arrays)
 
 
+class FrameSplitter:
+    """Incremental frame splitter: push byte blocks, take whole frames.
+
+    Frames are self-delimiting via the ``frame_length`` header field, so
+    no separator is needed. ``max_frame_bytes`` bounds what a single
+    frame may make the caller buffer (:class:`FrameSizeError` — the 413
+    of the frame world); buffering stops as soon as a declared length
+    exceeds it. :meth:`finish` rejects a truncated final frame.
+    """
+
+    def __init__(self, max_frame_bytes: int | None = None) -> None:
+        self._buffer = bytearray()
+        self._limit = max_frame_bytes
+
+    def push(self, block) -> "list[bytes]":
+        """Buffer ``block``; return every frame it completes, in order."""
+        buffer, limit = self._buffer, self._limit
+        buffer += block  # in place: ``buffer`` is ``self._buffer``
+        frames: "list[bytes]" = []
+        while len(buffer) >= _HEADER_SIZE:
+            needed = frame_length(buffer)
+            if limit is not None and needed > limit:
+                raise FrameSizeError(
+                    f"frame declares {needed} bytes, exceeding the {limit}-byte limit"
+                )
+            if len(buffer) < needed:
+                break
+            frames.append(bytes(buffer[:needed]))
+            del buffer[:needed]
+        if limit is not None and len(buffer) > limit:
+            raise FrameSizeError(
+                f"framed stream buffered {len(buffer)} bytes without completing "
+                f"a frame (limit {limit})"
+            )
+        return frames
+
+    def finish(self) -> None:
+        """The stream ended: any buffered bytes are a truncated frame."""
+        if self._buffer:
+            raise FrameError(
+                f"framed stream ended with {len(self._buffer)} trailing bytes "
+                "(truncated final frame)"
+            )
+
+
 def iter_frames(
     blocks: Iterable[bytes], max_frame_bytes: int | None = None
 ) -> Iterator[memoryview]:
     """Split a byte-block stream into per-frame memoryviews.
 
-    The incremental counterpart of :func:`decode_frame` for framed
-    request bodies and frame files: frames are self-delimiting via the
-    ``frame_length`` header field, so no separator is needed.
-    ``max_frame_bytes`` bounds what a single frame may make the caller
-    buffer (:class:`FrameSizeError` — the 413 of the frame world);
-    buffering stops as soon as a declared length exceeds it.
+    The iterator form of :class:`FrameSplitter` for framed request
+    bodies and frame files.
     """
-    buffer = bytearray()
+    splitter = FrameSplitter(max_frame_bytes)
     for block in blocks:
-        buffer += block
-        while len(buffer) >= _HEADER_SIZE:
-            needed = frame_length(buffer)
-            if max_frame_bytes is not None and needed > max_frame_bytes:
-                raise FrameSizeError(
-                    f"frame declares {needed} bytes, exceeding the "
-                    f"{max_frame_bytes}-byte limit"
-                )
-            if len(buffer) < needed:
-                break
-            frame = bytes(buffer[:needed])
-            del buffer[:needed]
+        for frame in splitter.push(block):
             yield memoryview(frame)
-        if max_frame_bytes is not None and len(buffer) > max_frame_bytes:
-            raise FrameSizeError(
-                f"framed stream buffered {len(buffer)} bytes without completing "
-                f"a frame (limit {max_frame_bytes})"
-            )
-    if buffer:
-        raise FrameError(
-            f"framed stream ended with {len(buffer)} trailing bytes "
-            "(truncated final frame)"
-        )
+    splitter.finish()
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,9 @@ import numpy as np
 
 from repro.baselines.base import BatchVerdict
 from repro.core.repair import RepairSummary
-from repro.core.thresholds import ThresholdCalibration
+from repro.core.thresholds import DatasetDecisionRule, ThresholdCalibration
 from repro.core.validator import ValidationReport
 from repro.exceptions import ProtocolError
-from repro.experiments.reporting import ResultTable
 from repro.monitor.monitor import DriftAlert, MonitorSnapshot
 from repro.rules import RulePartial, RuleReport, RuleSet
 from repro.runtime.service import ServiceStats
@@ -61,6 +60,8 @@ __all__ = [
     "partial_report_from_dict",
     "stream_summary_to_dict",
     "stream_summary_from_dict",
+    "fold_context_to_dict",
+    "fold_context_from_dict",
     "calibration_to_dict",
     "calibration_from_dict",
     "service_stats_to_dict",
@@ -111,7 +112,11 @@ SCHEMA_VERSION = 1
 #:     hand-off: ``shm_ingest`` is no longer sent (a revision-5 health
 #:     payload with ingest off) and is ignored when an older gateway
 #:     sends it.
-CODEC_REVISION = 5
+#: 6 — new ``fold_context`` kind: a ``?partials=1`` sub-stream ends with
+#:     the threshold, dataset rule, feature names and rule set its
+#:     partials were judged with (``rules`` omitted when rules are off),
+#:     instead of a stream summary.
+CODEC_REVISION = 6
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +434,35 @@ def stream_summary_from_dict(payload: dict) -> StreamSummary:
     )
 
 
+def fold_context_to_dict(context: dict) -> dict:
+    """Wire form of :meth:`StreamingValidator.fold_context`."""
+    payload = envelope("fold_context")
+    payload.update(
+        threshold=float(context["threshold"]),
+        percentile=float(context["rule"].percentile),
+        n_multiplier=float(context["rule"].n_multiplier),
+        feature_names=[str(name) for name in context["feature_names"]],
+    )
+    if context["rules"] is not None:  # omitted (not null) when rules are off
+        payload["rules"] = context["rules"].to_dict()
+    return payload
+
+
+def fold_context_from_dict(payload: dict) -> dict:
+    """The keyword arguments of :func:`~repro.runtime.streaming.fold_partials`."""
+    check_envelope(payload, "fold_context")
+    rules = payload.get("rules")
+    return {
+        "threshold": float(payload["threshold"]),
+        "rule": DatasetDecisionRule(
+            percentile=float(payload["percentile"]),
+            n_multiplier=float(payload["n_multiplier"]),
+        ),
+        "feature_names": [str(name) for name in payload["feature_names"]],
+        "rules": None if rules is None else RuleSet.from_dict(rules),
+    }
+
+
 # ---------------------------------------------------------------------------
 # ThresholdCalibration
 # ---------------------------------------------------------------------------
@@ -594,9 +628,10 @@ def monitor_snapshot_from_dict(payload: dict) -> "MonitorSnapshot":
 
 
 # ---------------------------------------------------------------------------
-# ResultTable (experiment outputs)
+# ResultTable (experiment outputs; bound lazily so serving processes
+# never import the experiment harness)
 # ---------------------------------------------------------------------------
-def result_table_to_dict(table: ResultTable) -> dict:
+def result_table_to_dict(table: "ResultTable") -> dict:
     payload = envelope("result_table")
     payload.update(
         title=str(table.title),
@@ -607,7 +642,9 @@ def result_table_to_dict(table: ResultTable) -> dict:
     return payload
 
 
-def result_table_from_dict(payload: dict) -> ResultTable:
+def result_table_from_dict(payload: dict) -> "ResultTable":
+    from repro.experiments.reporting import ResultTable
+
     check_envelope(payload, "result_table")
     return ResultTable(
         title=payload["title"],
@@ -649,7 +686,6 @@ _BY_TYPE = {
     ServiceStats: service_stats_to_dict,
     DriftAlert: drift_alert_to_dict,
     MonitorSnapshot: monitor_snapshot_to_dict,
-    ResultTable: result_table_to_dict,
     RuleSet: rule_set_to_dict,
     RuleReport: rule_report_to_dict,
 }
@@ -660,6 +696,7 @@ _BY_KIND = {
     "repair_summary": repair_summary_from_dict,
     "partial_report": partial_report_from_dict,
     "stream_summary": stream_summary_from_dict,
+    "fold_context": fold_context_from_dict,
     "threshold_calibration": calibration_from_dict,
     "service_stats": service_stats_from_dict,
     "drift_alert": drift_alert_from_dict,
@@ -674,6 +711,10 @@ def to_dict(obj: object) -> dict:
     """Serialize any protocol object (dispatches on its type)."""
     encoder = _BY_TYPE.get(type(obj))
     if encoder is None:
+        from repro.experiments.reporting import ResultTable
+
+        if type(obj) is ResultTable:
+            return result_table_to_dict(obj)
         raise ProtocolError(f"no wire encoding for {type(obj).__name__}")
     return encoder(obj)
 

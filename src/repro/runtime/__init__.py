@@ -17,10 +17,7 @@ NumPy kernels and builds the serving stack on top:
   streams of arbitrarily large ones;
 * :mod:`repro.runtime.service` — :class:`ValidationService`, an LRU
   registry of fitted pipelines dispatching concurrent batch validation
-  across a thread pool;
-* :mod:`repro.runtime.sharding` — :class:`ShardPlanner`, the
-  chunk-aligned row ranges the router scatters and folds back into a
-  result bit-identical to the one-shot path.
+  across a thread pool.
 
 Inside one host the engine itself is the parallel path: a multi-chunk
 call runs its row chunks on every CPU in the process's affinity mask
@@ -30,7 +27,6 @@ call runs its row chunks on every CPU in the process's affinity mask
 from repro.runtime.engine import InferenceEngine
 from repro.runtime.streaming import PartialReport, StreamingValidator, StreamSummary, fold_partials
 from repro.runtime.service import PipelineEntry, ServiceStats, ValidationService
-from repro.runtime.sharding import Shard, ShardPlanner
 
 __all__ = [
     "InferenceEngine",
@@ -41,6 +37,4 @@ __all__ = [
     "PipelineEntry",
     "ServiceStats",
     "ValidationService",
-    "Shard",
-    "ShardPlanner",
 ]

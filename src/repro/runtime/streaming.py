@@ -364,8 +364,12 @@ class StreamingValidator:
         )
         return partials
 
-    def _fold_context(self) -> dict:
-        """What merging and folding partials needs besides the partials."""
+    def fold_context(self) -> dict:
+        """What merging and folding partials needs besides the partials:
+        the calibrated threshold, the dataset rule, the feature names and
+        the attached rule set (``None`` when rules are off). A replica
+        sends it after its ``?partials=1`` lines, so the router folds
+        each range under the state it was judged with."""
         return {
             "threshold": self.validator.calibration.threshold,
             "rule": self.validator.rule,
@@ -396,7 +400,7 @@ class StreamingValidator:
             keep_cell_errors=True,
             timestamp=self._timestamp(),
         )
-        context = self._fold_context()
+        context = self.fold_context()
         return [PartialReport.merge([partial], **context) for partial in partials]
 
     # -- chunk-level API ---------------------------------------------------
@@ -430,7 +434,7 @@ class StreamingValidator:
         :class:`StreamSummary` without retaining any dense chunk output.
         """
         if self.keep_cell_errors:
-            return PartialReport.merge(list(self.iter_partials(chunks)), **self._fold_context())
+            return PartialReport.merge(list(self.iter_partials(chunks)), **self.fold_context())
         return self.fold(self.iter_partials(chunks))
 
     def validate_table(self, table: Table) -> "ValidationReport | StreamSummary":
@@ -467,7 +471,7 @@ class StreamingValidator:
         Public so transports (e.g. the HTTP gateway's ``/validate_stream``)
         can interleave their own per-chunk acknowledgements with the fold.
         """
-        return fold_partials(partials, **self._fold_context())
+        return fold_partials(partials, **self.fold_context())
 
 
 def fold_partials(
@@ -480,8 +484,9 @@ def fold_partials(
     """Fold partial reports into a :class:`StreamSummary` incrementally.
 
     Standalone so mergers that have no live validator — e.g. the router
-    folding replica outputs against archive metadata — apply the exact
-    same accumulation as :meth:`StreamingValidator.fold`.
+    folding replica outputs under the :meth:`StreamingValidator.fold_context`
+    the replicas returned — apply the exact same accumulation as
+    :meth:`StreamingValidator.fold`.
     ``rules`` (a :class:`~repro.rules.RuleSet`) additionally folds the
     partials' chunk-local rule outputs into ``summary.rule_report``.
     """

@@ -279,8 +279,7 @@ def _serve_fleet(args, archives, rules, max_body_bytes, qos_weights) -> int:
         if args.demo:
             # Workers rebuild pipelines from archives (nothing live
             # crosses the spawn boundary), so the demo fit is saved to a
-            # temp archive every replica — and the router's merge
-            # context — loads from.
+            # temp archive every replica loads from.
             print("fitting demo pipeline...", flush=True)
             handle, demo_archive = tempfile.mkstemp(prefix="repro-fleet-demo-", suffix=".npz")
             os.close(handle)
@@ -307,7 +306,6 @@ def _serve_fleet(args, archives, rules, max_body_bytes, qos_weights) -> int:
                 host=args.host,
                 port=args.port,
                 max_body_bytes=max_body_bytes,
-                archives=archives,
             )
             workers = ", ".join(f"{w.name}@{w.host}:{w.port}" for w in fleet.targets())
             print(

@@ -113,8 +113,7 @@ class GatewayFleet:
 
     >>> fleet = GatewayFleet({"demo": "demo.npz"}, replicas=2)  # doctest: +SKIP
     >>> with fleet:                                             # doctest: +SKIP
-    ...     router = RouterGateway(fleet.targets(), port=0,     # doctest: +SKIP
-    ...                            archives=fleet.archives)     # doctest: +SKIP
+    ...     router = RouterGateway(fleet.targets(), port=0)     # doctest: +SKIP
 
     ``archives`` maps pipeline name → saved weight archive; every
     replica registers and warms the same set.

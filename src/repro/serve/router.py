@@ -13,21 +13,26 @@ executes it across a fleet of worker replicas (usually
   both wire tiers, gzip opaque); a dead home fails over to the next
   ring candidate — safe, validation is stateless computation;
 * **stream scatter** — a large ``/validate_stream`` body is split at
-  its existing chunk boundaries (NDJSON lines or binary frames),
-  contiguous chunk ranges are planned with
-  :class:`~repro.runtime.sharding.ShardPlanner` and dispatched to the
-  healthy replicas as ``?partials=1`` sub-streams; the wire-encoded
-  :class:`~repro.runtime.streaming.PartialReport` lines come back,
-  offsets are re-globalized in chunk order, and the exact
+  its existing chunk boundaries (NDJSON lines or binary frames), and
+  balanced contiguous chunk ranges are dispatched to the healthy
+  replicas as ``?partials=1`` sub-streams. Each comes back as
+  wire-encoded :class:`~repro.runtime.streaming.PartialReport` lines
+  plus one ``fold_context`` line: the threshold, dataset rule, feature
+  names and rule set the replica judged its range with. Offsets are
+  re-globalized in chunk order, and the exact
   :func:`~repro.runtime.streaming.fold_partials` /
-  ``fold_rule_partials`` merge reproduces the single-node summary bit
-  for bit (client chunk boundaries are preserved, so even ``n_chunks``
-  and the float fold order match). Each chunk range travels to its
-  replica as the HTTP body of that sub-stream, wherever the replica
-  runs. A replica dying mid-scatter gets its chunk range re-scattered
-  onto survivors; only when no replica is left does the client see a
-  retryable 503. A replica answering 5xx is not evicted — the range
-  moves on, and a 5xx that every replica repeats is relayed;
+  ``fold_rule_partials`` merge under that context reproduces the
+  single-node summary bit for bit (client chunk boundaries are
+  preserved, so even ``n_chunks`` and the float fold order match). The
+  router keeps no copy of that state: ranges whose contexts differ
+  (a rules write or re-registration reached some replicas only) fold
+  to no exact answer, so the client gets a retryable 503. Each chunk
+  range travels to its replica as the HTTP body of that sub-stream,
+  wherever the replica runs. A replica dying mid-scatter gets its
+  chunk range re-scattered onto survivors; only when no replica is
+  left does the client see a retryable 503. A replica answering 5xx is
+  not evicted — the range moves on, and a 5xx that every replica
+  repeats is relayed;
 * **health-checked membership** — a prober rides each replica's
   ``GET /v1/healthz``: anything but ``200 {"status": "ok"}`` (including
   the 503 ``"draining"`` a closing gateway reports) evicts the replica
@@ -46,9 +51,7 @@ reader, response writers, drain on close) and supplies only its routes.
 Its upstream calls are blocking ``http.client`` round-trips run on the
 front's executor; a scatter's chunk ranges are gathered on the event
 loop. The scatter path buffers one request's chunk list in router memory
-(unlike a single gateway, which streams); ``archives`` supplies the
-pipeline weight archives the merge context is read from — pipelines the
-router has no archive for are proxied whole to their home replica.
+(unlike a single gateway, which streams).
 """
 
 from __future__ import annotations
@@ -61,17 +64,16 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException
-from pathlib import Path
 from typing import Iterable
 from urllib.parse import quote, unquote
 
 import repro
 from repro.api import framing
-from repro.api.protocol import envelope
-from repro.exceptions import TransientServiceError, ValidationError
+from repro.api.protocol import envelope, fold_context_from_dict
+from repro.exceptions import TransientServiceError
 from repro.monitor.export import PROMETHEUS_CONTENT_TYPE
-from repro.runtime.sharding import ShardPlanner, _context_from_archive
 from repro.runtime.streaming import EMPTY_STREAM_MESSAGE, PartialReport, fold_partials
+from repro.serve.client import Client
 from repro.serve.gateway import (
     _MONITOR_ROUTE,
     _ROUTE,
@@ -80,7 +82,7 @@ from repro.serve.gateway import (
     parse_query_flag,
     parse_query_workers,
 )
-from repro.serve.transport import _FrameSplitter, _HTTPFront, _iter_lines
+from repro.serve.transport import _HTTPFront, _iter_lines
 from repro.utils.logging import get_logger
 
 __all__ = ["RouterGateway", "RouterTarget"]
@@ -95,7 +97,17 @@ _RELAY_RESPONSE_HEADERS = ("Content-Encoding", "Retry-After", "Vary")
 
 _SAMPLE_LINE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})?\s+(\S+)$")
 
-_MISSING = object()
+
+def _chunk_ranges(n_chunks: int, n_replicas: int) -> "list[tuple[int, int]]":
+    """At most ``n_replicas`` balanced contiguous ``(start, stop)`` ranges
+    of chunk indices, in order, covering ``range(n_chunks)``."""
+    n_ranges = min(n_chunks, n_replicas)
+    ranges, start = [], 0
+    for index in range(n_ranges):
+        stop = start + n_chunks // n_ranges + (index < n_chunks % n_ranges)
+        ranges.append((start, stop))
+        start = stop
+    return ranges
 
 
 @dataclass
@@ -163,17 +175,14 @@ class _HashRing:
 class RouterGateway(_HTTPFront):
     """The router process: health-checked fan-out over worker replicas.
 
-    >>> router = RouterGateway(fleet.targets(), port=0,         # doctest: +SKIP
-    ...                        archives={"demo": "demo.npz"})   # doctest: +SKIP
+    >>> router = RouterGateway(fleet.targets(), port=0)          # doctest: +SKIP
     >>> with router:                                            # doctest: +SKIP
     ...     report = Client(port=router.port).validate("demo", table)  # doctest: +SKIP
 
     ``targets`` is any iterable of :class:`RouterTarget`,
     ``(name, host, port)`` tuples, or objects with ``.name``/``.host``/
     ``.port`` (a :class:`~repro.serve.fleet.WorkerHandle` works as is).
-    ``archives`` maps pipeline name → weight archive; it powers the
-    scatter path's merge context — pipelines without one are proxied
-    whole. ``health_interval`` (seconds) paces the background prober;
+    ``health_interval`` (seconds) paces the background prober;
     ``check_workers()`` runs one probe round synchronously (used by
     tests and by callers that manage their own cadence).
     ``host``/``port``/``max_body_bytes`` and the lifecycle are the
@@ -188,7 +197,6 @@ class RouterGateway(_HTTPFront):
         host: str = "127.0.0.1",
         port: int = 8080,
         max_body_bytes: int | None = None,
-        archives: "dict[str, str | Path] | None" = None,
         health_interval: float = 1.0,
         health_timeout: float = 2.0,
         upstream_timeout: float | None = None,
@@ -206,12 +214,6 @@ class RouterGateway(_HTTPFront):
         self.health_timeout = float(health_timeout)
         self.upstream_timeout = upstream_timeout
         self._ring = _HashRing(self.targets)
-        self._planner = ShardPlanner(chunk_size=1)  # plan over chunk indices
-        self._archives = {
-            name: Path(archive) for name, archive in (archives or {}).items()
-        }
-        self._contexts: dict = {}
-        self._rulesets: dict = {}
         self._state_lock = threading.Lock()
         self._counters = {
             "evictions": 0,
@@ -312,9 +314,11 @@ class RouterGateway(_HTTPFront):
     ) -> "tuple[int, object, bytes]":
         """One upstream round-trip with per-thread connection reuse.
 
-        A stale pooled socket is retried once with a fresh connection —
-        safe here even for POST: every routed body is fully buffered and
-        validation is stateless computation.
+        A pooled socket the replica closed while idle fails before the
+        status line with one of :attr:`Client._STALE_SOCKET_ERRORS`; only
+        that is retried, once, on a fresh connection, as the client does.
+        Any other failure, a response cut mid-body included, is raised:
+        the replica may already have run the request.
         """
         conns = self._thread_conns()
         for attempt in (0, 1):
@@ -327,18 +331,24 @@ class RouterGateway(_HTTPFront):
             try:
                 connection.request(method, path, body=body, headers=headers or {})
                 response = connection.getresponse()
-                raw = response.read()
-            except (OSError, HTTPException):
+                break
+            except Client._STALE_SOCKET_ERRORS:
                 connection.close()
                 if not reused or attempt:
                     raise
-                continue
-            if response.will_close:
+            except (OSError, HTTPException):
                 connection.close()
-            else:
-                conns[target.name] = connection
-            return response.status, response.headers, raw
-        raise AssertionError("unreachable")  # pragma: no cover
+                raise
+        try:
+            raw = response.read()
+        except (OSError, HTTPException):
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            conns[target.name] = connection
+        return response.status, response.headers, raw
 
     def _count(self, key: str, replica: str | None = None) -> None:
         with self._state_lock:
@@ -379,7 +389,7 @@ class RouterGateway(_HTTPFront):
         self, name: str, method: str, path: str, body: bytes | None
     ) -> "tuple[int, object, bytes]":
         """Apply a rules write on every healthy replica; answer with the
-        home replica's canonical response and refresh the fold cache."""
+        home replica's canonical response."""
         candidates = self._ring.order(name, self.alive_names())
         if not candidates:
             raise TransientServiceError("no healthy replicas available")
@@ -398,78 +408,16 @@ class RouterGateway(_HTTPFront):
             raise TransientServiceError(
                 f"all {len(candidates)} replica(s) failed for {method} {path}"
             )
-        status, _, raw = home_result
-        if 200 <= status < 300:
-            with self._state_lock:
-                if method == "DELETE":
-                    self._rulesets[name] = None
-                else:
-                    try:
-                        from repro.rules import RuleSet
-
-                        self._rulesets[name] = RuleSet.from_payload(json.loads(raw))
-                    except Exception:
-                        # Never let a cache refresh break the write path;
-                        # the lazy fetch will repopulate it.
-                        self._rulesets.pop(name, None)
         return home_result
 
     # -- scatter -----------------------------------------------------------
-    def merge_context(self, name: str):
-        """The archive-derived fold context for a pipeline (cached)."""
-        with self._state_lock:
-            context = self._contexts.get(name, _MISSING)
-        if context is not _MISSING:
-            return context
-        archive = self._archives.get(name)
-        context = None
-        if archive is not None:
-            try:
-                context = _context_from_archive(archive)
-            except Exception as exc:
-                logger.warning("no merge context for %r (%s); proxying streams", name, exc)
-        with self._state_lock:
-            self._contexts[name] = context
-        return context
-
-    def ruleset_for(self, name: str, expect_rules: bool = False):
-        """The pipeline's attached rule set, fetched lazily from its home
-        replica and cached. ``expect_rules=True`` (partials carried rule
-        outputs) forces a re-fetch when the cache says None — rules were
-        attached behind the router's back."""
-        with self._state_lock:
-            cached = self._rulesets.get(name, _MISSING)
-        if cached is not _MISSING and not (expect_rules and cached is None):
-            return cached
-        ruleset = self._fetch_ruleset(name)
-        with self._state_lock:
-            self._rulesets[name] = ruleset
-        return ruleset
-
-    def _fetch_ruleset(self, name: str):
-        try:
-            status, _, raw = self.proxy(
-                name, "GET", f"/v1/pipelines/{quote(name, safe='')}/rules", None, None
-            )
-        except TransientServiceError:
-            return None
-        if status != 200:
-            return None
-        try:
-            from repro.rules import RuleSet
-
-            return RuleSet.from_payload(json.loads(raw))
-        except Exception as exc:
-            logger.warning("could not decode rule set for %r: %s", name, exc)
-            return None
-
     async def _scatter(
         self, name: str, chunks: "list[bytes]", content_type: str
-    ) -> "list[PartialReport]":
-        """Scatter pre-split chunk bodies across the healthy replicas and
-        return the decoded partials in global chunk order, offsets
-        re-globalized.
+    ) -> "tuple[list[PartialReport], dict]":
+        """Scatter pre-split chunk bodies across the healthy replicas.
 
+        Returns the decoded partials in global chunk order, offsets
+        re-globalized, and the fold context every range was judged with.
         Each chunk range is one blocking upstream POST on the executor;
         the ranges are gathered here on the event loop, so no executor
         task ever waits on another.
@@ -477,7 +425,6 @@ class RouterGateway(_HTTPFront):
         order = self.scatter_order(name)
         if not order:
             raise TransientServiceError("no healthy replicas available")
-        plan = self._planner.plan(len(chunks), len(order))
         path = f"/v1/pipelines/{quote(name, safe='')}/validate_stream?partials=1"
         headers = {"Content-Type": content_type}
         ranges = await asyncio.gather(
@@ -486,12 +433,12 @@ class RouterGateway(_HTTPFront):
                     self._scatter_range,
                     name,
                     path,
-                    b"".join(chunks[shard.offset : shard.stop]),
+                    b"".join(chunks[start:stop]),
                     headers,
                     replica,
-                    shard.n_rows,  # chunk count for this range (chunk_size=1 planner)
+                    stop - start,
                 )
-                for shard, replica in zip(plan, order)
+                for (start, stop), replica in zip(_chunk_ranges(len(chunks), len(order)), order)
             ),
             return_exceptions=True,
         )
@@ -500,29 +447,20 @@ class RouterGateway(_HTTPFront):
         for chunk_range in ranges:
             if isinstance(chunk_range, BaseException):
                 raise chunk_range
-        partials = [partial for chunk_range in ranges for partial in chunk_range]
+        contexts = [context for _, context in ranges]
+        if any(context != contexts[0] for context in contexts[1:]):
+            # The ranges were judged under different thresholds or rule
+            # sets: no fold of them is the single-node answer.
+            raise TransientServiceError(
+                f"replicas disagree on the threshold or rule set of pipeline {name!r}"
+            )
+        partials = [partial for chunk_range, _ in ranges for partial in chunk_range]
         offset = 0
         for partial in partials:
             partial.offset = offset
             offset += partial.n_rows
         self._count("streams_scattered")
-        return partials
-
-    def _fold(self, name: str, partials: "list[PartialReport]", context):
-        """Merge scattered partials into the exact single-node summary."""
-        ruleset = self.ruleset_for(
-            name, expect_rules=any(partial.rule_partial is not None for partial in partials)
-        )
-        try:
-            return fold_partials(
-                partials,
-                threshold=context.threshold,
-                rule=context.rule,
-                feature_names=context.feature_names,
-                rules=ruleset,
-            )
-        except ValidationError as exc:
-            raise _RequestError(400, str(exc)) from exc
+        return partials, fold_context_from_dict(contexts[0])
 
     def _scatter_range(
         self,
@@ -532,7 +470,7 @@ class RouterGateway(_HTTPFront):
         headers: dict,
         first_replica: str,
         n_chunks: int,
-    ) -> "list[PartialReport]":
+    ) -> "tuple[list[PartialReport], dict]":
         """Send one chunk range, moving it along the ring on failure.
 
         Only a transport error evicts the replica (the prober re-admits
@@ -555,14 +493,16 @@ class RouterGateway(_HTTPFront):
                 last_error = exc
             else:
                 if status == 200:
-                    partials = self._parse_partials(raw)
-                    if len(partials) == n_chunks:
+                    partials, context = self._parse_range(raw)
+                    if len(partials) == n_chunks and context is not None:
                         self._count("", replica=replica)
-                        return partials
-                    # Never merge a wrong-shaped range: retry it elsewhere.
+                        return partials, context
+                    # Never merge a wrong-shaped range, or one without the
+                    # context it was judged with: retry it elsewhere.
                     last_error = (
                         f"replica {replica} returned {len(partials)} partial(s) "
                         f"for {n_chunks} chunk(s)"
+                        + ("" if context is not None else " without a fold context")
                     )
                 elif 400 <= status < 500:
                     # Client-caused (malformed chunk, schema mismatch, …):
@@ -598,15 +538,19 @@ class RouterGateway(_HTTPFront):
         return f"upstream replica answered HTTP {status}"
 
     @staticmethod
-    def _parse_partials(raw: bytes) -> "list[PartialReport]":
-        partials = []
+    def _parse_range(raw: bytes) -> "tuple[list[PartialReport], dict | None]":
+        """A ``?partials=1`` answer: its partials and its ``fold_context``
+        payload (``None`` when the line is missing)."""
+        partials, context = [], None
         for line in raw.splitlines():
             if not line.strip():
                 continue
             payload = json.loads(line)
             if payload.get("kind") == "partial_report":
                 partials.append(PartialReport.from_dict(payload))
-        return partials
+            elif payload.get("kind") == "fold_context":
+                context = payload
+        return partials, context
 
     # -- aggregated read endpoints ------------------------------------------
     def healthz(self) -> dict:
@@ -629,7 +573,7 @@ class RouterGateway(_HTTPFront):
             role="router",
             replicas=len(self.targets),
             healthy_replicas=len(healthy),
-            pipelines=pipelines or len(self._archives),
+            pipelines=pipelines,
             wire_formats=["application/json", framing.FRAME_CONTENT_TYPE],
             frame_version=framing.FRAME_VERSION,
         )
@@ -837,13 +781,9 @@ class RouterGateway(_HTTPFront):
         # A malformed ``?workers=`` is a 400 here as on a gateway; a
         # well-formed one scatters like any other stream.
         parse_query_workers(request.query)
-        emit_partials = parse_query_flag(request.query, "partials")
-        order = self.scatter_order(name)
-        context = await self._run(self.merge_context, name)
         if (
-            emit_partials          # the caller is itself a merger
-            or len(order) < 2      # nothing to scatter across
-            or context is None     # no archive → no local merge context
+            parse_query_flag(request.query, "partials")  # the caller is itself a merger
+            or len(self.scatter_order(name)) < 2          # nothing to scatter across
         ):
             return await self._proxy_relay(
                 writer, request, name, await body.read_raw(bound_total=False)
@@ -855,7 +795,7 @@ class RouterGateway(_HTTPFront):
         # outputs, and the float fold order all line up.
         blocks = body.iter_blocks(bound_total=False)
         if framing.matches_frame_content_type(request.header("content-type")):
-            splitter = _FrameSplitter(self.max_body_bytes)
+            splitter = framing.FrameSplitter(self.max_body_bytes)
             chunks: list[bytes] = []
             async for block in blocks:
                 chunks.extend(splitter.push(block))
@@ -867,8 +807,8 @@ class RouterGateway(_HTTPFront):
         if not chunks:
             raise _RequestError(400, EMPTY_STREAM_MESSAGE)
 
-        partials = await self._scatter(name, chunks, content_type)
-        summary = await self._run(self._fold, name, partials, context)
+        partials, context = await self._scatter(name, chunks, content_type)
+        summary = await self._run(lambda: fold_partials(partials, **context))
 
         # Same response body as a single gateway: one ack line per
         # client chunk (global offsets), then the summary envelope.

@@ -58,11 +58,12 @@ from typing import AsyncIterator
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from repro.api import framing
-from repro.api.protocol import SCHEMA_VERSION, envelope
+from repro.api.protocol import SCHEMA_VERSION, envelope, fold_context_to_dict
 from repro.api.requests import RepairRequest, ValidateRequest, _records_of
 from repro.data.table import Table
 from repro.exceptions import SchemaError, ValidationError
 from repro.monitor.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
+from repro.runtime.streaming import EMPTY_STREAM_MESSAGE
 from repro.serve.gateway import (
     _MONITOR_ROUTE,
     _ROUTE,
@@ -851,7 +852,7 @@ class AsyncGateway(_HTTPFront):
         connections.
         """
         if framed:
-            splitter = _FrameSplitter(self.max_body_bytes)
+            splitter = framing.FrameSplitter(self.max_body_bytes)
             async for block in body.iter_blocks(bound_total=False):
                 for raw in splitter.push(block):
                     frame = await self._run(framing.decode_frame, raw, schema)
@@ -902,55 +903,29 @@ class AsyncGateway(_HTTPFront):
                     n_flagged=int(partial.n_flagged),
                 )
                 acks.append(ack)
-            partials.append(partial)
-        try:
-            summary = validator.fold(iter(partials))
-        except ValidationError as exc:
-            raise _RequestError(400, str(exc)) from exc
-        self.service.count_validation(name, summary.n_rows)
+                partials.append(partial)
+        if emit_partials:
+            # The merger folds under the state these partials were judged
+            # with, so that state, not a summary, ends the sub-stream. It
+            # also judges emptiness over the whole stream: a range of
+            # zero-row chunks is answered, only one without chunks is not.
+            if not acks:
+                raise _RequestError(400, EMPTY_STREAM_MESSAGE)
+            tail = fold_context_to_dict(validator.fold_context())
+        else:
+            try:
+                tail = validator.fold(iter(partials)).to_dict()
+            except ValidationError as exc:
+                raise _RequestError(400, str(exc)) from exc
+        self.service.count_validation(name, offset)
 
         # Nothing is written until the whole body is consumed: clients
         # send the body before reading, so acks interleaved with a long
         # upload would fill both socket buffers; deferring also lets a
         # mid-stream failure answer with a clean 400.
         lines = [json.dumps(ack).encode("utf-8") for ack in acks]
-        lines.append(json.dumps(summary.to_dict()).encode("utf-8"))
+        lines.append(json.dumps(tail).encode("utf-8"))
         await self._send_body(
             writer, request, 200, b"\n".join(lines) + b"\n", "application/x-ndjson"
         )
 
-
-class _FrameSplitter:
-    """Incremental frame splitter: the async twin of ``framing.iter_frames``."""
-
-    def __init__(self, max_frame_bytes: int) -> None:
-        self.buffer = bytearray()
-        self.limit = max_frame_bytes
-
-    def push(self, block: bytes) -> "list[bytes]":
-        self.buffer += block
-        frames: "list[bytes]" = []
-        while len(self.buffer) >= framing._HEADER_SIZE:
-            needed = framing.frame_length(self.buffer)
-            if needed > self.limit:
-                raise framing.FrameSizeError(
-                    f"frame declares {needed} bytes, exceeding the "
-                    f"{self.limit}-byte limit"
-                )
-            if len(self.buffer) < needed:
-                break
-            frames.append(bytes(self.buffer[:needed]))
-            del self.buffer[:needed]
-        if len(self.buffer) > self.limit:
-            raise framing.FrameSizeError(
-                f"framed stream buffered {len(self.buffer)} bytes without "
-                f"completing a frame (limit {self.limit})"
-            )
-        return frames
-
-    def finish(self) -> None:
-        if self.buffer:
-            raise framing.FrameError(
-                f"framed stream ended with {len(self.buffer)} trailing bytes "
-                "(truncated final frame)"
-            )

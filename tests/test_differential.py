@@ -32,8 +32,9 @@ from repro.errors import (
     StringTypoInjector,
 )
 from repro.api import framing
-from repro.runtime import PartialReport, ShardPlanner, ValidationService
+from repro.runtime import PartialReport, ValidationService
 from repro.serve import AsyncGateway, Client
+from repro.serve.router import _chunk_ranges
 
 N_SCENARIOS = 20
 
@@ -127,12 +128,16 @@ def merge(core, partials: "list[PartialReport]", rules=None) -> ValidationReport
 
 
 def shard_fold(fitted, table: Table, shards: int, rules=None) -> ValidationReport:
-    """The shard fold, in process: plan ``shards`` chunk-aligned row
-    ranges, validate each range's rows at its offset, merge the partials."""
+    """The shard fold, in process: cut ``shards`` contiguous ranges of
+    ``CHUNK_SIZE``-row chunks, validate each range's rows at its offset,
+    merge the partials."""
     core = fitted.streaming_validator(keep_cell_errors=True, rules=rules)
+    n_chunks = -(-table.n_rows // CHUNK_SIZE)
     partials = [
-        core.validate_chunk(table.slice_rows(shard.offset, shard.stop), shard.offset)
-        for shard in ShardPlanner(CHUNK_SIZE).plan(table.n_rows, shards)
+        core.validate_chunk(
+            table.slice_rows(first * CHUNK_SIZE, stop * CHUNK_SIZE), first * CHUNK_SIZE
+        )
+        for first, stop in _chunk_ranges(n_chunks, shards)
     ]
     return merge(core, partials, rules)
 
@@ -222,8 +227,8 @@ def scatter_partials(core, table: Table) -> "list[PartialReport]":
     ]
     partials: "list[PartialReport]" = []
     offset = 0
-    for shard in ShardPlanner(1).plan(len(frames), 2):
-        body = b"".join(frames[shard.offset : shard.stop])
+    for first, stop in _chunk_ranges(len(frames), 2):
+        body = b"".join(frames[first:stop])
         for raw in framing.iter_frames([body]):
             chunk = framing.decode_frame(raw, table.schema).table
             partials.append(core.validate_chunk(chunk, offset))

@@ -29,7 +29,7 @@ from repro.api import protocol
 from repro.api.requests import RepairRequest, ValidateRequest
 from repro.baselines.base import BatchVerdict
 from repro.core.repair import RepairSummary
-from repro.core.thresholds import ThresholdCalibration
+from repro.core.thresholds import DatasetDecisionRule, ThresholdCalibration
 from repro.core.validator import ValidationReport
 from repro.experiments.reporting import ResultTable
 from repro.monitor import ColumnDrift, DriftAlert, MonitorSnapshot
@@ -230,6 +230,17 @@ def build_cases() -> dict:
         "stream_summary": (
             protocol.stream_summary_to_dict(sample_stream_summary()),
             lambda p: protocol.stream_summary_to_dict(protocol.stream_summary_from_dict(p)),
+        ),
+        "fold_context": (
+            protocol.fold_context_to_dict(
+                {
+                    "threshold": 1.5,
+                    "rule": DatasetDecisionRule(percentile=95.0, n_multiplier=1.2),
+                    "feature_names": ["a", "b"],
+                    "rules": sample_ruleset(),
+                }
+            ),
+            lambda p: protocol.fold_context_to_dict(protocol.fold_context_from_dict(p)),
         ),
         "threshold_calibration": (
             protocol.calibration_to_dict(

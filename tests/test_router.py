@@ -12,7 +12,12 @@ pipeline's home replica; a worker dying mid-stream re-scatters its
 chunk range onto survivors or, with nobody left, surfaces a retryable
 503 — never a wrong or partial report; a worker answering 5xx is
 skipped but stays in the ring, and a 5xx every worker repeats is
-relayed. The router serves on the same
+relayed. The router keeps no copy of a pipeline's threshold or rule
+set: it folds each scatter under the fold context its ranges return, so
+state changed on the replicas behind its back still folds to the
+single-node answer, and ranges that disagree get a retryable 503. An
+upstream request is resent only when its pooled socket went stale
+before the status line. The router serves on the same
 asyncio front as a gateway, so drain-on-close, relayed keep-alive and
 gzipped bodies are pinned here too.
 
@@ -31,6 +36,7 @@ import socket
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
@@ -38,6 +44,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.api.protocol import fold_context_from_dict
 from repro.exceptions import GatewayError
 from repro.runtime import ValidationService
 from repro.serve import AsyncGateway, Client, GatewayFleet, RouterGateway
@@ -57,20 +64,28 @@ from repro.core import DQuaG, DQuaGConfig
 
 @pytest.fixture(scope="module")
 def archive():
-    """A fitted pipeline saved to disk — replicas, the single-node
-    reference, and the router's merge context all load this one file."""
+    """A fitted pipeline saved to disk — the replicas and the single-node
+    reference all load this one file."""
+    with _saved_pipeline(seed=0) as path:
+        yield path
+
+
+@contextmanager
+def _saved_pipeline(seed: int):
     fitted = DQuaG(DQuaGConfig(hidden_dim=16, epochs=6, batch_size=64)).fit(
-        make_clean(500, seed=0), rng=0
+        make_clean(500, seed=seed), rng=seed
     )
     handle, path = tempfile.mkstemp(prefix="repro-router-", suffix=".npz")
     os.close(handle)
     fitted.save(path)
-    yield path
-    os.unlink(path)
+    try:
+        yield path
+    finally:
+        os.unlink(path)
 
 
-@pytest.fixture(scope="module")
-def cluster(archive):
+@contextmanager
+def _serving(archive):
     """Single-node reference + a 2-replica router, all from one archive."""
     services, gateways = [], []
     for _ in range(3):  # [0] = single-node reference, [1:] = replicas
@@ -81,29 +96,46 @@ def cluster(archive):
     router = RouterGateway(
         [(f"replica-{i}", "127.0.0.1", gw.port) for i, gw in enumerate(gateways[1:])],
         port=0,
-        archives={"demo": archive},
         health_interval=0,  # tests drive check_workers() deterministically
     ).start()
-    yield SimpleNamespace(
-        router=router,
-        single=Client(port=gateways[0].port),
-        routed=Client(port=router.port),
-        gateways=gateways,
-        replica_ports=[gw.port for gw in gateways[1:]],
-    )
-    router.close()
-    for gateway in gateways:
-        gateway.close()
-    for service in services:
-        service.close()
+    try:
+        yield SimpleNamespace(
+            router=router,
+            single=Client(port=gateways[0].port),
+            routed=Client(port=router.port),
+            gateways=gateways,
+            services=services,
+            replica_ports=[gw.port for gw in gateways[1:]],
+        )
+    finally:
+        router.close()
+        for gateway in gateways:
+            gateway.close()
+        for service in services:
+            service.close()
+
+
+@pytest.fixture(scope="module")
+def cluster(archive):
+    with _serving(archive) as served:
+        yield served
+
+
+@pytest.fixture
+def fresh_cluster(archive):
+    """A private ``cluster`` for tests that change replica state behind
+    the router's back."""
+    with _serving(archive) as served:
+        yield served
 
 
 class _StubWorker:
     """A scriptable fake replica: healthz answers whatever the test sets;
     POST bodies are read then the socket is torn down mid-response
-    (the 'worker died under a scattered stream' failure)."""
+    (the 'worker died under a scattered stream' failure): before any
+    response byte, or with ``cut_body`` after 10 of a 100-byte body."""
 
-    def __init__(self, status: str = "ok"):
+    def __init__(self, status: str = "ok", cut_body: bool = False):
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -126,11 +158,17 @@ class _StubWorker:
                 if length:
                     self.rfile.read(length)
                 stub.posts += 1
-                # die mid-request: no response bytes at all
+                if stub.cut_body:
+                    self.send_response(200)
+                    self.send_header("Content-Length", "100")
+                    self.end_headers()
+                    self.wfile.write(b"x" * 10)
+                # die mid-request
                 self.connection.close()
                 self.close_connection = True
 
         self.status = status
+        self.cut_body = cut_body
         self.posts = 0
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self._server.daemon_threads = True
@@ -315,6 +353,35 @@ class TestParity:
             cluster.single.delete_rules("demo")
             cluster.routed.delete_rules("demo")
 
+    def test_partials_substream_ends_with_its_fold_context(self, cluster):
+        chunks = _chunks(make_scenario(0))
+        replica = cluster.replica_ports[0]
+        lines = [json.loads(line) for line in stream_lines(replica, chunks, "?partials=1")]
+        assert [line["kind"] for line in lines] == ["partial_report"] * len(chunks) + ["fold_context"]
+        context = fold_context_from_dict(lines[-1])
+        assert context["rules"] is None
+        assert context["threshold"] == cluster.single.validate_stream("demo", chunks).threshold
+        status, payload = post_raw(
+            replica, "/v1/pipelines/demo/validate_stream?partials=1", b"", "application/x-ndjson"
+        )
+        assert status == 400 and "empty stream" in payload["error"]
+
+    def test_stream_with_an_empty_first_chunk_matches_single_node(self, cluster):
+        # The range holding only the zero-row chunk is no empty stream:
+        # the stream as a whole has rows.
+        rows = make_scenario(0).slice_rows(0, 4).to_records()
+        body = (json.dumps({"records": []}) + "\n" + json.dumps({"records": rows}) + "\n").encode()
+        scattered = cluster.router._counters["streams_scattered"]
+        replies = [
+            _post(port, "/v1/pipelines/demo/validate_stream", body,
+                  {"Content-Type": "application/x-ndjson"})
+            for port in (cluster.gateways[0].port, cluster.router.port)
+        ]
+        assert [status for status, _ in replies] == [200, 200], replies
+        single, routed = ([json.loads(line) for line in raw.splitlines()] for _, raw in replies)
+        assert routed == single
+        assert cluster.router._counters["streams_scattered"] == scattered + 1
+
     def test_error_contract_proxied_verbatim(self, cluster):
         with pytest.raises(GatewayError) as excinfo:
             cluster.routed.validate("nope", make_scenario(0))
@@ -322,6 +389,75 @@ class TestParity:
         with pytest.raises(GatewayError) as excinfo:
             cluster.routed.validate_stream("demo", [])
         assert excinfo.value.status == 400
+
+
+#: a rule set other than ``RULES_DOC``: a fold under one of them cannot
+#: read partials computed under the other
+RULES_V2 = {
+    "name": "differential-checks-v2",
+    "rules": [
+        {"id": "x-range-v2", "severity": "error",
+         "predicate": {"type": "range", "column": "x", "min": 0.2, "max": 0.8}},
+    ],
+}
+
+
+def _chunks(table) -> list:
+    return [
+        table.slice_rows(start, start + CHUNK_SIZE)
+        for start in range(0, table.n_rows, CHUNK_SIZE)
+    ]
+
+
+class TestReplicaState:
+    """State changed on the replicas, not through the router, must fold
+    to what a single gateway in the same state answers."""
+
+    def test_rules_detached_on_the_replicas(self, fresh_cluster):
+        chunks = _chunks(make_scenario(3))
+        fresh_cluster.routed.set_rules("demo", RULES_DOC)
+        fresh_cluster.routed.validate_stream("demo", chunks)
+        for gateway in fresh_cluster.gateways:
+            Client(port=gateway.port).delete_rules("demo")
+        routed = fresh_cluster.routed.validate_stream("demo", chunks)
+        assert routed.rule_report is None
+        assert routed.to_dict() == fresh_cluster.single.validate_stream("demo", chunks).to_dict()
+
+    def test_other_rules_attached_on_the_replicas(self, fresh_cluster):
+        chunks = _chunks(make_scenario(3))
+        fresh_cluster.routed.set_rules("demo", RULES_DOC)
+        for gateway in fresh_cluster.gateways:
+            Client(port=gateway.port).set_rules("demo", RULES_V2)
+        routed = fresh_cluster.routed.validate_stream("demo", chunks)
+        assert [outcome.rule_id for outcome in routed.rule_report.outcomes] == ["x-range-v2"]
+        assert routed.to_dict() == fresh_cluster.single.validate_stream("demo", chunks).to_dict()
+
+    def test_every_gateway_reregistered_on_retrained_weights(self, fresh_cluster):
+        chunks = _chunks(make_scenario(5))
+        before = fresh_cluster.routed.validate_stream("demo", chunks)
+        with _saved_pipeline(seed=1) as retrained:
+            for service in fresh_cluster.services:
+                service.register("demo", retrained)
+            single = fresh_cluster.single.validate_stream("demo", chunks)
+            routed = fresh_cluster.routed.validate_stream("demo", chunks)
+        assert single.threshold != before.threshold
+        assert routed.to_dict() == single.to_dict()
+
+    def test_replicas_disagreeing_on_rules_get_retryable_503(self, fresh_cluster):
+        router = fresh_cluster.router
+        chunks = _chunks(make_scenario(3))
+        assert len(chunks) >= 2  # both replicas judge a range
+        Client(port=fresh_cluster.replica_ports[0]).set_rules("demo", RULES_DOC)
+        before = dict(router._counters)
+        status, raw = _post(
+            router.port, "/v1/pipelines/demo/validate_stream", _ndjson_body(chunks),
+            {"Content-Type": "application/x-ndjson"},
+        )
+        assert status == 503, raw
+        assert "disagree" in json.loads(raw)["error"]
+        assert router._counters["evictions"] == before["evictions"]
+        assert router._counters["streams_scattered"] == before["streams_scattered"]
+        assert router.alive_names() == {"replica-0", "replica-1"}
 
 
 class TestMembership:
@@ -356,7 +492,7 @@ class TestMembership:
         assert cluster.router.check_workers()["replica-0"] is True
         assert cluster.router._counters["readmissions"] >= 1
 
-    def test_healthz_degrades_when_no_replica_is_routable(self, archive):
+    def test_healthz_degrades_when_no_replica_is_routable(self):
         stub = _StubWorker(status="draining")
         router = RouterGateway(
             [("only", "127.0.0.1", stub.port)], port=0, health_interval=0
@@ -378,7 +514,7 @@ class TestMembership:
 
 
 class TestFailover:
-    def test_worker_dying_midstream_rescatters_exactly(self, cluster, archive):
+    def test_worker_dying_midstream_rescatters_exactly(self, cluster):
         """Satellite pin: kill a worker mid-stream — the request completes
         via re-scatter with a bit-identical report, never a partial one."""
         stub = _StubWorker(status="ok")  # healthy on probes, dies on POST
@@ -387,7 +523,7 @@ class TestFailover:
             for i, port in enumerate(cluster.replica_ports)
         ] + [("doomed", "127.0.0.1", stub.port)]
         router = RouterGateway(
-            targets, port=0, archives={"demo": archive}, health_interval=0
+            targets, port=0, health_interval=0
         ).start()
         client = Client(port=router.port)
         try:
@@ -441,13 +577,28 @@ class TestFailover:
         assert router.alive_names() == {"replica-0", "replica-1"}
         assert router.check_workers() == {"replica-0": True, "replica-1": True}
 
-    def test_every_replica_dead_yields_retryable_503(self, archive):
+    def test_response_cut_mid_body_is_sent_once(self):
+        # The replica may have run a request whose response it cut (its
+        # drift monitor saw the chunks), so that is not resent; only a
+        # pooled socket gone stale before the status line is.
+        stub = _StubWorker(status="ok", cut_body=True)
+        router = RouterGateway([("stub", "127.0.0.1", stub.port)], port=0, health_interval=0)
+        try:
+            target = router.targets["stub"]
+            assert router._request(target, "GET", "/v1/healthz")[0] == 200  # pools the socket
+            with pytest.raises((http.client.HTTPException, OSError)):
+                router._request(target, "POST", "/v1/pipelines/demo/validate_stream", b"{}\n")
+            assert stub.posts == 1
+        finally:
+            router.close()
+            stub.close()
+
+    def test_every_replica_dead_yields_retryable_503(self):
         stubs = [_StubWorker(status="ok") for _ in range(2)]
         router = RouterGateway(
             [(f"stub-{i}", "127.0.0.1", stub.port) for i, stub in enumerate(stubs)],
             port=0,
-            archives={"demo": archive},
-            health_interval=0,
+                health_interval=0,
         ).start()
         client = Client(port=router.port)
         try:
@@ -524,12 +675,11 @@ class TestSharedFront:
     keep-alive accounting on relayed responses, and gzip on both the
     proxied and the scattered path."""
 
-    def test_close_drains_in_flight_scattered_stream(self, cluster, archive):
+    def test_close_drains_in_flight_scattered_stream(self, cluster):
         router = RouterGateway(
             [(f"replica-{i}", "127.0.0.1", port) for i, port in enumerate(cluster.replica_ports)],
             port=0,
-            archives={"demo": archive},
-            health_interval=0,
+                health_interval=0,
         ).start()
         table = make_clean(12_000, seed=31)
         chunks = [
@@ -635,7 +785,7 @@ class TestFleetProcesses:
         fleet = GatewayFleet({"demo": archive}, replicas=2, monitor_window=0)
         with fleet:
             router = RouterGateway(
-                fleet.targets(), port=0, archives={"demo": archive}, health_interval=0
+                fleet.targets(), port=0, health_interval=0
             ).start()
             client = Client(port=router.port)
             try:

@@ -5,9 +5,13 @@ repair). ``scipy.stats`` (feature-graph inference, confidence-bounded
 thresholds) and ``networkx`` (feature-graph interop) belong to the fit,
 so ``repro`` imports them inside the functions that use them. A
 module-scope import of either anywhere on the serving path would cost
-every serving process about a second and some 80 MiB at start. This
-test serves every endpoint from a fresh interpreter and asserts that
-neither package was loaded — also with networkx not installed at all.
+every serving process about a second and some 80 MiB at start. The
+experiment harness (``repro.experiments``) with its dataset simulators
+(``repro.datasets``) and error injectors (``repro.errors``) is for
+offline runs only; ``repro.api.protocol`` binds its ``ResultTable``
+inside the ``result_table`` codec. This test serves every endpoint from
+a fresh interpreter and asserts that none of these was loaded — also
+with networkx not installed at all.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import repro
 from repro.serve.cli import fit_demo_pipeline
 
 #: Run in a fresh interpreter: argv[1] is the archive, argv[2] whether
-#: networkx is blocked. Prints the loaded scipy/networkx modules as JSON.
+#: networkx is blocked. Prints the loaded modules of the packages a
+#: serving process must not load, as JSON.
 _CHILD = """
 import json
 import sys
@@ -47,7 +52,7 @@ for _ in range(2):
     gateways.append(AsyncGateway(service, port=0).start())
 router = RouterGateway(
     [(f"replica-{i}", "127.0.0.1", gateway.port) for i, gateway in enumerate(gateways)],
-    port=0, archives={"demo": archive}, health_interval=0,
+    port=0, health_interval=0,
 ).start()
 
 schema = services[0].get("demo").preprocessor.schema
@@ -67,9 +72,11 @@ for gateway in gateways:
     gateway.close()
 for service in services:
     service.close()
+not_served = ("scipy", "networkx", "repro.experiments", "repro.datasets", "repro.errors")
 print(json.dumps(sorted(
     name for name, module in sys.modules.items()
-    if module is not None and name.partition(".")[0] in ("scipy", "networkx")
+    if module is not None
+    and any(name == package or name.startswith(package + ".") for package in not_served)
 )))
 """
 

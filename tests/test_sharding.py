@@ -1,12 +1,13 @@
-"""Row shards: planner geometry and the shard fold's parity with the
-one-shot path.
+"""Row shards: the router's chunk ranges and the shard fold's parity
+with the one-shot path.
 
 A router scatters a table or stream as contiguous ranges of whole
 chunks, has each range validated apart (offsets local to the range), and
 folds the returned partial reports. These tests run that fold in
-process, through :class:`ShardPlanner` and the validation core, and pin
-that its result is the one-shot result for any shard count — the
-row-locality of the §3.2.1 decisions is what makes it exact.
+process, through the router's ``_chunk_ranges`` split and the
+validation core, and pin that its result is the one-shot result for any
+shard count — the row-locality of the §3.2.1 decisions is what makes it
+exact.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import pytest
 
 from repro.core import DQuaG, DQuaGConfig
 from repro.data import ColumnKind, ColumnSpec, Table, TableSchema, read_csv_chunks, write_csv
-from repro.exceptions import ReproError, SchemaError, ValidationError
-from repro.runtime import PartialReport, Shard, ShardPlanner
-from repro.runtime.sharding import _context_from_archive
+from repro.exceptions import SchemaError, ValidationError
+from repro.runtime import PartialReport
 from repro.runtime.streaming import StreamSummary
+from repro.serve.router import _chunk_ranges
 
 #: the validation chunk the folds below cut shards into
 CHUNK_SIZE = 256
@@ -64,8 +65,8 @@ def fold_shards(pipeline, chunks, shards: int, keep_cell_errors: bool = False):
     chunks = list(chunks)
     partials: "list[PartialReport]" = []
     start = 0
-    for shard in ShardPlanner(1).plan(len(chunks), shards):
-        local = list(core.iter_partials(chunks[shard.offset : shard.stop]))
+    for first, stop in _chunk_ranges(len(chunks), shards):
+        local = list(core.iter_partials(chunks[first:stop]))
         for partial in local:
             partial.offset += start
         start += sum(partial.n_rows for partial in local)
@@ -86,44 +87,26 @@ def table_chunks(table: Table, size: int = CHUNK_SIZE) -> "list[Table]":
 
 
 # ---------------------------------------------------------------------------
-# planner geometry (no processes involved)
+# chunk-range geometry (no processes involved)
 # ---------------------------------------------------------------------------
-class TestShardPlanner:
-    def test_plan_is_chunk_aligned_and_covers_all_rows(self):
-        planner = ShardPlanner(chunk_size=100)
-        shards = planner.plan(1050, shards=4)
-        assert [s.offset for s in shards] == [0, 300, 600, 900]
-        assert sum(s.n_rows for s in shards) == 1050
-        assert all(s.offset % 100 == 0 for s in shards)
-        assert shards[-1].stop == 1050
+class TestChunkRanges:
+    def test_ranges_are_balanced_and_cover_every_chunk(self):
+        # 11 chunks over 4 replicas: the first 11 % 4 ranges take one more
+        assert _chunk_ranges(11, 4) == [(0, 3), (3, 6), (6, 9), (9, 11)]
+        assert _chunk_ranges(12, 4) == [(0, 3), (3, 6), (6, 9), (9, 12)]
 
-    def test_plan_never_exceeds_chunk_count(self):
-        planner = ShardPlanner(chunk_size=100)
-        shards = planner.plan(150, shards=8)  # only 2 chunks exist
-        assert len(shards) == 2
-        assert [(s.offset, s.n_rows) for s in shards] == [(0, 100), (100, 50)]
+    def test_ranges_never_exceed_chunk_count(self):
+        assert _chunk_ranges(2, 8) == [(0, 1), (1, 2)]  # only 2 chunks exist
 
-    def test_plan_single_shard_and_empty(self):
-        planner = ShardPlanner(chunk_size=64)
-        assert planner.plan(10, shards=1) == [Shard(index=0, offset=0, n_rows=10)]
-        assert planner.plan(0, shards=4) == []
-
-    def test_plan_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            ShardPlanner(chunk_size=0)
-        planner = ShardPlanner()
-        with pytest.raises(ValueError):
-            planner.plan(-1, shards=2)
-        with pytest.raises(ValueError):
-            planner.plan(10, shards=0)
+    def test_single_replica_and_no_chunks(self):
+        assert _chunk_ranges(10, 1) == [(0, 10)]
+        assert _chunk_ranges(0, 4) == []
 
     def test_split_table_reassembles_exactly(self):
         table = make_table(530, seed=7)
-        planner = ShardPlanner(chunk_size=128)
-        pieces = [
-            table.slice_rows(shard.offset, shard.stop) for shard in planner.plan(table.n_rows, 3)
-        ]
-        assert sum(piece.n_rows for piece in pieces) == table.n_rows
+        chunks = table_chunks(table, 128)
+        pieces = [Table.concat(chunks[first:stop]) for first, stop in _chunk_ranges(len(chunks), 3)]
+        assert [piece.n_rows for piece in pieces] == [256, 256, 18]
         rebuilt = Table.concat(pieces)
         for name in table.schema.names:
             np.testing.assert_array_equal(rebuilt.column(name), table.column(name))
@@ -225,8 +208,3 @@ class TestParallelParity:
             fold_shards(pipeline, table_chunks(empty), 2, keep_cell_errors=True)
         with pytest.raises(ValidationError, match="empty stream"):
             fold_shards(pipeline, [], 2)
-
-    def test_missing_archive_rejected(self, tmp_path):
-        # The router reads its merge context from the archive.
-        with pytest.raises(ReproError):
-            _context_from_archive(tmp_path / "missing.npz")
