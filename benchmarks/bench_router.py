@@ -105,7 +105,6 @@ def test_router_fleet_throughput(demo_archive, scale):
     else:
         n_clients, per_client = 64, 6
     names = [f"demo-{i}" for i in range(N_PIPELINES)]
-    archives = {name: archive for name in names}
     batch = make_batch(pipeline, ROWS_PER_REQUEST, seed=0)
     reference = pipeline.validate(batch)
 
@@ -122,7 +121,10 @@ def test_router_fleet_throughput(demo_archive, scale):
     finally:
         service.close()
 
-    with GatewayFleet(archives, replicas=REPLICAS, capacity=N_PIPELINES) as fleet:
+    replica_args = [f"--pipeline={name}={archive}" for name in names]
+    with GatewayFleet(
+        [*replica_args, "--capacity", str(N_PIPELINES)], replicas=REPLICAS
+    ) as fleet:
         router = RouterGateway(fleet.targets(), port=0).start()
         try:
             # Parity gate: the routed report is bit-identical to local.

@@ -12,7 +12,7 @@ monitor, rules, validate, repair, validate_stream):
   ``Retry-After``);
 * :class:`RouterGateway` + :class:`GatewayFleet` — the multi-node tier
   (``repro-serve --replicas N``): a router process consistent-hashes
-  pipelines across N spawned worker replicas, scatters large streams
+  pipelines across N ``repro-serve`` replicas, scatters large streams
   with the exact ``fold_partials`` merge, health-checks the fleet, and
   aggregates ``/v1/metrics`` with a ``replica`` label;
 * :class:`RequestScheduler` — the dynamic micro-batching scheduler the

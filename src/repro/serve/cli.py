@@ -17,12 +17,14 @@ concurrent small validate requests into fused engine slabs
 (``--batch-window-ms`` / ``--max-batch-rows``) with bounded-queue
 admission control (``--max-queue-depth`` → HTTP 429 + ``Retry-After``)
 and per-pipeline QoS weights (``--qos-weight``). ``--replicas N``
-switches to router mode: N ``AsyncGateway`` worker processes are
-spawned and warmed from the weight archives
+switches to router mode: N ``repro-serve`` replica processes start on
+ephemeral ports with the same options
 (:class:`~repro.serve.fleet.GatewayFleet`) and a
 :class:`~repro.serve.router.RouterGateway` on ``--port`` fronts them on
 the same asyncio front — same protocol, same client, fleet-wide
-capacity.
+capacity. Either way the server prints ``serving NAMES on URL`` once it
+has bound (``--port 0`` shows the port it got), and SIGINT or SIGTERM
+stops it after a drain.
 
 Then::
 
@@ -44,6 +46,7 @@ binary columnar frame tier (see ``repro.api.framing``)::
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from repro.exceptions import ReproError
@@ -138,8 +141,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="router mode: spawn N worker replicas from the weight "
-        "archives and front them with a consistent-hash router on --port",
+        help="router mode: start N replicas with these options on ephemeral "
+        "ports and front them with a consistent-hash router on --port",
     )
     parser.add_argument(
         "--batch-window-ms",
@@ -223,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
             rules[target] = rule_file if separator else spec
 
     if args.replicas is not None:
-        return _serve_fleet(args, archives, rules, max_body_bytes, qos_weights)
+        return _serve_fleet(args, archives, max_body_bytes)
 
     service = ValidationService(
         capacity=args.capacity,
@@ -251,13 +254,7 @@ def main(argv: list[str] | None = None) -> int:
             max_queue_depth=args.max_queue_depth,
             qos_weights=qos_weights or None,
         )
-        print(f"serving {service.registered} on {gateway.url}", flush=True)
-        try:
-            gateway.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            gateway.close()
+        _serve(gateway, service.registered)
         return 0
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -266,8 +263,26 @@ def main(argv: list[str] | None = None) -> int:
         service.close()
 
 
-def _serve_fleet(args, archives, rules, max_body_bytes, qos_weights) -> int:
-    """``--replicas N``: spawn a worker fleet and front it with a router."""
+def _serve(front, names: "list[str]", note: str = "") -> None:
+    """Bind ``front``, print ``serving NAMES on URL``, and serve until
+    SIGINT or SIGTERM; then drain and close."""
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        front.start()
+        print(f"serving {names} on {front.url}{note}", flush=True)
+        front.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        # Stopping already: a second SIGTERM (say, a fleet replica's
+        # stdin closing after a signal to the whole process group) must
+        # not cut the drain short.
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        front.close()
+
+
+def _serve_fleet(args, archives, max_body_bytes) -> int:
+    """``--replicas N``: start N ``repro-serve`` replicas, front them with a router."""
     import os
     import tempfile
 
@@ -277,30 +292,28 @@ def _serve_fleet(args, archives, rules, max_body_bytes, qos_weights) -> int:
     demo_archive: str | None = None
     try:
         if args.demo:
-            # Workers rebuild pipelines from archives (nothing live
-            # crosses the spawn boundary), so the demo fit is saved to a
-            # temp archive every replica loads from.
+            # Each replica is a process of its own, so the demo fit is
+            # saved to a temp archive every replica loads.
             print("fitting demo pipeline...", flush=True)
             handle, demo_archive = tempfile.mkstemp(prefix="repro-fleet-demo-", suffix=".npz")
             os.close(handle)
             fit_demo_pipeline().save(demo_archive)
             archives["demo"] = demo_archive
 
-        fleet = GatewayFleet(
-            archives,
-            replicas=args.replicas,
-            host=args.host,
-            rules=rules or None,
-            capacity=args.capacity,
-            monitor_window=32 if args.monitor_window is None else args.monitor_window,
-            max_body_bytes=max_body_bytes,
-            batch_window_ms=args.batch_window_ms,
-            max_batch_rows=args.max_batch_rows,
-            max_queue_depth=args.max_queue_depth,
-            qos_weights=qos_weights or None,
-        )
-        print(f"spawning {args.replicas} worker replica(s)...", flush=True)
-        with fleet:
+        replica_args = [f"--pipeline={name}={archive}" for name, archive in archives.items()]
+        replica_args += [f"--rules={spec}" for spec in args.rules]
+        replica_args += [f"--qos-weight={spec}" for spec in args.qos_weight]
+        for option in (
+            "capacity", "monitor_window", "max_body_mb",
+            "batch_window_ms", "max_batch_rows", "max_queue_depth",
+        ):
+            if getattr(args, option) is not None:
+                replica_args.append(f"--{option.replace('_', '-')}={getattr(args, option)}")
+        if args.verbose:
+            replica_args.append("--verbose")
+
+        print(f"starting {args.replicas} replica(s)...", flush=True)
+        with GatewayFleet(replica_args, args.replicas, args.host) as fleet:
             router = RouterGateway(
                 fleet.targets(),
                 host=args.host,
@@ -308,17 +321,7 @@ def _serve_fleet(args, archives, rules, max_body_bytes, qos_weights) -> int:
                 max_body_bytes=max_body_bytes,
             )
             workers = ", ".join(f"{w.name}@{w.host}:{w.port}" for w in fleet.targets())
-            print(
-                f"serving {sorted(archives)} on {router.url} "
-                f"(router over {workers})",
-                flush=True,
-            )
-            try:
-                router.serve_forever()
-            except KeyboardInterrupt:
-                pass
-            finally:
-                router.close()
+            _serve(router, sorted(archives), f" (router over {workers})")
         return 0
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,8 @@
 
 A :class:`RouterGateway` speaks the exact ``/v1`` protocol of a single
 gateway — :class:`~repro.serve.client.Client` needs no API change — but
-executes it across a fleet of worker replicas (usually
-:class:`~repro.serve.transport.AsyncGateway` processes spawned by
-:class:`~repro.serve.fleet.GatewayFleet`):
+executes it across a fleet of worker replicas (usually ``repro-serve``
+processes started by :class:`~repro.serve.fleet.GatewayFleet`):
 
 * **consistent-hash pipelining** — each pipeline name hashes onto the
   replica ring, so its scheduler coalescing and drift-monitor windows
@@ -829,8 +828,7 @@ class RouterGateway(_HTTPFront):
 
     # -- lifecycle ---------------------------------------------------------
     async def _main(self) -> None:
-        # The prober runs while the router serves, whichever of start()
-        # or serve_forever() brought it up.
+        # The prober runs while the router serves.
         if self._health_thread is None and self.health_interval > 0:
             self._health_thread = threading.Thread(
                 target=self._health_loop, name="repro-router-health", daemon=True

@@ -280,8 +280,8 @@ class _HTTPFront:
     """The event-loop HTTP/1.1 server under both serving fronts.
 
     ``start()`` serves from a daemon thread and returns once bound,
-    ``serve_forever()`` serves on the calling thread, and ``port=0``
-    binds an ephemeral port (readable once the server is up).
+    ``serve_forever()`` also blocks until the server stops, and
+    ``port=0`` binds an ephemeral port (readable once the server is up).
     ``max_body_bytes`` bounds what a request may make the server buffer,
     refused with HTTP 413 before any allocation: the whole body for the
     buffered endpoints, each transfer chunk, NDJSON line or binary frame
@@ -348,8 +348,10 @@ class _HTTPFront:
         return self
 
     def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`close` (or fatal error)."""
-        self._run_loop()
+        """:meth:`start`, then block until the server stops: :meth:`close`
+        from another thread, or a signal handler raising on this one."""
+        self.start()
+        self._stopped.wait()
         if self._startup_error is not None:
             raise self._startup_error
 

@@ -22,8 +22,11 @@ asyncio front as a gateway, so drain-on-close, relayed keep-alive and
 gzipped bodies are pinned here too.
 
 In-process ``AsyncGateway`` replicas back most tests (the router only
-needs URLs, keeping the 20-scenario sweep fast); one test spawns a real
-2-process :class:`GatewayFleet` end to end.
+needs URLs, keeping the 20-scenario sweep fast). :class:`GatewayFleet`
+tests run real ``repro-serve`` replica processes: the kill/restart
+drill, a graceful close (every replica exits 0), a replica that fails
+startup, a SIGKILLed fleet owner whose replicas must still stop, and
+the ``--replicas`` CLI stopping on SIGTERM.
 """
 
 from __future__ import annotations
@@ -32,20 +35,26 @@ import gzip
 import http.client
 import json
 import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import tempfile
 import threading
 import time
 from contextlib import contextmanager
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api.protocol import fold_context_from_dict
-from repro.exceptions import GatewayError
+from repro.exceptions import GatewayError, ReproError
 from repro.runtime import ValidationService
 from repro.serve import AsyncGateway, Client, GatewayFleet, RouterGateway
 from repro.serve.router import _HashRing
@@ -57,7 +66,7 @@ from tests.test_differential import (
     make_clean,
     make_scenario,
 )
-from tests.test_serve import post_raw, stream_lines
+from tests.test_serve import post_raw, start_serve_process, stream_lines
 
 from repro.core import DQuaG, DQuaGConfig
 
@@ -641,6 +650,7 @@ class TestObservability:
         assert len(declared) == len(set(declared))  # one HELP/TYPE block per metric
 
     def test_pipelines_aggregates_fleet_counters(self, cluster):
+        cluster.routed.validate("demo", make_clean(64, seed=12))
         stats = cluster.routed.pipelines()
         assert stats.registered == 1  # max, not sum: same registry everywhere
         assert stats.validations >= 1
@@ -777,12 +787,37 @@ class TestSharedFront:
         assert cluster.router._counters["streams_scattered"] == scattered + 1
 
 
+def _answers(port: int) -> bool:
+    """Whether anything accepts a TCP connection on ``port``."""
+    try:
+        socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
+        return True
+    except OSError:
+        return False
+
+
+#: A fleet owner run with PYTHONPATH unset: argv[1] is the directory
+#: ``repro`` is imported from, argv[2] the archive. It prints its one
+#: replica's port and waits to be killed.
+_FLEET_OWNER = """
+import signal
+import sys
+
+sys.path.insert(0, sys.argv[1])
+from repro.serve import GatewayFleet
+
+fleet = GatewayFleet(["--pipeline", "demo=" + sys.argv[2], "--monitor-window", "0"], replicas=1)
+print(fleet.start().targets()[0].port, flush=True)
+signal.pause()
+"""
+
+
 class TestFleetProcesses:
     def test_spawned_fleet_serves_kills_and_readmits(self, archive):
-        """End-to-end over real worker processes: spawn 2 replicas from
-        the archive, serve through the router, hard-kill one worker
-        (evicted; traffic flows on), restart it (re-admitted)."""
-        fleet = GatewayFleet({"demo": archive}, replicas=2, monitor_window=0)
+        """End-to-end over real replica processes: start 2 ``repro-serve``
+        replicas, serve through the router, SIGKILL one (evicted;
+        traffic flows on), restart it (re-admitted at its old port)."""
+        fleet = GatewayFleet(["--pipeline", f"demo={archive}", "--monitor-window", "0"], replicas=2)
         with fleet:
             router = RouterGateway(
                 fleet.targets(), port=0, health_interval=0
@@ -798,14 +833,103 @@ class TestFleetProcesses:
                 table = make_clean(300, seed=21)
                 report = client.validate("demo", table, include_errors=True)
 
+                port = fleet.targets()[0].port
                 fleet.kill_worker(0)
                 health = router.check_workers()
                 assert health["replica-0"] is False and health["replica-1"] is True
                 survivor = client.validate("demo", table, include_errors=True)
                 assert_reports_identical(report, survivor, "post-kill")
 
-                fleet.restart_worker(0)
+                assert fleet.restart_worker(0).port == port
                 assert router.check_workers()["replica-0"] is True
                 assert client.healthz()["healthy_replicas"] == 2
             finally:
+                client.close()
                 router.close()
+
+    def test_close_drains_every_replica(self, archive):
+        """``close()`` ends every replica with exit code 0 (drained, not
+        killed) — also one that was already stopping on its own SIGTERM,
+        as when a service manager signals every process at once, and then
+        gets the fleet's stop on top of it."""
+        with GatewayFleet(["--pipeline", f"demo={archive}"], replicas=2) as fleet:
+            replicas = fleet.targets()
+            for replica in replicas:
+                with Client(port=replica.port) as client:
+                    assert client.healthz()["status"] == "ok"
+            replicas[1].process.send_signal(signal.SIGTERM)
+        assert [replica.process.returncode for replica in replicas] == [0, 0]
+        assert not any(_answers(replica.port) for replica in replicas)
+
+    @pytest.mark.parametrize("failure", ["unknown rule column", "start deadline"])
+    def test_replica_that_fails_startup_fails_start(self, archive, tmp_path, monkeypatch, failure):
+        """A replica that exits before serving (here: its rules name an
+        unknown column), or has not served by the start deadline, fails
+        ``start()`` with its exit code, and no replica is left running."""
+        args, code = ["--pipeline", f"demo={archive}"], -signal.SIGKILL
+        if failure == "unknown rule column":
+            rules = tmp_path / "bad_rules.json"
+            rules.write_text(json.dumps(
+                {"rules": [{"id": "ghost", "predicate": {"type": "not_null", "column": "ghost"}}]}
+            ))
+            args, code = [*args, "--rules", str(rules)], 1
+        else:
+            monkeypatch.setattr(GatewayFleet, "START_TIMEOUT", 0.05)
+        spawned = []
+        spawn = GatewayFleet._spawn
+
+        def spy(self, *spawn_args, **spawn_kwargs):
+            spawned.append(spawn(self, *spawn_args, **spawn_kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(GatewayFleet, "_spawn", spy)
+        fleet = GatewayFleet(args, replicas=2)
+        with pytest.raises(ReproError, match=f"replica-0 exited with code {code} before serving"):
+            fleet.start()
+        assert len(spawned) == 2
+        assert all(replica.process.poll() is not None for replica in spawned)
+        assert fleet.targets() == []
+
+    def test_replicas_stop_when_their_fleet_process_is_killed(self, archive):
+        """A SIGKILLed fleet owner cannot stop its replicas; EOF on their
+        stdin does. The owner found ``repro`` through ``sys.path`` alone,
+        so the replica has to be given that directory too."""
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        src = str(Path(repro.__file__).resolve().parents[1])
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _FLEET_OWNER, src, archive],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            line = owner.stdout.readline()
+            assert line.strip().isdigit(), f"fleet owner exited with code {owner.wait()}"
+            port = int(line)
+            with Client(port=port) as client:
+                assert client.healthz()["status"] == "ok"
+        finally:
+            owner.kill()
+            owner.wait()
+            owner.stdout.close()
+        deadline = time.monotonic() + 10.0
+        while _answers(port):
+            assert time.monotonic() < deadline, f"replica on port {port} outlived its fleet"
+            time.sleep(0.1)
+
+    def test_router_cli_sigterm_stops_router_and_replicas(self, archive):
+        process, line = start_serve_process(
+            ["--pipeline", f"demo={archive}", "--replicas", "2", "--monitor-window", "0"]
+        )
+        try:
+            port = int(line.split(" (router over ")[0].rsplit(":", 1)[1])
+            replica_ports = [int(found) for found in re.findall(r"replica-\d+@[^,)]*:(\d+)", line)]
+            assert port != 0 and len(replica_ports) == 2
+            with Client(port=port) as client:
+                assert client.healthz()["healthy_replicas"] == 2
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+        assert not any(_answers(replica_port) for replica_port in replica_ports)

@@ -10,10 +10,17 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import framing
 from repro.api.requests import ValidateRequest
 from repro.core import DQuaG
@@ -56,6 +63,27 @@ def post_raw(port: int, path: str, body: bytes, content_type: str) -> "tuple[int
         return response.status, json.loads(response.read())
     finally:
         connection.close()
+
+
+def start_serve_process(args: "list[str]") -> "tuple[subprocess.Popen, str]":
+    """Run ``python -m repro.serve --port 0 ARGS`` until it prints its
+    ``serving … on URL`` line; returns the process and that line."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "--port", "0", *args],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    deadline = threading.Timer(120.0, process.kill)  # a hung server fails, not hangs
+    deadline.start()
+    try:
+        for line in process.stdout:
+            if line.startswith("serving "):
+                return process, line.rstrip()
+    finally:
+        deadline.cancel()
+    raise AssertionError(f"repro-serve exited with code {process.wait()} before serving")
 
 
 def make_batch(pipeline: DQuaG, n: int, seed: int, corrupt: int = 0) -> Table:
@@ -511,3 +539,25 @@ class TestErrorHandling:
         chunks = [batch.take(np.arange(i, i + 4)) for i in range(0, batch.n_rows, 4)]
         summary = client.validate_stream("demo", chunks)
         assert summary.n_chunks == 150 and summary.n_rows == batch.n_rows
+
+
+class TestServeProcess:
+    def test_port_zero_is_printed_and_sigterm_drains(self, served, tmp_path):
+        """``repro-serve --port 0`` prints the port it bound, and SIGTERM
+        stops it with the same drain as SIGINT: exit code 0."""
+        pipeline, _, _ = served
+        archive = tmp_path / "demo.npz"
+        pipeline.save(archive)
+        process, line = start_serve_process(["--pipeline", f"demo={archive}"])
+        try:
+            port = int(line.rsplit(":", 1)[1])
+            assert port != 0
+            with Client(port=port) as client:
+                assert client.validate("demo", [DEMO_RECORD]).row_flags.size == 1
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()

@@ -9,9 +9,12 @@ every serving process about a second and some 80 MiB at start. The
 experiment harness (``repro.experiments``) with its dataset simulators
 (``repro.datasets``) and error injectors (``repro.errors``) is for
 offline runs only; ``repro.api.protocol`` binds its ``ResultTable``
-inside the ``result_table`` codec. This test serves every endpoint from
-a fresh interpreter and asserts that none of these was loaded — also
-with networkx not installed at all.
+inside the ``result_table`` codec. No serving process imports
+``multiprocessing`` either: fleet replicas are plain ``repro-serve``
+subprocesses, so no gateway, router or replica starts a
+``resource_tracker``. This test serves every endpoint from a fresh
+interpreter and asserts that none of these was loaded — also with
+networkx not installed at all.
 """
 
 from __future__ import annotations
@@ -72,7 +75,10 @@ for gateway in gateways:
     gateway.close()
 for service in services:
     service.close()
-not_served = ("scipy", "networkx", "repro.experiments", "repro.datasets", "repro.errors")
+not_served = (
+    "scipy", "networkx", "repro.experiments", "repro.datasets", "repro.errors",
+    "multiprocessing",
+)
 print(json.dumps(sorted(
     name for name, module in sys.modules.items()
     if module is not None
