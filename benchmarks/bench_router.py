@@ -138,7 +138,7 @@ def test_router_fleet_throughput(demo_archive, scale):
             measured["router"] = run_stampede(
                 router.port, names, n_clients, per_client, batch
             )
-            metrics = router.metrics_text()
+            metrics = Client(port=router.port).metrics()
             assert "repro_router_replicas_healthy 4" in metrics
         finally:
             router.close()

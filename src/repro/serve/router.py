@@ -33,9 +33,10 @@ processes started by :class:`~repro.serve.fleet.GatewayFleet`):
   not evicted — the range moves on, and a 5xx that every replica
   repeats is relayed;
 * **health-checked membership** — a prober rides each replica's
-  ``GET /v1/healthz``: anything but ``200 {"status": "ok"}`` (including
-  the 503 ``"draining"`` a closing gateway reports) evicts the replica
-  from the ring lookup, and a restarted replica at the same address is
+  ``GET /v1/healthz``: anything but ``200 {"status": "ok"}`` within
+  :attr:`RouterGateway.HEALTH_TIMEOUT` (including the 503
+  ``"draining"`` a closing gateway reports) evicts the replica from the
+  ring lookup, and a restarted replica at the same address is
   re-admitted automatically. The ring itself never changes, so
   eviction/re-admission moves no other pipeline's home;
 * **fleet observability** — ``GET /v1/metrics`` scrapes every healthy
@@ -47,9 +48,13 @@ processes started by :class:`~repro.serve.fleet.GatewayFleet`):
 The router rides the same asyncio front as a worker gateway
 (:class:`~repro.serve.transport._HTTPFront`: connection loop, body
 reader, response writers, drain on close) and supplies only its routes.
-Its upstream calls are blocking ``http.client`` round-trips run on the
-front's executor; a scatter's chunk ranges are gathered on the event
-loop. The scatter path buffers one request's chunk list in router memory
+All of its socket I/O runs on that front's event loop: an upstream call
+is a coroutine over asyncio streams that reuses the replica's idle
+keep-alive connections, the prober is a task that probes every replica
+at once, and a scatter's chunk ranges are gathered there. Only CPU work,
+parsing a range's partials and the fold, goes to the front's executor.
+The router's state is touched on the loop alone, so it takes no lock.
+The scatter path buffers one request's chunk list in router memory
 (unlike a single gateway, which streams).
 """
 
@@ -59,10 +64,8 @@ import asyncio
 import hashlib
 import json
 import re
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPException
 from typing import Iterable
 from urllib.parse import quote, unquote
 
@@ -72,7 +75,6 @@ from repro.api.protocol import envelope, fold_context_from_dict
 from repro.exceptions import TransientServiceError
 from repro.monitor.export import PROMETHEUS_CONTENT_TYPE
 from repro.runtime.streaming import EMPTY_STREAM_MESSAGE, PartialReport, fold_partials
-from repro.serve.client import Client
 from repro.serve.gateway import (
     _MONITOR_ROUTE,
     _ROUTE,
@@ -81,7 +83,7 @@ from repro.serve.gateway import (
     parse_query_flag,
     parse_query_workers,
 )
-from repro.serve.transport import _HTTPFront, _iter_lines
+from repro.serve.transport import _MAX_LINE, _HTTPFront, _iter_lines, _read_headers
 from repro.utils.logging import get_logger
 
 __all__ = ["RouterGateway", "RouterTarget"]
@@ -95,6 +97,19 @@ _FORWARD_REQUEST_HEADERS = ("Content-Type", "Content-Encoding", "Accept", "Accep
 _RELAY_RESPONSE_HEADERS = ("Content-Encoding", "Retry-After", "Vary")
 
 _SAMPLE_LINE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})?\s+(\S+)$")
+
+#: a failed upstream call: OSError (``_request`` raises every transport or
+#: response fault as one) or a probe's deadline, no OSError before 3.11
+_UPSTREAM_ERRORS = (OSError, asyncio.TimeoutError)
+
+
+def _forward_headers(request) -> dict:
+    """The :data:`_FORWARD_REQUEST_HEADERS` a client request carries."""
+    return {
+        key: request.header(key.lower())
+        for key in _FORWARD_REQUEST_HEADERS
+        if request.header(key.lower()) is not None
+    }
 
 
 def _chunk_ranges(n_chunks: int, n_replicas: int) -> "list[tuple[int, int]]":
@@ -181,14 +196,17 @@ class RouterGateway(_HTTPFront):
     ``targets`` is any iterable of :class:`RouterTarget`,
     ``(name, host, port)`` tuples, or objects with ``.name``/``.host``/
     ``.port`` (a :class:`~repro.serve.fleet.WorkerHandle` works as is).
-    ``health_interval`` (seconds) paces the background prober;
-    ``check_workers()`` runs one probe round synchronously (used by
-    tests and by callers that manage their own cadence).
+    ``health_interval`` (seconds) paces the prober task, 0 turns it off;
+    ``check_workers()`` runs one probe round on demand (used by tests and
+    by callers that manage their own cadence).
     ``host``/``port``/``max_body_bytes`` and the lifecycle are the
     shared front's (see the module docstring).
     """
 
     _thread_name = "repro-router"
+
+    #: seconds a health probe may take before its replica counts as down
+    HEALTH_TIMEOUT = 2.0
 
     def __init__(
         self,
@@ -197,8 +215,6 @@ class RouterGateway(_HTTPFront):
         port: int = 8080,
         max_body_bytes: int | None = None,
         health_interval: float = 1.0,
-        health_timeout: float = 2.0,
-        upstream_timeout: float | None = None,
     ) -> None:
         self.targets: dict[str, RouterTarget] = {}
         for spec in targets:
@@ -210,10 +226,7 @@ class RouterGateway(_HTTPFront):
             raise ValueError("RouterGateway needs at least one replica target")
         super().__init__(host, port, max_body_bytes)
         self.health_interval = float(health_interval)
-        self.health_timeout = float(health_timeout)
-        self.upstream_timeout = upstream_timeout
         self._ring = _HashRing(self.targets)
-        self._state_lock = threading.Lock()
         self._counters = {
             "evictions": 0,
             "readmissions": 0,
@@ -222,9 +235,8 @@ class RouterGateway(_HTTPFront):
             "proxy_retries": 0,
         }
         self._replica_requests = {name: 0 for name in self.targets}
-        self._conn_local = threading.local()
-        self._health_thread: threading.Thread | None = None
-        self._health_stop = threading.Event()
+        #: per replica, its idle keep-alive connections (reader, writer)
+        self._idle: "dict[str, list]" = {name: [] for name in self.targets}
 
     @staticmethod
     def _as_target(spec) -> RouterTarget:
@@ -245,125 +257,121 @@ class RouterGateway(_HTTPFront):
 
     def _mark_dead(self, name: str) -> None:
         target = self.targets[name]
-        with self._state_lock:
-            if target.alive:
-                target.alive = False
-                self._counters["evictions"] += 1
-                logger.warning("replica %s evicted (transport error)", name)
+        if target.alive:
+            target.alive = False
+            self._counters["evictions"] += 1
+            logger.warning("replica %s evicted (transport error)", name)
 
-    def _probe(self, target: RouterTarget) -> bool:
-        connection = HTTPConnection(target.host, target.port, timeout=self.health_timeout)
+    async def _probe(self, target: RouterTarget) -> bool:
         try:
-            connection.request("GET", "/v1/healthz")
-            response = connection.getresponse()
-            raw = response.read()
+            status, _, raw = await asyncio.wait_for(
+                self._request(target, "GET", "/v1/healthz"), self.HEALTH_TIMEOUT
+            )
             payload = json.loads(raw) if raw else {}
-            target.last_payload = payload if isinstance(payload, dict) else None
-            # A draining gateway answers 503 {"status": "draining"}:
-            # unhealthy for routing purposes even though it still speaks.
-            return response.status == 200 and payload.get("status") == "ok"
-        except (OSError, HTTPException, ValueError):
+        except (*_UPSTREAM_ERRORS, ValueError):
             return False
-        finally:
-            connection.close()
+        target.last_payload = payload if isinstance(payload, dict) else None
+        # A draining gateway answers 503 {"status": "draining"}:
+        # unhealthy for routing purposes even though it still speaks.
+        return status == 200 and isinstance(payload, dict) and payload.get("status") == "ok"
 
-    def check_workers(self) -> dict:
-        """One synchronous probe round; returns ``{name: healthy}``.
-
-        Transitions are counted (``repro_router_evictions_total`` /
-        ``..._readmissions_total``) and logged. The background prober
-        calls this every ``health_interval`` seconds; tests call it
-        directly for deterministic eviction/re-admission assertions.
-        """
-        results = {}
-        for name, target in self.targets.items():
-            healthy = self._probe(target)
-            with self._state_lock:
-                if target.alive and not healthy:
-                    self._counters["evictions"] += 1
-                    logger.warning("replica %s evicted (health probe)", name)
-                elif not target.alive and healthy:
-                    self._counters["readmissions"] += 1
-                    logger.info("replica %s re-admitted", name)
-                target.alive = healthy
-            results[name] = healthy
+    async def _check_workers(self) -> dict:
+        names = list(self.targets)
+        probes = await asyncio.gather(*(self._probe(self.targets[name]) for name in names))
+        results = dict(zip(names, probes))
+        for name, healthy in results.items():
+            target = self.targets[name]
+            if target.alive and not healthy:
+                self._counters["evictions"] += 1
+                logger.warning("replica %s evicted (health probe)", name)
+            elif not target.alive and healthy:
+                self._counters["readmissions"] += 1
+                logger.info("replica %s re-admitted", name)
+            target.alive = healthy
         return results
 
-    def _health_loop(self) -> None:
-        while not self._health_stop.wait(self.health_interval):
+    def check_workers(self) -> dict:
+        """One probe round; returns ``{name: healthy}``.
+
+        Every replica is probed at once, each within
+        :attr:`HEALTH_TIMEOUT`. Transitions are counted
+        (``repro_router_evictions_total`` / ``..._readmissions_total``)
+        and logged. The round runs on the router's event loop, so the
+        router must be started and this called from another thread; the
+        prober task runs the same round every ``health_interval`` seconds.
+        """
+        if self._loop is None:
+            raise RuntimeError("check_workers() needs a started router")
+        return asyncio.run_coroutine_threadsafe(self._check_workers(), self._loop).result()
+
+    async def _health_loop(self) -> None:
+        while True:
+            await asyncio.sleep(self.health_interval)
             try:
-                self.check_workers()
+                await self._check_workers()
             except Exception:  # pragma: no cover - prober must never die
                 logger.exception("health probe round failed")
 
     # -- upstream requests -------------------------------------------------
-    def _thread_conns(self) -> dict:
-        conns = getattr(self._conn_local, "conns", None)
-        if conns is None:
-            conns = self._conn_local.conns = {}
-        return conns
+    async def _request(
+        self, target: RouterTarget, method: str, path: str,
+        body: bytes | None = None, headers: dict | None = None,
+    ) -> "tuple[int, dict, bytes]":
+        """One upstream round-trip: (status, headers lower-cased, body).
 
-    def _request(
-        self,
-        target: RouterTarget,
-        method: str,
-        path: str,
-        body: bytes | None = None,
-        headers: dict | None = None,
-    ) -> "tuple[int, object, bytes]":
-        """One upstream round-trip with per-thread connection reuse.
-
-        A pooled socket the replica closed while idle fails before the
-        status line with one of :attr:`Client._STALE_SOCKET_ERRORS`; only
-        that is retried, once, on a fresh connection, as the client does.
-        Any other failure, a response cut mid-body included, is raised:
-        the replica may already have run the request.
+        It rides an idle keep-alive connection of the replica if one is
+        left, and is resent once, on a fresh connection, only when that
+        one dies before the status line (closed while idle), as the client
+        does. Every other failure raises OSError, a response cut mid-body,
+        without ``Content-Length`` or over a request head's bounds
+        included: the replica may have run the request. No deadline: a
+        replica that accepts and never answers holds the call.
         """
-        conns = self._thread_conns()
+        body = body or b""
+        lines = [f"{method} {path} HTTP/1.1", f"Host: {target.host}:{target.port}",
+                 f"Content-Length: {len(body)}"]
+        lines.extend(f"{key}: {value}" for key, value in (headers or {}).items())
+        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        idle = self._idle[target.name]
         for attempt in (0, 1):
-            connection = conns.pop(target.name, None)
-            reused = connection is not None
-            if connection is None:
-                connection = HTTPConnection(
-                    target.host, target.port, timeout=self.upstream_timeout
+            reused = bool(idle) and not attempt
+            if reused:
+                reader, writer = idle.pop()
+            else:
+                reader, writer = await asyncio.open_connection(
+                    target.host, target.port, limit=_MAX_LINE * 2
                 )
+            status_line = b""
             try:
-                connection.request(method, path, body=body, headers=headers or {})
-                response = connection.getresponse()
+                writer.writelines((head, body))  # no second copy of the body outlives the write
+                await writer.drain()
+                status_line = await reader.readline()
+                if not status_line:
+                    raise ConnectionResetError(f"replica {target.name} hung up before answering")
+                status = int(status_line.split()[1])
+                response = await _read_headers(reader)
+                raw = await reader.readexactly(int(response["content-length"]))
                 break
-            except Client._STALE_SOCKET_ERRORS:
-                connection.close()
-                if not reused or attempt:
-                    raise
-            except (OSError, HTTPException):
-                connection.close()
+            except BaseException as exc:
+                writer.close()
+                if reused and not status_line and isinstance(exc, ConnectionError):
+                    continue
+                if isinstance(
+                    exc, (LookupError, ValueError, _RequestError, asyncio.IncompleteReadError)
+                ):
+                    raise ConnectionError(
+                        f"replica {target.name} sent a malformed or cut response: {exc!r}"
+                    ) from None
                 raise
-        try:
-            raw = response.read()
-        except (OSError, HTTPException):
-            connection.close()
-            raise
-        if response.will_close:
-            connection.close()
+        if response.get("connection", "").lower() == "close":
+            writer.close()
         else:
-            conns[target.name] = connection
-        return response.status, response.headers, raw
+            idle.append((reader, writer))
+        return status, response, raw
 
-    def _count(self, key: str, replica: str | None = None) -> None:
-        with self._state_lock:
-            if key:
-                self._counters[key] += 1
-            if replica is not None:
-                self._replica_requests[replica] += 1
-
-    def proxy(
-        self,
-        key: str,
-        method: str,
-        path: str,
-        body: bytes | None,
-        headers: dict | None,
-    ) -> "tuple[int, object, bytes]":
+    async def proxy(
+        self, key: str, method: str, path: str, body: bytes | None, headers: dict
+    ) -> "tuple[int, dict, bytes]":
         """Send to the key's home replica; fail over along the ring."""
         candidates = self._ring.order(key, self.alive_names())
         if not candidates:
@@ -371,36 +379,35 @@ class RouterGateway(_HTTPFront):
         last_error: Exception | None = None
         for position, name in enumerate(candidates):
             if position:
-                self._count("proxy_retries")
+                self._counters["proxy_retries"] += 1
             try:
-                result = self._request(self.targets[name], method, path, body, headers)
-            except (OSError, HTTPException) as exc:
+                result = await self._request(self.targets[name], method, path, body, headers)
+            except _UPSTREAM_ERRORS as exc:
                 self._mark_dead(name)
                 last_error = exc
                 continue
-            self._count("", replica=name)
+            self._replica_requests[name] += 1
             return result
         raise TransientServiceError(
             f"all {len(candidates)} replica(s) failed for {method} {path}: {last_error}"
         )
 
-    def fanout_rules(
-        self, name: str, method: str, path: str, body: bytes | None
-    ) -> "tuple[int, object, bytes]":
+    async def fanout_rules(
+        self, name: str, method: str, path: str, body: bytes | None, headers: dict
+    ) -> "tuple[int, dict, bytes]":
         """Apply a rules write on every healthy replica; answer with the
         home replica's canonical response."""
         candidates = self._ring.order(name, self.alive_names())
         if not candidates:
             raise TransientServiceError("no healthy replicas available")
-        headers = {"Content-Type": "application/json"} if body is not None else {}
         home_result = None
         for replica in candidates:
             try:
-                result = self._request(self.targets[replica], method, path, body, headers)
-            except (OSError, HTTPException):
+                result = await self._request(self.targets[replica], method, path, body, headers)
+            except _UPSTREAM_ERRORS:
                 self._mark_dead(replica)
                 continue
-            self._count("", replica=replica)
+            self._replica_requests[replica] += 1
             if home_result is None:
                 home_result = result
         if home_result is None:
@@ -417,9 +424,8 @@ class RouterGateway(_HTTPFront):
 
         Returns the decoded partials in global chunk order, offsets
         re-globalized, and the fold context every range was judged with.
-        Each chunk range is one blocking upstream POST on the executor;
-        the ranges are gathered here on the event loop, so no executor
-        task ever waits on another.
+        Each chunk range is one upstream POST; the ranges are gathered
+        here on the event loop, and only their parses use the executor.
         """
         order = self.scatter_order(name)
         if not order:
@@ -428,14 +434,8 @@ class RouterGateway(_HTTPFront):
         headers = {"Content-Type": content_type}
         ranges = await asyncio.gather(
             *(
-                self._run(
-                    self._scatter_range,
-                    name,
-                    path,
-                    b"".join(chunks[start:stop]),
-                    headers,
-                    replica,
-                    stop - start,
+                self._scatter_range(
+                    name, path, b"".join(chunks[start:stop]), headers, replica, stop - start
                 )
                 for (start, stop), replica in zip(_chunk_ranges(len(chunks), len(order)), order)
             ),
@@ -458,10 +458,10 @@ class RouterGateway(_HTTPFront):
         for partial in partials:
             partial.offset = offset
             offset += partial.n_rows
-        self._count("streams_scattered")
+        self._counters["streams_scattered"] += 1
         return partials, fold_context_from_dict(contexts[0])
 
-    def _scatter_range(
+    async def _scatter_range(
         self,
         name: str,
         path: str,
@@ -484,17 +484,17 @@ class RouterGateway(_HTTPFront):
         answer: "tuple[int, str] | None" = None  # last 5xx (status, message)
         while replica is not None:
             try:
-                status, _, raw = self._request(
+                status, _, raw = await self._request(
                     self.targets[replica], "POST", path, body, headers
                 )
-            except (OSError, HTTPException) as exc:
+            except _UPSTREAM_ERRORS as exc:
                 self._mark_dead(replica)
                 last_error = exc
             else:
                 if status == 200:
-                    partials, context = self._parse_range(raw)
+                    partials, context = await self._run(self._parse_range, raw)
                     if len(partials) == n_chunks and context is not None:
-                        self._count("", replica=replica)
+                        self._replica_requests[replica] += 1
                         return partials, context
                     # Never merge a wrong-shaped range, or one without the
                     # context it was judged with: retry it elsewhere.
@@ -518,7 +518,7 @@ class RouterGateway(_HTTPFront):
             ]
             replica = survivors[0] if survivors else None
             if replica is not None:
-                self._count("rescatters")
+                self._counters["rescatters"] += 1
         if answer is not None:
             raise _RequestError(*answer)
         raise TransientServiceError(
@@ -578,19 +578,28 @@ class RouterGateway(_HTTPFront):
         )
         return payload
 
-    def pipelines_payload(self) -> dict:
+    async def _scrape(self, path: str) -> "list[tuple[str, bytes]]":
+        """``GET path`` on every healthy replica at once: the 200 bodies by
+        replica name, in name order. A transport error evicts its replica."""
+
+        async def get(name: str) -> "bytes | None":
+            try:
+                status, _, raw = await self._request(self.targets[name], "GET", path)
+            except _UPSTREAM_ERRORS:
+                self._mark_dead(name)
+                return None
+            return raw if status == 200 else None
+
+        names = sorted(self.alive_names())
+        bodies = await asyncio.gather(*map(get, names))
+        return [(name, raw) for name, raw in zip(names, bodies) if raw is not None]
+
+    async def pipelines_payload(self) -> dict:
         """Fleet-wide :class:`ServiceStats`: counters summed, residency
         OR-ed, ``registered`` maxed (every replica registers the same
         set)."""
         merged: dict | None = None
-        for name in sorted(self.alive_names()):
-            try:
-                status, _, raw = self._request(self.targets[name], "GET", "/v1/pipelines")
-            except (OSError, HTTPException):
-                self._mark_dead(name)
-                continue
-            if status != 200:
-                continue
+        for _, raw in await self._scrape("/v1/pipelines"):
             payload = json.loads(raw)
             if merged is None:
                 merged = payload
@@ -612,13 +621,11 @@ class RouterGateway(_HTTPFront):
             raise TransientServiceError("no healthy replicas available")
         return merged
 
-    def metrics_text(self) -> str:
+    async def metrics_text(self) -> str:
         """Fleet Prometheus exposition: the ``repro_router_*`` family
         first, then every replica metric regrouped under one HELP/TYPE
         block with a ``replica`` label on each sample."""
-        with self._state_lock:
-            counters = dict(self._counters)
-            replica_requests = dict(self._replica_requests)
+        counters = self._counters
         alive = self.alive_names()
         lines: list[str] = []
 
@@ -637,7 +644,7 @@ class RouterGateway(_HTTPFront):
             lines.append(f'repro_router_replica_up{{replica="{name}"}} {int(name in alive)}')
         lines.append("# HELP repro_router_requests_total Requests routed, per replica.")
         lines.append("# TYPE repro_router_requests_total counter")
-        for name, count in replica_requests.items():
+        for name, count in self._replica_requests.items():
             lines.append(f'repro_router_requests_total{{replica="{name}"}} {count}')
         gauge("repro_router_evictions_total",
               "Replica evictions (failed probe or transport error).", counters["evictions"], "counter")
@@ -654,46 +661,29 @@ class RouterGateway(_HTTPFront):
               counters["proxy_retries"], "counter")
 
         # Prometheus requires all samples of one metric in one block —
-        # regroup across replicas instead of concatenating expositions.
-        order: list[str] = []
+        # regroup across replicas, in first-seen order, instead of
+        # concatenating expositions. The first HELP and TYPE text wins.
         metrics: dict[str, dict] = {}
-        for name in sorted(alive):
-            try:
-                status, _, raw = self._request(self.targets[name], "GET", "/v1/metrics")
-            except (OSError, HTTPException):
-                self._mark_dead(name)
-                continue
-            if status != 200:
-                continue
+        for name, raw in await self._scrape("/v1/metrics"):
             for line in raw.decode("utf-8", "replace").splitlines():
                 if line.startswith("# HELP ") or line.startswith("# TYPE "):
-                    keyword = line[2:6]
-                    rest = line[7:]
-                    metric, _, text = rest.partition(" ")
-                    entry = metrics.get(metric)
-                    if entry is None:
-                        entry = metrics[metric] = {"help": None, "type": None, "samples": []}
-                        order.append(metric)
-                    key = "help" if keyword == "HELP" else "type"
-                    if entry[key] is None:
-                        entry[key] = text
+                    metric, _, text = line[7:].partition(" ")
+                    metrics.setdefault(metric, {"samples": []}).setdefault(line[2:6], text)
                 elif line and not line.startswith("#"):
                     match = _SAMPLE_LINE.match(line)
                     if match is None:
                         continue
                     metric, labels, value = match.groups()
-                    entry = metrics.get(metric)
-                    if entry is None:
-                        entry = metrics[metric] = {"help": None, "type": None, "samples": []}
-                        order.append(metric)
                     labeled = f'replica="{name}"' + (f",{labels}" if labels else "")
-                    entry["samples"].append(f"{metric}{{{labeled}}} {value}")
-        for metric in order:
-            entry = metrics[metric]
-            if entry["help"] is not None:
-                lines.append(f"# HELP {metric} {entry['help']}")
-            if entry["type"] is not None:
-                lines.append(f"# TYPE {metric} {entry['type']}")
+                    metrics.setdefault(metric, {"samples": []})["samples"].append(
+                        f"{metric}{{{labeled}}} {value}"
+                    )
+        for metric, entry in metrics.items():
+            lines.extend(
+                f"# {keyword} {metric} {entry[keyword]}"
+                for keyword in ("HELP", "TYPE")
+                if keyword in entry
+            )
             lines.extend(entry["samples"])
         return "\n".join(lines) + "\n"
 
@@ -709,12 +699,12 @@ class RouterGateway(_HTTPFront):
                     writer, request, 200 if payload["status"] == "ok" else 503, payload
                 )
             elif path == "/v1/metrics":
-                text = await self._run(self.metrics_text)
+                text = await self.metrics_text()
                 await self._send_body(
                     writer, request, 200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE
                 )
             elif path == "/v1/pipelines":
-                await self._send_json(writer, request, 200, await self._run(self.pipelines_payload))
+                await self._send_json(writer, request, 200, await self.pipelines_payload())
             else:
                 match = _MONITOR_ROUTE.match(path) or _RULES_ROUTE.match(path)
                 if match is None:
@@ -731,8 +721,8 @@ class RouterGateway(_HTTPFront):
             # Rule writes fan out to *every* healthy replica: the scatter
             # path may execute a stream on any of them, and all must
             # agree on the attached rule set.
-            result = await self._run(
-                self.fanout_rules, unquote(match["name"]), method, request.target, raw
+            result = await self.fanout_rules(
+                unquote(match["name"]), method, request.target, raw, _forward_headers(request)
             )
             return await self._relay(writer, result)
         if method == "POST":
@@ -751,28 +741,23 @@ class RouterGateway(_HTTPFront):
 
     async def _proxy_relay(self, writer, request, name: str, raw: bytes | None) -> bool:
         """Proxy the request as received to ``name``'s home replica."""
-        headers = {}
-        for key in _FORWARD_REQUEST_HEADERS:
-            value = request.header(key.lower())
-            if value is not None:
-                headers[key] = value
-        result = await self._run(
-            self.proxy, name, request.method, request.target, raw, headers
+        result = await self.proxy(
+            name, request.method, request.target, raw, _forward_headers(request)
         )
         return await self._relay(writer, result)
 
-    async def _relay(self, writer, result: "tuple[int, object, bytes]") -> bool:
+    async def _relay(self, writer, result: "tuple[int, dict, bytes]") -> bool:
         status, headers, raw = result
         relayed = [
-            (key, headers.get(key))
+            (key, headers[key.lower()])
             for key in _RELAY_RESPONSE_HEADERS
-            if headers.get(key) is not None
+            if key.lower() in headers
         ]
         # Mirror the worker gateways: an error response may leave
         # request-body bytes unread on the wire, so hang up rather than
         # misparse them as the next request.
         close = status >= 400
-        await self._write(writer, status, raw, headers.get("Content-Type"), relayed, close)
+        await self._write(writer, status, raw, headers.get("content-type"), relayed, close)
         return not close
 
     async def _route_stream(self, writer, request, body, name: str) -> bool:
@@ -828,16 +813,18 @@ class RouterGateway(_HTTPFront):
 
     # -- lifecycle ---------------------------------------------------------
     async def _main(self) -> None:
-        # The prober runs while the router serves.
-        if self._health_thread is None and self.health_interval > 0:
-            self._health_thread = threading.Thread(
-                target=self._health_loop, name="repro-router-health", daemon=True
-            )
-            self._health_thread.start()
-        await super()._main()
-
-    def _release(self) -> None:
-        self._health_stop.set()
-        if self._health_thread is not None:
-            self._health_thread.join(timeout=5.0)
-            self._health_thread = None
+        # The prober runs while the router serves; the idle upstream
+        # connections close once it stops.
+        prober = (
+            asyncio.create_task(self._health_loop()) if self.health_interval > 0 else None
+        )
+        try:
+            await super()._main()
+        finally:
+            if prober is not None:
+                prober.cancel()
+                await asyncio.gather(prober, return_exceptions=True)
+            for connections in self._idle.values():
+                for _, writer in connections:
+                    writer.close()
+                connections.clear()

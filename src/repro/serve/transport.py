@@ -36,9 +36,8 @@ In the gateway the event loop itself never blocks:
 
 ``close()`` drains: the listener stops, in-flight requests get
 ``drain_timeout`` seconds to finish, idle keep-alive connections are
-cancelled, the executor finishes its work, and only then does each
-server release what it owns (the gateway's scheduler, the router's
-health prober).
+cancelled, the executor finishes its work, and only then does the
+gateway release its scheduler.
 
 Errors map to statuses through the shared contract,
 :func:`repro.serve.gateway.failure_status`.
@@ -106,6 +105,22 @@ class _Request:
 
     def header(self, name: str) -> str | None:
         return self.headers.get(name)
+
+
+async def _read_headers(reader: asyncio.StreamReader) -> "dict[str, str]":
+    """A request's or response's header lines up to the blank one, names
+    lower-cased: at most ``_MAX_HEADERS`` (431), each ``name: value`` (400).
+    A line over the reader's limit raises ValueError."""
+    headers: "dict[str, str]" = {}
+    for _ in range(_MAX_HEADERS):
+        raw = await reader.readline()
+        if raw in (b"\r\n", b"\n", b""):
+            return headers
+        name, sep, value = raw.decode("latin-1").partition(":")
+        if not sep:
+            raise _RequestError(400, "malformed header line")
+        headers[name.strip().lower()] = value.strip()
+    raise _RequestError(431, "too many header fields")
 
 
 def _limit_error(limit: int) -> _RequestError:
@@ -288,7 +303,9 @@ class _HTTPFront:
     for streaming uploads — whose *total* length stays unbounded by
     design. For gzipped bodies the bound applies to the decompressed
     size. Blocking work runs on an executor of ``max(8, min(32, 4 ×
-    CPUs))`` threads. A subclass implements :meth:`_route` and may
+    CPUs))`` threads, started as needed: the gateway's decodes and
+    engine work, but never a socket call (the router's upstream I/O is
+    on the loop too). A subclass implements :meth:`_route` and may
     override :meth:`_release`.
     """
 
@@ -488,17 +505,7 @@ class _HTTPFront:
             except ValueError:  # e.g. an unclosed IPv6 bracket: "//[x"
                 raise _RequestError(400, "malformed request target") from None
             what = "header line"
-            headers: "dict[str, str]" = {}
-            for _ in range(_MAX_HEADERS):
-                raw = await reader.readline()
-                if raw in (b"\r\n", b"\n", b""):
-                    break
-                name, sep, value = raw.decode("latin-1").partition(":")
-                if not sep:
-                    raise _RequestError(400, "malformed header line")
-                headers[name.strip().lower()] = value.strip()
-            else:
-                raise _RequestError(431, "too many header fields")
+            headers = await _read_headers(reader)
         except (ValueError, asyncio.LimitOverrunError):
             await self._send_error(writer, None, _RequestError(400, f"{what} too long"))
             return None
@@ -757,7 +764,7 @@ class AsyncGateway(_HTTPFront):
             raise _RequestError(400, "empty request body")
         try:
             return json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or a body that is not UTF-8
             raise _RequestError(400, f"malformed JSON body: {exc}") from exc
 
     async def _read_request(self, request: _Request, body: _BodyReader, name: str, kind):
@@ -871,7 +878,7 @@ class AsyncGateway(_HTTPFront):
     def _ndjson_table(schema, line: bytes) -> Table:
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or a line that is not UTF-8
             raise _RequestError(400, f"malformed NDJSON chunk: {exc}") from exc
         # ``{"records": [...]}`` or the bare list: either way the rows
         # must be row objects, exactly as in a /validate body.

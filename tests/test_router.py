@@ -17,7 +17,10 @@ set: it folds each scatter under the fold context its ranges return, so
 state changed on the replicas behind its back still folds to the
 single-node answer, and ranges that disagree get a retryable 503. An
 upstream request is resent only when its pooled socket went stale
-before the status line. The router serves on the same
+before the status line. Upstream calls and health probes run on the
+router's event loop and share its idle connections: a hung replica
+fails its probe on time, a prober running beside traffic changes no
+answer, and no upstream call takes a thread. The router serves on the same
 asyncio front as a gateway, so drain-on-close, relayed keep-alive and
 gzipped bodies are pinned here too.
 
@@ -31,6 +34,7 @@ the ``--replicas`` CLI stopping on SIGTERM.
 
 from __future__ import annotations
 
+import asyncio
 import gzip
 import http.client
 import json
@@ -43,6 +47,7 @@ import sys
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -521,6 +526,78 @@ class TestMembership:
             router.close()
             stub.close()
 
+    def test_hung_replica_fails_its_probe_on_time(self, cluster):
+        # A listener that never accepts: the kernel completes each TCP
+        # handshake, and nothing ever answers the probe.
+        with socket.socket() as hung:
+            hung.bind(("127.0.0.1", 0))
+            hung.listen()
+            router = RouterGateway(
+                [("hung", "127.0.0.1", hung.getsockname()[1]),
+                 ("live", "127.0.0.1", cluster.replica_ports[0])],
+                port=0, health_interval=0,
+            ).start()
+            try:
+                started = time.monotonic()
+                assert router.check_workers() == {"hung": False, "live": True}
+                assert time.monotonic() - started < RouterGateway.HEALTH_TIMEOUT + 1.0
+                assert router.alive_names() == {"live"}
+            finally:
+                router.close()
+
+    def test_prober_runs_beside_traffic(self, cluster):
+        """Probes and requests share each replica's idle connections; a
+        round every 50 ms changes no answer and evicts nobody."""
+        router = RouterGateway(
+            [(f"replica-{i}", "127.0.0.1", port) for i, port in enumerate(cluster.replica_ports)],
+            port=0, health_interval=0.05,
+        ).start()
+        try:
+            for index in (0, 3, 6):
+                table = make_scenario(index)
+                chunks = _chunks(table)
+                reference = cluster.single.validate("demo", table, include_errors=True)
+                single_stream = cluster.single.validate_stream("demo", chunks).to_dict()
+                for wire in ("json", "frame"):
+                    with Client(port=router.port, wire=wire) as client:
+                        assert client.validate_stream("demo", chunks).to_dict() == single_stream
+                        routed = client.validate("demo", table, include_errors=True)
+                        assert_reports_identical(reference, routed, f"prober-{wire}")
+            assert router._counters["streams_scattered"] == 6
+            assert all(target.last_payload is not None for target in router.targets.values())
+            assert router._counters["evictions"] == 0
+            assert router._counters["readmissions"] == 0
+        finally:
+            router.close()
+
+    def test_upstream_io_starts_no_thread(self, cluster):
+        """Proxied calls and rule fan-outs run on the router's loop, and
+        so does the prober: no prober thread, no executor thread."""
+        router = RouterGateway(
+            [(f"replica-{i}", "127.0.0.1", port) for i, port in enumerate(cluster.replica_ports)],
+            port=0, health_interval=0.05,
+        ).start()
+        table = make_clean(32, seed=7)
+        reference = cluster.single.validate("demo", table, include_errors=True)
+
+        def validate(_):
+            with Client(port=router.port) as client:
+                return client.validate("demo", table, include_errors=True)
+
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                for routed in pool.map(validate, range(16)):
+                    assert_reports_identical(reference, routed, "concurrent")
+            with Client(port=router.port) as client:
+                client.set_rules("demo", RULES_DOC)
+                assert client.get_rules("demo").name == RULES_DOC["name"]
+            time.sleep(0.2)  # a few probe rounds
+            assert "repro-router-health" not in [thread.name for thread in threading.enumerate()]
+            assert not router._executor._threads
+        finally:
+            router.close()
+            cluster.routed.delete_rules("demo")
+
 
 class TestFailover:
     def test_worker_dying_midstream_rescatters_exactly(self, cluster):
@@ -592,11 +669,15 @@ class TestFailover:
         # pooled socket gone stale before the status line is.
         stub = _StubWorker(status="ok", cut_body=True)
         router = RouterGateway([("stub", "127.0.0.1", stub.port)], port=0, health_interval=0)
-        try:
-            target = router.targets["stub"]
-            assert router._request(target, "GET", "/v1/healthz")[0] == 200  # pools the socket
+        target = router.targets["stub"]
+
+        async def exchange():
+            assert (await router._request(target, "GET", "/v1/healthz"))[0] == 200  # pools it
             with pytest.raises((http.client.HTTPException, OSError)):
-                router._request(target, "POST", "/v1/pipelines/demo/validate_stream", b"{}\n")
+                await router._request(target, "POST", "/v1/pipelines/demo/validate_stream", b"{}\n")
+
+        try:
+            asyncio.run(exchange())
             assert stub.posts == 1
         finally:
             router.close()
@@ -669,11 +750,13 @@ def _ndjson_body(chunks) -> bytes:
     )
 
 
-def _post(port: int, path: str, body: bytes, headers: dict) -> "tuple[int, bytes]":
-    """One POST on a fresh connection; returns (status, body)."""
+def _post(
+    port: int, path: str, body: bytes, headers: dict, method: str = "POST"
+) -> "tuple[int, bytes]":
+    """One POST (or ``method``) on a fresh connection; returns (status, body)."""
     conn = HTTPConnection("127.0.0.1", port, timeout=60)
     try:
-        conn.request("POST", path, body=body, headers=headers)
+        conn.request(method, path, body=body, headers=headers)
         response = conn.getresponse()
         return response.status, response.read()
     finally:
@@ -785,6 +868,23 @@ class TestSharedFront:
         assert routed == single  # every ack line and the summary
         assert len(single) == len(chunks) + 1
         assert cluster.router._counters["streams_scattered"] == scattered + 1
+
+        rules = gzip.compress(json.dumps(RULES_DOC).encode())
+        try:
+            replies = [
+                _post(port, "/v1/pipelines/demo/rules", rules,
+                      {"Content-Type": "application/json", **gzipped}, method="PUT")
+                for port in (cluster.gateways[0].port, cluster.router.port)
+            ]
+            assert [status for status, _ in replies] == [200, 200], replies
+            attached = json.loads(replies[0][1])
+            assert json.loads(replies[1][1]) == attached
+            for port in cluster.replica_ports:
+                with Client(port=port) as replica:
+                    assert replica._request("GET", "/v1/pipelines/demo/rules") == attached
+        finally:
+            cluster.single.delete_rules("demo")
+            cluster.routed.delete_rules("demo")
 
 
 def _answers(port: int) -> bool:

@@ -439,17 +439,23 @@ class TestErrorHandling:
 
     def test_malformed_json_400(self, served):
         _, gateway, _ = served
-        connection = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=30)
-        try:
-            connection.request(
-                "POST", "/v1/pipelines/demo/validate", body=b"{not json",
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            assert response.status == 400
-            assert json.loads(response.read())["kind"] == "error"
-        finally:
-            connection.close()
+        # Not JSON, then bodies that are not UTF-8 (one 0xff byte) on
+        # each endpoint that reads JSON or NDJSON.
+        for method, path, body, content_type in (
+            ("POST", "/v1/pipelines/demo/validate", b"{not json", "application/json"),
+            ("POST", "/v1/pipelines/demo/validate", b'{"records": "\xff"}', "application/json"),
+            ("PUT", "/v1/pipelines/demo/rules", b'{"name": "\xff"}', "application/json"),
+            ("POST", "/v1/pipelines/demo/validate_stream", b'{"records": "\xff"}\n',
+             "application/x-ndjson"),
+        ):
+            connection = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=30)
+            try:
+                connection.request(method, path, body=body, headers={"Content-Type": content_type})
+                response = connection.getresponse()
+                assert response.status == 400, (method, path)
+                assert json.loads(response.read())["kind"] == "error"
+            finally:
+                connection.close()
 
     def test_schema_version_gate_on_requests(self, served):
         _, gateway, _ = served
