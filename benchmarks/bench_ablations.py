@@ -1,8 +1,9 @@
-"""Design-choice ablations (beyond the paper's Table 2; DESIGN.md §6).
+"""Design-choice ablations, beyond the paper's Table 2.
 
 Isolates the weighted validation loss, the feature-graph source, and the
 threshold percentile on the hidden-conflict scenario, and benchmarks one
-training epoch of the default configuration.
+training epoch of the default configuration (see
+README.md#interpretability-and-ablations).
 """
 
 from __future__ import annotations

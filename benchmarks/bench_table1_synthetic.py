@@ -33,8 +33,9 @@ def test_table1_shape_holds(table1_result, benchmark, scale):
         assert r.accuracy(dataset, scenario, "dquag") >= 0.88, (dataset, scenario)
         assert r.recall(dataset, scenario, "dquag") >= 0.88, (dataset, scenario)
     # The credit conflicts are the subtlest scenarios: the injectors keep
-    # every forced marginal deep in-range (EXPERIMENTS.md), which also
-    # thins the model's signal — still far above the rule systems' zero.
+    # every forced marginal deep in-range, which also thins the model's
+    # signal — still far above the rule systems' zero (see
+    # README.md#credit-conflict-and-sample-size-variance).
     for scenario in ("Conflicts-1", "Conflicts-2"):
         assert r.accuracy("credit", scenario, "dquag") >= 0.75, scenario
         assert r.recall("credit", scenario, "dquag") >= 0.6, scenario

@@ -29,7 +29,7 @@ def test_table3_shape_holds(table3_result, benchmark, scale):
         sizes = sorted(accuracies)
         # Large batches classify near-perfectly (paper: 100% by 500; the
         # 6% cutoff leaves ~1% binomial noise at 500 rows, see
-        # EXPERIMENTS.md for the variance analysis).
+        # README.md#credit-conflict-and-sample-size-variance).
         for size in sizes:
             if size >= 500:
                 assert accuracies[size] >= 0.9, (dataset, size)

@@ -49,23 +49,24 @@ def main() -> None:
     print(f"streaming validate: {summary.summary()}")
 
     # 4. A ValidationService fronts many saved pipelines with an LRU
-    #    cache and a thread pool. Archives are self-contained — loading
-    #    needs no clean table.
+    #    cache; each call runs on the caller's thread. Archives are
+    #    self-contained — loading needs no clean table.
     with tempfile.TemporaryDirectory() as tmp:
         hotel.save(Path(tmp) / "hotel.npz")
         taxi.save(Path(tmp) / "taxi.npz")
 
         dirty_hotel, _ = NumericAnomalyInjector(["adr"], fraction=0.3).inject(hotel_holdout, rng=2)
-        with ValidationService(capacity=2, max_workers=4) as service:
+        with ValidationService(capacity=2) as service:
             service.register("hotel", Path(tmp) / "hotel.npz")
             service.register("taxi", Path(tmp) / "taxi.npz")
-            reports = service.validate_many(
-                [
+            reports = [
+                service.validate(name, batch)
+                for name, batch in [
                     ("hotel", hotel_holdout),
                     ("hotel", dirty_hotel),
                     ("taxi", taxi_holdout),
                 ]
-            )
+            ]
             print("\nservice verdicts:")
             for label, rep in zip(["hotel clean", "hotel dirty", "taxi clean"], reports):
                 print(f"  {label:12s} → {rep.summary()}")

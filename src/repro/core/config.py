@@ -51,7 +51,7 @@ class DQuaGConfig:
     # k = 5, but for a single corrupted cell among F features the maximum
     # attainable z-score is √(F−1) (≈3.3 at F=12), so the literal rule can
     # never fire on the evaluation schemas; k = 2.5 keeps the rule's form
-    # while making it achievable (see DESIGN.md §4.3 / EXPERIMENTS.md).
+    # while making it achievable (see README.md#per-feature-cell-rule-43).
     feature_sigma: float = 2.5
     # Percentile of per-feature clean cell errors used as an absolute
     # cell-level outlier threshold within flagged rows (complements the

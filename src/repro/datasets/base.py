@@ -1,9 +1,10 @@
 """Dataset simulator framework.
 
 Each generator synthesizes one of the paper's six public datasets
-(DESIGN.md §1 — the offline substitute for Kaggle/NYC-OpenData CSVs):
-same schema, realistic marginal distributions, and — crucially — the
-inter-feature dependencies that DQuaG is supposed to learn.
+(the offline substitute for Kaggle/NYC-OpenData CSVs, see
+README.md#offline-substitutes): same schema, realistic marginal
+distributions, and — crucially — the inter-feature dependencies that
+DQuaG is supposed to learn.
 
 Two families mirror §4.1.1:
 

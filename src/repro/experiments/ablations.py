@@ -1,6 +1,7 @@
-"""Ablations beyond the paper's Table 2 (DESIGN.md §6).
+"""Ablations beyond the paper's Table 2.
 
-Three design choices of DQuaG are isolated, each measured by the same
+Three design choices of DQuaG are isolated
+(README.md#interpretability-and-ablations), each measured by the same
 separation metric as Table 2 (flagged-fraction difference between dirty
 and clean batches, in percentage points, on the Hotel hidden-conflict
 scenario — the regime the design choices exist for):

@@ -151,7 +151,8 @@ class GATConv(Module):
     def last_attention(self) -> np.ndarray | None:
         """(heads, B, N, N) attention weights from the latest forward pass.
 
-        Exposed for the interpretability extension (DESIGN.md §6).
+        Exposed for the interpretability extension
+        (README.md#interpretability-and-ablations).
         """
         return self._last_attention
 

@@ -1,9 +1,9 @@
 """Statistical feature-relationship inference.
 
 One of the two offline substitutes for the paper's ChatGPT-4 call
-(DESIGN.md §1): association between every column pair is scored with a
-measure appropriate to the pair's types, and pairs scoring at or above a
-threshold become feature-graph edges.
+(README.md#offline-substitutes): association between every column pair
+is scored with a measure appropriate to the pair's types, and pairs
+scoring at or above a threshold become feature-graph edges.
 
 * numeric ↔ numeric — |Spearman rank correlation| (captures monotone,
   not just linear, dependence);

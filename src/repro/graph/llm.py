@@ -6,7 +6,7 @@ rows ``S`` to ChatGPT-4 in a structured prompt, and receives a JSON object
 
 This module reproduces the *entire protocol* — prompt construction,
 provider invocation, JSON parsing, validation — with pluggable providers
-standing in for the LLM (DESIGN.md §1):
+standing in for the LLM (README.md#offline-substitutes):
 
 * :class:`KnowledgeBaseProvider` — curated per-dataset relationship sets
   playing the role of the LLM's world knowledge (e.g. city ↔ country);

@@ -1,8 +1,8 @@
 """Neural-network substrate: autograd tensors, modules, layers, optimizers.
 
-This package stands in for PyTorch in the reproduction (DESIGN.md §1) —
-a reverse-mode autodiff engine and the module/optimizer machinery the
-DQuaG model is built on.
+This package stands in for PyTorch in the reproduction
+(README.md#offline-substitutes) — a reverse-mode autodiff engine and the
+module/optimizer machinery the DQuaG model is built on.
 """
 
 from repro.nn.tensor import Tensor, Parameter, no_grad, is_grad_enabled

@@ -1,10 +1,10 @@
 """A reverse-mode automatic-differentiation engine on NumPy arrays.
 
 This module replaces PyTorch as the numerical substrate of the
-reproduction (see DESIGN.md §1).  :class:`Tensor` wraps a ``numpy``
-array, records the operations applied to it, and :meth:`Tensor.backward`
-propagates gradients through the recorded graph in reverse topological
-order.
+reproduction (see README.md#offline-substitutes).  :class:`Tensor`
+wraps a ``numpy`` array, records the operations applied to it, and
+:meth:`Tensor.backward` propagates gradients through the recorded graph
+in reverse topological order.
 
 Supported surface (everything the GNN stack needs):
 

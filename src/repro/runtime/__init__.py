@@ -16,8 +16,7 @@ NumPy kernels and builds the serving stack on top:
   :class:`PartialReport` chunks, from one-shot tables to bounded-memory
   streams of arbitrarily large ones;
 * :mod:`repro.runtime.service` — :class:`ValidationService`, an LRU
-  registry of fitted pipelines dispatching concurrent batch validation
-  across a thread pool.
+  registry of fitted pipelines whose calls run on the caller's thread.
 
 Inside one host the engine itself is the parallel path: a multi-chunk
 call runs its row chunks on every CPU in the process's affinity mask

@@ -1,4 +1,4 @@
-"""Multi-pipeline serving layer: load, cache, and dispatch validation.
+"""Multi-pipeline serving layer: load, cache, and validate.
 
 A :class:`ValidationService` fronts many fitted DQuaG pipelines — one
 per dataset/tenant — the way a model server fronts model versions:
@@ -15,14 +15,15 @@ per dataset/tenant — the way a model server fronts model versions:
   Directly-``add()``-ed pipelines are *pinned*: they have no archive to
   reload from, so they are never evicted and do not count against the
   LRU capacity;
-* requests dispatch across a **thread pool**. The compiled inference
-  engine is plain NumPy, whose matmuls release the GIL, so concurrent
-  batches genuinely overlap on multicore hosts.
+* calls run on the caller's thread. The service dispatches nothing:
+  the engine's row-parallel chunks are the one parallel path inside a
+  host, and a gateway queues requests in its own
+  :class:`~repro.serve.scheduler.RequestScheduler`.
 
-This is the dispatch surface the HTTP gateway (:mod:`repro.serve`)
-fronts: ``validate``/``repair``/``submit_many`` plus per-pipeline
-:meth:`pipeline_stats` and a wire-encodable :class:`ServiceStats`
-snapshot. Every pipeline additionally gets a lazy per-generation
+This is the surface the HTTP gateway (:mod:`repro.serve`) fronts:
+``validate``/``repair`` plus per-pipeline :meth:`pipeline_stats` and a
+wire-encodable :class:`ServiceStats` snapshot. Every pipeline
+additionally gets a lazy per-generation
 :class:`~repro.monitor.monitor.DriftMonitor` (see :meth:`monitor_for`)
 and an optional declarative rule plan (see :meth:`rule_plan_for`).
 :meth:`validator_for` wraps both around the pipeline's engine in the
@@ -35,10 +36,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.core.pipeline import DQuaG
 from repro.core.repair import RepairSummary
@@ -103,20 +103,14 @@ def _fresh_counters() -> dict[str, int]:
 
 
 class ValidationService:
-    """Registry + LRU cache + concurrent dispatcher for fitted pipelines.
+    """Registry + LRU cache of fitted pipelines, thread-safe for callers.
 
     >>> service = ValidationService(capacity=2)            # doctest: +SKIP
     >>> service.register("hotel", "models/hotel.npz")      # doctest: +SKIP
     >>> report = service.validate("hotel", batch)          # doctest: +SKIP
-    >>> reports = service.validate_many([("hotel", b1), ("taxi", b2)])  # doctest: +SKIP
     """
 
-    def __init__(
-        self,
-        capacity: int = 4,
-        max_workers: int | None = None,
-        monitor_window: int = 32,
-    ) -> None:
+    def __init__(self, capacity: int = 4, monitor_window: int = 32) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
@@ -130,7 +124,6 @@ class ValidationService:
         self._invalidated_loads: dict[str, tuple[int, DQuaG]] = {}
         #: lifetime per-pipeline counters; survive eviction
         self._counters: dict[str, dict[str, int]] = {}
-        self._pool = ThreadPoolExecutor(max_workers=max_workers, thread_name_prefix="dquag-validate")
         self.n_loads = 0
         self.n_evictions = 0
         #: bumped on every register()/add(); lets a cache fill that raced
@@ -152,10 +145,6 @@ class ValidationService:
         #: compiled against changes with the weights).
         self._rules: dict[str, "object"] = {}
         self._rule_plans: dict[str, tuple[int, "object"]] = {}
-        #: optional micro-batching scheduler (see attach_scheduler):
-        #: when set, submit()/submit_many() coalesce through it instead
-        #: of dispatching one engine call per request on the thread pool
-        self._scheduler = None
 
     # -- registration ------------------------------------------------------
     def register(self, name: str, archive: str | Path) -> None:
@@ -273,7 +262,7 @@ class ValidationService:
             del self._entries[name]
         return True
 
-    # -- dispatch ----------------------------------------------------------
+    # -- validation --------------------------------------------------------
     def validate(self, name: str, table: Table) -> ValidationReport:
         """Validate one batch on the named pipeline (synchronous).
 
@@ -461,51 +450,6 @@ class ValidationService:
             self._counter(name)["repairs"] += 1
         return repaired, summary
 
-    def attach_scheduler(self, scheduler) -> None:
-        """Route :meth:`submit`/:meth:`submit_many` through a scheduler.
-
-        ``scheduler`` is a :class:`~repro.serve.scheduler.RequestScheduler`
-        (duck-typed: anything with ``submit(name, table) -> Future``).
-        Attached, same-pipeline requests coalesce into fused engine slabs
-        under the scheduler's latency budget; per-request results are
-        bit-identical either way. ``None`` detaches and restores the
-        one-engine-call-per-request thread-pool dispatch. The scheduler's
-        lifecycle stays with its creator (the gateway or the caller) —
-        :meth:`close` does not close it.
-        """
-        self._scheduler = scheduler
-
-    def submit(self, name: str, table: Table) -> "Future[ValidationReport]":
-        """Queue one batch for validation (scheduler or thread pool).
-
-        With a scheduler attached (:meth:`attach_scheduler`) the request
-        joins its pipeline's micro-batch queue; otherwise it dispatches
-        as its own engine call on the thread pool.
-        """
-        if self._scheduler is not None:
-            return self._scheduler.submit(name, table)
-        return self._pool.submit(self.validate, name, table)
-
-    def submit_many(
-        self, requests: Iterable[tuple[str, Table]]
-    ) -> "list[Future[ValidationReport]]":
-        """Queue many (pipeline, batch) pairs; returns one future each.
-
-        With a scheduler attached, same-pipeline requests in (and across)
-        one call coalesce into fused slabs — the futures still resolve to
-        per-request reports, bit-identical to unscheduled dispatch.
-        """
-        return [self.submit(name, table) for name, table in requests]
-
-    def validate_many(self, requests: Iterable[tuple[str, Table]]) -> list[ValidationReport]:
-        """Validate many (pipeline, batch) pairs concurrently.
-
-        Results are returned in request order; the NumPy kernels release
-        the GIL in their matmuls, so distinct batches overlap on
-        multicore hosts.
-        """
-        return [future.result() for future in self.submit_many(requests)]
-
     # -- lifecycle ---------------------------------------------------------
     def _counter(self, name: str) -> dict[str, int]:
         return self._counters.setdefault(name, _fresh_counters())
@@ -546,7 +490,6 @@ class ValidationService:
             return ServiceStats(pipelines=self.pipeline_stats(), **self.stats())
 
     def close(self) -> None:
-        self._pool.shutdown(wait=True)
         with self._lock:
             self._monitors.clear()
 

@@ -15,8 +15,8 @@ monitor, rules, validate, repair, validate_stream):
   pipelines across N ``repro-serve`` replicas, scatters large streams
   with the exact ``fold_partials`` merge, health-checks the fleet, and
   aggregates ``/v1/metrics`` with a ``replica`` label;
-* :class:`RequestScheduler` — the dynamic micro-batching scheduler the
-  gateway (and ``ValidationService.submit``) rides;
+* :class:`RequestScheduler` — the dynamic micro-batching scheduler,
+  the one request queue of a gateway process;
 * :class:`Client` — stdlib ``http.client`` counterpart that decodes
   responses back into the in-process result objects (one pooled
   keep-alive connection per thread, ``close()``/context-manager);

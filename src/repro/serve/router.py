@@ -207,6 +207,9 @@ class RouterGateway(_HTTPFront):
 
     #: seconds a health probe may take before its replica counts as down
     HEALTH_TIMEOUT = 2.0
+    #: idle keep-alive connections kept per replica; a burst's extra
+    #: connections close as their responses finish
+    MAX_IDLE = 8
 
     def __init__(
         self,
@@ -320,12 +323,13 @@ class RouterGateway(_HTTPFront):
         """One upstream round-trip: (status, headers lower-cased, body).
 
         It rides an idle keep-alive connection of the replica if one is
-        left, and is resent once, on a fresh connection, only when that
-        one dies before the status line (closed while idle), as the client
-        does. Every other failure raises OSError, a response cut mid-body,
-        without ``Content-Length`` or over a request head's bounds
-        included: the replica may have run the request. No deadline: a
-        replica that accepts and never answers holds the call.
+        left (at most :attr:`MAX_IDLE` wait there), and is resent once,
+        on a fresh connection, only when that one dies before the status
+        line (closed while idle), as the client does. Every other failure
+        raises OSError, a response cut mid-body, without
+        ``Content-Length`` or over a request head's bounds included: the
+        replica may have run the request. No deadline: a replica that
+        accepts and never answers holds the call.
         """
         body = body or b""
         lines = [f"{method} {path} HTTP/1.1", f"Host: {target.host}:{target.port}",
@@ -363,7 +367,7 @@ class RouterGateway(_HTTPFront):
                         f"replica {target.name} sent a malformed or cut response: {exc!r}"
                     ) from None
                 raise
-        if response.get("connection", "").lower() == "close":
+        if response.get("connection", "").lower() == "close" or len(idle) >= self.MAX_IDLE:
             writer.close()
         else:
             idle.append((reader, writer))

@@ -25,8 +25,9 @@ differential suite pins).
   and a batch closes early at ``max_batch_rows``;
 * pipelines compete by **QoS weight** (weighted-by-waiting-time: a
   weight-2 pipeline is served like one that has waited twice as long);
-* fused slabs execute on a small thread pool (the NumPy kernels release
-  the GIL, so batches for different pipelines overlap on multicore);
+* fused slabs execute on a small thread pool, so batches for different
+  pipelines overlap; within a slab of two or more row chunks, the
+  engine's own fan-out already uses every CPU the process may use;
 * :meth:`close` **drains**: pending requests are dispatched immediately
   (no window wait) and in-flight batches complete before shutdown.
 
@@ -34,10 +35,9 @@ A single-request batch is the core's one-shot case, exactly what
 :meth:`~repro.runtime.service.ValidationService.validate` runs — under
 low concurrency the scheduler adds one queue hop and nothing else.
 
-:class:`~repro.serve.transport.AsyncGateway` always rides it, and so do
-:meth:`ValidationService.submit`/``submit_many`` once it is attached via
-:meth:`~repro.runtime.service.ValidationService.attach_scheduler` (the
-gateway attaches its own).
+It is the one request queue of a serving process: each
+:class:`~repro.serve.transport.AsyncGateway` builds and closes its own,
+and the service it runs on dispatches nothing itself.
 """
 
 from __future__ import annotations
@@ -159,9 +159,6 @@ class RequestScheduler:
         Pipeline name → weight. When several pipelines have dispatchable
         batches, the one with the highest ``weight × effective-wait``
         goes first; unlisted pipelines weigh 1.0.
-    slab_workers:
-        Threads executing fused slabs (default: up to 4). The kernels
-        release the GIL, so slabs genuinely overlap.
     clock:
         Injectable monotonic clock (tests).
     """
@@ -173,7 +170,6 @@ class RequestScheduler:
         max_batch_rows: int = 8192,
         max_queue_depth: int = 1024,
         qos_weights: "dict[str, float] | None" = None,
-        slab_workers: int | None = None,
         clock=time.monotonic,
     ) -> None:
         if batch_window_ms < 0:
@@ -203,10 +199,9 @@ class RequestScheduler:
         self._batches = 0
         self._rows = 0
         self._hist = [0] * (len(BATCH_SIZE_BUCKETS) + 1)
-        workers = (
-            min(4, os.cpu_count() or 1) if slab_workers is None else max(1, int(slab_workers))
+        self._executor = ThreadPoolExecutor(
+            min(4, os.cpu_count() or 1), thread_name_prefix="repro-slab"
         )
-        self._executor = ThreadPoolExecutor(workers, thread_name_prefix="repro-slab")
         self._dispatcher = threading.Thread(
             target=self._run, name="repro-scheduler", daemon=True
         )
@@ -236,12 +231,6 @@ class RequestScheduler:
             self._submitted += 1
             self._cv.notify()
         return future
-
-    def submit_many(
-        self, requests: "list[tuple[str, Table]]"
-    ) -> "list[Future[ValidationReport]]":
-        """Enqueue many (pipeline, table) pairs; one future each."""
-        return [self.submit(name, table) for name, table in requests]
 
     def _retry_after_locked(self) -> float:
         # A conservative drain hint: every queued slab's worth of rows

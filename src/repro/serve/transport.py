@@ -613,10 +613,9 @@ class AsyncGateway(_HTTPFront):
     ``host``/``port``/``max_body_bytes`` and the lifecycle are the
     shared front's (:class:`_HTTPFront`). The scheduler knobs
     (``batch_window_ms``, ``max_batch_rows``, ``max_queue_depth``,
-    ``qos_weights``) configure the owned :class:`RequestScheduler`,
-    which is also attached to the service so
-    :meth:`ValidationService.submit` coalesces too; ``scheduler=``
-    shares an external one whose lifecycle stays with its creator.
+    ``qos_weights``) configure the gateway's own
+    :class:`RequestScheduler`, the one queue its validate requests
+    take; :meth:`close` drains it after the front stops.
     """
 
     def __init__(
@@ -625,7 +624,6 @@ class AsyncGateway(_HTTPFront):
         host: str = "127.0.0.1",
         port: int = 8080,
         max_body_bytes: int | None = None,
-        scheduler: RequestScheduler | None = None,
         batch_window_ms: float = 2.0,
         max_batch_rows: int = 8192,
         max_queue_depth: int = 1024,
@@ -633,24 +631,16 @@ class AsyncGateway(_HTTPFront):
     ) -> None:
         super().__init__(host, port, max_body_bytes)
         self.service = service
-        self._owns_scheduler = scheduler is None
-        self.scheduler = (
-            RequestScheduler(
-                service,
-                batch_window_ms=batch_window_ms,
-                max_batch_rows=max_batch_rows,
-                max_queue_depth=max_queue_depth,
-                qos_weights=qos_weights,
-            )
-            if scheduler is None
-            else scheduler
+        self.scheduler = RequestScheduler(
+            service,
+            batch_window_ms=batch_window_ms,
+            max_batch_rows=max_batch_rows,
+            max_queue_depth=max_queue_depth,
+            qos_weights=qos_weights,
         )
-        # submit()/submit_many() on the service now coalesce too.
-        service.attach_scheduler(self.scheduler)
 
     def _release(self) -> None:
-        if self._owns_scheduler:
-            self.scheduler.close(drain=True)
+        self.scheduler.close(drain=True)
 
     # -- service facade ----------------------------------------------------
     def healthz(self) -> dict:

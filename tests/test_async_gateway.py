@@ -41,7 +41,8 @@ def served():
     service = ValidationService(capacity=2)
     service.add("demo", pipeline)
     with AsyncGateway(service, port=0, batch_window_ms=2.0) as gateway:
-        yield pipeline, gateway, Client(port=gateway.port)
+        with Client(port=gateway.port) as client:
+            yield pipeline, gateway, client
     service.close()
 
 
@@ -76,10 +77,10 @@ class TestEndpoints:
 
     def test_frame_tier_identical_to_in_process(self, served):
         pipeline, gateway, _ = served
-        frame_client = Client(port=gateway.port, wire="frame")
         batch = make_batch(pipeline, 300, seed=6, corrupt=30)
         local = pipeline.validate(batch)
-        remote = frame_client.validate("demo", batch, include_errors=True)
+        with Client(port=gateway.port, wire="frame") as frame_client:
+            remote = frame_client.validate("demo", batch, include_errors=True)
         assert_reports_identical(local, remote, dense=True)
 
     def test_sharded_validate_over_async_loop(self, served):
@@ -118,8 +119,8 @@ class TestEndpoints:
         assert summary.n_chunks == len(chunks)
         assert summary.n_flagged == local.n_flagged
         np.testing.assert_array_equal(summary.flagged_rows, local.flagged_rows)
-        frame_client = Client(port=gateway.port, wire="frame")
-        framed = frame_client.validate_stream("demo", chunks)
+        with Client(port=gateway.port, wire="frame") as frame_client:
+            framed = frame_client.validate_stream("demo", chunks)
         assert framed.to_dict() == summary.to_dict()
 
     def test_stream_chunks_decode_off_the_loop(self, served, monkeypatch):
@@ -142,7 +143,8 @@ class TestEndpoints:
         )
         chunks = [make_batch(pipeline, 16, seed=seed) for seed in (21, 22)]
         client.validate_stream("demo", chunks)
-        Client(port=gateway.port, wire="frame").validate_stream("demo", chunks)
+        with Client(port=gateway.port, wire="frame") as frame_client:
+            frame_client.validate_stream("demo", chunks)
         assert len(seen["ndjson"]) == 2 and len(seen["frame"]) >= 2
         loop_thread = gateway._thread.ident
         assert loop_thread not in seen["ndjson"] + seen["frame"]
@@ -235,8 +237,7 @@ class TestCoalescing:
         tables = [make_batch(pipeline, 6 + i, seed=20 + i, corrupt=i % 3) for i in range(16)]
         local = [pipeline.validate(t) for t in tables]
         before = gateway.scheduler.stats_snapshot()
-        with ThreadPoolExecutor(max_workers=16) as pool:
-            client = Client(port=gateway.port)
+        with ThreadPoolExecutor(max_workers=16) as pool, Client(port=gateway.port) as client:
             remote = list(
                 pool.map(lambda t: client.validate("demo", t, include_errors=True), tables)
             )
@@ -355,12 +356,13 @@ class TestShutdown:
         gateway = AsyncGateway(service, port=0)
         gateway.start()
         port = gateway.port
-        client = Client(port=port)
-        assert client.healthz()["status"] == "ok"
+        with Client(port=port) as client:
+            assert client.healthz()["status"] == "ok"
         gateway.close()
         gateway.close()  # second close is a no-op, not a hang
         with pytest.raises((ConnectionError, OSError, GatewayError)):
-            Client(port=port, timeout=2.0).healthz()
+            with Client(port=port, timeout=2.0) as client:
+                client.healthz()
         service.close()
 
     def test_close_drains_in_flight_request(self):
@@ -378,9 +380,8 @@ class TestShutdown:
             # validate itself: close() would hang up a connection idling
             # between the probe and the validate, refusing the latter.
             try:
-                result["report"] = Client(
-                    port=gateway.port, timeout=60, wire="frame"
-                ).validate("demo", batch)
+                with Client(port=gateway.port, timeout=60, wire="frame") as client:
+                    result["report"] = client.validate("demo", batch)
             except Exception as exc:  # pragma: no cover - failure detail
                 result["error"] = exc
 
@@ -479,7 +480,8 @@ class TestDrainingHealth:
         gateway = AsyncGateway(service, port=0)
         gateway.start()
         try:
-            assert Client(port=gateway.port).healthz()["status"] == "ok"
+            with Client(port=gateway.port) as client:
+                assert client.healthz()["status"] == "ok"
             gateway._draining = True  # the close() drain window
             conn = http.client.HTTPConnection("127.0.0.1", gateway.port)
             conn.request("GET", "/v1/healthz")
@@ -610,20 +612,20 @@ class TestStress:
         barrier = threading.Barrier(self.N_CLIENTS)
 
         def hammer():
-            client = Client(port=gateway.port, timeout=60)
-            barrier.wait(timeout=60)
-            for _ in range(self.REQUESTS_PER_CLIENT):
-                started = time.monotonic()
-                try:
-                    report = client.validate("demo", batch)
-                except BaseException as exc:
+            with Client(port=gateway.port, timeout=60) as client:
+                barrier.wait(timeout=60)
+                for _ in range(self.REQUESTS_PER_CLIENT):
+                    started = time.monotonic()
+                    try:
+                        report = client.validate("demo", batch)
+                    except BaseException as exc:
+                        with lock:
+                            failures.append(exc)
+                        return
+                    elapsed = time.monotonic() - started
                     with lock:
-                        failures.append(exc)
-                    return
-                elapsed = time.monotonic() - started
-                with lock:
-                    latencies.append(elapsed)
-                assert report.is_problematic == local.is_problematic
+                        latencies.append(elapsed)
+                    assert report.is_problematic == local.is_problematic
 
         threads = [threading.Thread(target=hammer) for _ in range(self.N_CLIENTS)]
         for t in threads:

@@ -514,7 +514,7 @@ class TestMonitorHookContract:
 
         def coalesced():
             with RequestScheduler(service, batch_window_ms=100.0) as scheduler:
-                futures = scheduler.submit_many([("demo", table) for table in tables])
+                futures = [scheduler.submit("demo", table) for table in tables]
                 reports = [future.result(timeout=30) for future in futures]
                 return reports, scheduler.stats_snapshot().batches
 
@@ -540,7 +540,7 @@ class TestMonitorHookContract:
 
         def coalesced():
             with RequestScheduler(service, batch_window_ms=100.0) as scheduler:
-                futures = scheduler.submit_many([("demo", table), ("demo", chunks[0])])
+                futures = [scheduler.submit("demo", t) for t in (table, chunks[0])]
                 return [future.result(timeout=30).to_dict() for future in futures]
 
         paths = {

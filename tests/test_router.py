@@ -112,16 +112,19 @@ def _serving(archive):
         port=0,
         health_interval=0,  # tests drive check_workers() deterministically
     ).start()
+    single, routed = Client(port=gateways[0].port), Client(port=router.port)
     try:
         yield SimpleNamespace(
             router=router,
-            single=Client(port=gateways[0].port),
-            routed=Client(port=router.port),
+            single=single,
+            routed=routed,
             gateways=gateways,
             services=services,
             replica_ports=[gw.port for gw in gateways[1:]],
         )
     finally:
+        single.close()
+        routed.close()
         router.close()
         for gateway in gateways:
             gateway.close()
@@ -259,9 +262,8 @@ class TestParity:
         routed = cluster.routed.validate("demo", table, include_errors=True)
         assert_reports_identical(reference, routed, "router-json")
 
-        framed = Client(port=cluster.router.port, wire="frame").validate(
-            "demo", table, include_errors=True
-        )
+        with Client(port=cluster.router.port, wire="frame") as framed_client:
+            framed = framed_client.validate("demo", table, include_errors=True)
         assert_reports_identical(reference, framed, "router-frame")
 
         chunks = [
@@ -275,9 +277,8 @@ class TestParity:
         assert routed_stream.to_dict() == single_stream.to_dict()
 
         if index % 5 == 0:  # frame-tier streams: sample the scenarios
-            frame_stream = Client(port=cluster.router.port, wire="frame").validate_stream(
-                "demo", chunks
-            )
+            with Client(port=cluster.router.port, wire="frame") as framed_client:
+                frame_stream = framed_client.validate_stream("demo", chunks)
             assert frame_stream.to_dict() == single_stream.to_dict()
 
     def test_scatter_used_not_proxied(self, cluster):
@@ -352,7 +353,8 @@ class TestParity:
             # scatter path may run a range on any of them).
             cluster.routed.set_rules("demo", RULES_DOC)
             for port in cluster.replica_ports:
-                attached = Client(port=port).get_rules("demo")
+                with Client(port=port) as replica:
+                    attached = replica.get_rules("demo")
                 assert attached is not None and attached.name == RULES_DOC["name"]
 
             reference = cluster.single.validate_stream("demo", chunks)
@@ -362,7 +364,8 @@ class TestParity:
 
             cluster.routed.delete_rules("demo")
             for port in cluster.replica_ports:
-                assert Client(port=port).get_rules("demo") is None
+                with Client(port=port) as replica:
+                    assert replica.get_rules("demo") is None
         finally:
             cluster.single.delete_rules("demo")
             cluster.routed.delete_rules("demo")
@@ -432,7 +435,8 @@ class TestReplicaState:
         fresh_cluster.routed.set_rules("demo", RULES_DOC)
         fresh_cluster.routed.validate_stream("demo", chunks)
         for gateway in fresh_cluster.gateways:
-            Client(port=gateway.port).delete_rules("demo")
+            with Client(port=gateway.port) as client:
+                client.delete_rules("demo")
         routed = fresh_cluster.routed.validate_stream("demo", chunks)
         assert routed.rule_report is None
         assert routed.to_dict() == fresh_cluster.single.validate_stream("demo", chunks).to_dict()
@@ -441,7 +445,8 @@ class TestReplicaState:
         chunks = _chunks(make_scenario(3))
         fresh_cluster.routed.set_rules("demo", RULES_DOC)
         for gateway in fresh_cluster.gateways:
-            Client(port=gateway.port).set_rules("demo", RULES_V2)
+            with Client(port=gateway.port) as client:
+                client.set_rules("demo", RULES_V2)
         routed = fresh_cluster.routed.validate_stream("demo", chunks)
         assert [outcome.rule_id for outcome in routed.rule_report.outcomes] == ["x-range-v2"]
         assert routed.to_dict() == fresh_cluster.single.validate_stream("demo", chunks).to_dict()
@@ -461,7 +466,8 @@ class TestReplicaState:
         router = fresh_cluster.router
         chunks = _chunks(make_scenario(3))
         assert len(chunks) >= 2  # both replicas judge a range
-        Client(port=fresh_cluster.replica_ports[0]).set_rules("demo", RULES_DOC)
+        with Client(port=fresh_cluster.replica_ports[0]) as replica:
+            replica.set_rules("demo", RULES_DOC)
         before = dict(router._counters)
         status, raw = _post(
             router.port, "/v1/pipelines/demo/validate_stream", _ndjson_body(chunks),
@@ -598,6 +604,31 @@ class TestMembership:
             router.close()
             cluster.routed.delete_rules("demo")
 
+    def test_burst_leaves_at_most_max_idle_connections(self, cluster):
+        """A 64-way burst opens an upstream connection per call in
+        flight; once it is answered, each replica keeps at most
+        ``MAX_IDLE`` of them and the rest are closed."""
+        router = RouterGateway(
+            [(f"replica-{i}", "127.0.0.1", port) for i, port in enumerate(cluster.replica_ports)],
+            port=0, health_interval=0,
+        ).start()
+        table = make_clean(32, seed=8)
+        reference = cluster.single.validate("demo", table, include_errors=True)
+        burst = threading.Barrier(64)
+
+        def validate(_):
+            with Client(port=router.port) as client:
+                burst.wait(timeout=60)
+                return client.validate("demo", table, include_errors=True)
+
+        try:
+            with ThreadPoolExecutor(64) as pool:
+                for routed in pool.map(validate, range(64)):
+                    assert_reports_identical(reference, routed, "burst")
+            assert all(len(idle) <= RouterGateway.MAX_IDLE for idle in router._idle.values())
+        finally:
+            router.close()
+
 
 class TestFailover:
     def test_worker_dying_midstream_rescatters_exactly(self, cluster):
@@ -626,6 +657,7 @@ class TestFailover:
             assert router._counters["rescatters"] >= 1
             assert "doomed" not in router.alive_names()
         finally:
+            client.close()
             router.close()
             stub.close()
 
@@ -705,6 +737,7 @@ class TestFailover:
                 client.validate("demo", make_clean(32, seed=3))
             assert excinfo.value.status == 503
         finally:
+            client.close()
             router.close()
             for stub in stubs:
                 stub.close()
@@ -738,7 +771,8 @@ class TestObservability:
         assert "demo" in stats.pipelines
         per_replica_total = 0
         for port in cluster.replica_ports:
-            per_replica_total += Client(port=port).pipelines().rows_validated
+            with Client(port=port) as replica:
+                per_replica_total += replica.pipelines().rows_validated
         assert stats.rows_validated == per_replica_total
 
 

@@ -4,6 +4,7 @@ and the persistence/config satellites that ship with it."""
 from __future__ import annotations
 
 import ast
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -442,9 +443,9 @@ class TestValidationService:
         path = tmp_path / "p.npz"
         pipeline.save(path)
         batches = [make_table(200, seed=s) for s in range(4)]
-        with ValidationService(capacity=2, max_workers=4) as service:
+        with ValidationService(capacity=2) as service, ThreadPoolExecutor(4) as pool:
             service.register("p", path)
-            reports = service.validate_many(("p", batch) for batch in batches)
+            reports = list(pool.map(lambda batch: service.validate("p", batch), batches))
             for batch, report in zip(batches, reports):
                 expected = pipeline.validate(batch)
                 np.testing.assert_array_equal(report.row_flags, expected.row_flags)
@@ -497,17 +498,6 @@ class TestValidationService:
             local_repaired, local_summary = service.get("p").repair(dirty, iterations=2)
             assert summary.n_cells_repaired == local_summary.n_cells_repaired
             np.testing.assert_array_equal(repaired["y"], local_repaired["y"])
-
-    def test_submit_many_returns_futures_in_order(self, fitted):
-        pipeline, _ = fitted
-        batches = [make_table(100, seed=s) for s in range(3)]
-        with ValidationService(max_workers=2) as service:
-            service.add("p", pipeline)
-            futures = service.submit_many(("p", batch) for batch in batches)
-            assert len(futures) == 3
-            for batch, future in zip(batches, futures):
-                expected = pipeline.validate(batch)
-                np.testing.assert_array_equal(future.result().row_flags, expected.row_flags)
 
     def test_per_pipeline_stats_and_snapshot(self, fitted, tmp_path):
         pipeline, holdout = fitted

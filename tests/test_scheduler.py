@@ -50,7 +50,7 @@ class TestCoalescingParity:
         tables = [make_batch(pipeline, 7 + i, seed=i, corrupt=i % 3) for i in range(10)]
         solo = [service.validate("demo", t) for t in tables]
         with RequestScheduler(service, batch_window_ms=25.0, max_batch_rows=10_000) as sched:
-            futures = sched.submit_many([("demo", t) for t in tables])
+            futures = [sched.submit("demo", t) for t in tables]
             fused = [f.result(timeout=30) for f in futures]
             stats = sched.stats_snapshot()
         for a, b in zip(solo, fused):
@@ -96,7 +96,7 @@ class TestCoalescingParity:
             with RequestScheduler(service, batch_window_ms=25.0) as sched:
                 # The same table twice: every x value duplicates across
                 # requests, none within one.
-                futures = sched.submit_many([("demo", table), ("demo", table)])
+                futures = [sched.submit("demo", table) for _ in range(2)]
                 reports = [f.result(timeout=30) for f in futures]
                 assert sched.stats_snapshot().batches == 1
             for report in reports:
@@ -111,7 +111,7 @@ class TestCoalescingParity:
         before = service.stats_snapshot().pipelines["demo"]
         tables = [make_batch(pipeline, 10, seed=i) for i in range(4)]
         with RequestScheduler(service, batch_window_ms=25.0) as sched:
-            for f in sched.submit_many([("demo", t) for t in tables]):
+            for f in [sched.submit("demo", t) for t in tables]:
                 f.result(timeout=30)
         after = service.stats_snapshot().pipelines["demo"]
         assert after["validations"] - before["validations"] == 4
@@ -240,7 +240,7 @@ class TestStats:
         pipeline, service = demo
         tables = [make_batch(pipeline, 5, seed=i) for i in range(3)]
         with RequestScheduler(service, batch_window_ms=25.0) as sched:
-            for f in sched.submit_many([("demo", t) for t in tables]):
+            for f in [sched.submit("demo", t) for t in tables]:
                 f.result(timeout=30)
             stats = sched.stats_snapshot()
         hist = stats.batch_size_hist
@@ -280,9 +280,9 @@ class TestStats:
         try:
             with mock.patch.object(service, "validate", side_effect=flaky_validate):
                 with mock.patch.object(sched, "_validate_batch", side_effect=flaky_batch):
-                    good_future, bad_future = sched.submit_many(
-                        [("demo", good), ("demo", marker)]
-                    )
+                    good_future, bad_future = [
+                        sched.submit("demo", table) for table in (good, marker)
+                    ]
                     report = good_future.result(timeout=30)
                     with pytest.raises(ReproError, match="poisoned request"):
                         bad_future.result(timeout=30)
@@ -295,20 +295,6 @@ class TestStats:
 
 
 class TestServiceIntegration:
-    def test_attach_scheduler_routes_submit(self, demo):
-        pipeline, service = demo
-        table = make_batch(pipeline, 16, seed=4)
-        solo = service.validate("demo", table)
-        sched = RequestScheduler(service, batch_window_ms=5.0)
-        try:
-            service.attach_scheduler(sched)
-            report = service.submit("demo", table).result(timeout=30)
-            assert sched.stats_snapshot().submitted >= 1
-            assert_reports_identical(solo, report)
-        finally:
-            service.attach_scheduler(None)
-            sched.close()
-
     def test_concurrent_submitters_all_resolve(self, demo):
         pipeline, service = demo
         tables = [make_batch(pipeline, 8, seed=i) for i in range(24)]

@@ -1,10 +1,11 @@
-"""Concurrency stress: the service under submit_many vs re-register/evict.
+"""Concurrency stress: the service under concurrent validates vs re-register/evict.
 
 The PR-3 generation counters stopped a re-register() race from
 resurrecting stale *weights*; drift monitors are keyed by the same
 generations and must obey the same law. These tests hammer
-``submit_many`` + ``stats_snapshot()`` + ``monitor_snapshot()`` against
-concurrent re-registration and eviction and assert that
+``validate`` from four threads + ``stats_snapshot()`` +
+``monitor_snapshot()`` against concurrent re-registration and eviction
+and assert that
 
 * no validation is ever lost or double-counted,
 * nothing deadlocks (every join is time-bounded),
@@ -14,7 +15,6 @@ concurrent re-registration and eviction and assert that
 from __future__ import annotations
 
 import threading
-from concurrent.futures import wait
 
 import numpy as np
 import pytest
@@ -62,16 +62,13 @@ class TestServiceStress:
             service.register("p", archive)
             stop = threading.Event()
             errors: list[BaseException] = []
-            futures_lock = threading.Lock()
-            futures = []
+            reports = []
 
             def submitter(worker: int) -> None:
                 try:
                     for i in range(batches_each):
                         batch = make_table(batch_rows, seed=1000 * worker + i)
-                        future = service.submit("p", batch)
-                        with futures_lock:
-                            futures.append(future)
+                        reports.append(service.validate("p", batch))
                 except BaseException as exc:  # pragma: no cover - failure path
                     errors.append(exc)
 
@@ -102,15 +99,12 @@ class TestServiceStress:
             for thread in threads[:n_submitters]:
                 thread.join(timeout=JOIN_TIMEOUT)
                 assert not thread.is_alive(), "submitter deadlocked"
-            done, not_done = wait(futures, timeout=JOIN_TIMEOUT)
             stop.set()
             for thread in threads[n_submitters:]:
                 thread.join(timeout=JOIN_TIMEOUT)
                 assert not thread.is_alive(), "background thread deadlocked"
 
-            assert not not_done, "validations deadlocked"
             assert not errors, errors
-            reports = [future.result() for future in done]
             assert len(reports) == n_submitters * batches_each
 
             stats = service.stats_snapshot()
