@@ -140,9 +140,9 @@ class GNNEncoder(Module):
                 x = layer_kernel(x, ws)
                 if i < last:
                     if activation == "elu":
-                        # Only ELU needs scratch (for its expm1 branch).
-                        scratch = None if ws is None else ws.get(scratch_key, x.shape)
-                        x = _np_elu(x, scratch)
+                        # Only ELU needs scratch (for its expm1 branch);
+                        # no local keeps it alive into the next layer.
+                        x = _np_elu(x, None if ws is None else ws.get(scratch_key, x.shape))
                     else:
                         x = _np_relu(x)
             return x

@@ -15,16 +15,16 @@ validate path through it. It runs Phase 2 with:
 
 * zero ``Tensor`` bookkeeping (plain arrays end to end),
 * one shared encoder pass feeding both decoders (``forward``),
-* reusable thread-local :class:`~repro.nn.kernels.Workspace` buffers —
-  large temporaries are faulted in once and recycled across chunks, and
-  a single engine can serve concurrent requests,
+* thread-local :class:`~repro.nn.kernels.Workspace` scratch — a few
+  blocks per thread, faulted in once and handed out again as soon as no
+  live array references them, so a thread holds only what one chunk
+  needs at once and a single engine can serve concurrent requests,
 * constant folding: the per-feature identity embeddings are baked into
   the decoder's first affine layer — and, where the first encoder layer
   allows it (GCN, GAT, graph2vec — every paper architecture), into the
   encoder's first affine too, so the ``(b, F, 1+e)`` node-input slab is
   never materialized. Architectures that cannot fold (SAGE) keep the
-  slab path, whose constant embedding region is written once per
-  workspace buffer rather than once per chunk,
+  slab path, whose constant embedding region is written once per chunk,
 * reconstruction-error / repair-value computation fused into the kernel,
 * cache-sized row chunks: by default a chunk holds
   ``CHUNK_BYTES // (8 · n_features · hidden)`` rows (see
@@ -137,8 +137,7 @@ class InferenceEngine:
         # folded export (GCN/GAT/graph2vec — all paper architectures),
         # the identity embeddings are baked into its affine and the
         # (b, F, 1+e) node-input slab is never built; otherwise (SAGE)
-        # the slab path below writes the constant embedding region once
-        # per buffer, not once per chunk.
+        # the slab path below writes it on every chunk.
         self._encoder_folded = bool(
             self.embed_dim
             and getattr(model.encoder, "can_fold_embeddings", None) is not None
@@ -231,15 +230,10 @@ class InferenceEngine:
 
     def _node_inputs(self, chunk: np.ndarray, ws: Workspace) -> np.ndarray:
         """(b, F) value chunk → (b, F, 1+e) node inputs, buffer-backed."""
-        view, fresh = ws.acquire(
-            "node_inputs", (chunk.shape[0], self.n_features, 1 + self.embed_dim)
-        )
+        view = ws.get("node_inputs", (chunk.shape[0], self.n_features, 1 + self.embed_dim))
         view[:, :, 0] = chunk
-        if self.embed_dim and fresh:
-            # The embedding region is constant and the buffer layout
-            # repeats per row, so a recycled buffer (equal or larger
-            # batch seen before) already holds it — write it only when
-            # the workspace (re)allocated the slab.
+        if self.embed_dim:
+            # A recycled block holds whatever its last user wrote.
             view[:, :, 1:] = self._embeddings
         return view
 

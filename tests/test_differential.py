@@ -104,15 +104,16 @@ def fitted() -> DQuaG:
 def served(fitted):
     service = ValidationService(capacity=2)
     service.add("demo", fitted)
-    with AsyncGateway(service, port=0) as gateway:
-        yield Client(port=gateway.port)
+    with AsyncGateway(service, port=0) as gateway, Client(port=gateway.port) as client:
+        yield client
     service.close()
 
 
 @pytest.fixture(scope="module")
 def frame_client(served):
     """A client pinned to the binary frame tier, against the same gateway."""
-    return Client(port=served.port, wire="frame")
+    with Client(port=served.port, wire="frame") as client:
+        yield client
 
 
 def merge(core, partials: "list[PartialReport]", rules=None) -> ValidationReport:
@@ -338,14 +339,15 @@ def served_rules(fitted, demo_rules):
     service = ValidationService(capacity=2)
     service.add("demo", fitted)
     service.set_rules("demo", demo_rules)
-    with AsyncGateway(service, port=0) as gateway:
-        yield Client(port=gateway.port)
+    with AsyncGateway(service, port=0) as gateway, Client(port=gateway.port) as client:
+        yield client
     service.close()
 
 
 @pytest.fixture(scope="module")
 def frame_rules_client(served_rules):
-    return Client(port=served_rules.port, wire="frame")
+    with Client(port=served_rules.port, wire="frame") as client:
+        yield client
 
 
 @pytest.mark.parametrize("index", range(N_SCENARIOS))
@@ -419,7 +421,8 @@ def async_served(fitted):
     service = ValidationService(capacity=2)
     service.add("demo", fitted)
     with AsyncGateway(service, port=0, batch_window_ms=20.0) as gateway:
-        yield gateway, Client(port=gateway.port)
+        with Client(port=gateway.port) as client:
+            yield gateway, client
     service.close()
 
 
@@ -434,7 +437,6 @@ def test_coalesced_verdicts_bit_identical_to_per_request(index, fitted, async_se
     from concurrent.futures import ThreadPoolExecutor
 
     gateway, client = async_served
-    frame_client = Client(port=gateway.port, wire="frame")
     table = make_scenario(index)
     quarter = max(1, table.n_rows // 4)
     parts = [
@@ -442,14 +444,15 @@ def test_coalesced_verdicts_bit_identical_to_per_request(index, fitted, async_se
         for start in range(0, table.n_rows, quarter)
     ]
     references = [fitted.validate(part) for part in parts]
-    clients = [client if i % 2 == 0 else frame_client for i in range(len(parts))]
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        remotes = list(
-            pool.map(
-                lambda pair: pair[0].validate("demo", pair[1], include_errors=True),
-                zip(clients, parts),
+    with Client(port=gateway.port, wire="frame") as frame_client:
+        clients = [client if i % 2 == 0 else frame_client for i in range(len(parts))]
+        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+            remotes = list(
+                pool.map(
+                    lambda pair: pair[0].validate("demo", pair[1], include_errors=True),
+                    zip(clients, parts),
+                )
             )
-        )
     for i, (reference, remote) in enumerate(zip(references, remotes)):
         tier = "json" if i % 2 == 0 else "frame"
         assert_reports_identical(reference, remote, f"coalesced[{i}:{tier}]")

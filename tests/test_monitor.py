@@ -569,8 +569,8 @@ class TestGatewayMonitoring:
     def served(self, fitted):
         service = ValidationService(capacity=2)
         service.add("demo", fitted)
-        with AsyncGateway(service, port=0) as gateway:
-            yield gateway, Client(port=gateway.port)
+        with AsyncGateway(service, port=0) as gateway, Client(port=gateway.port) as client:
+            yield gateway, client
         service.close()
 
     def test_drift_visible_through_monitor_and_metrics(self, served, fitted):
@@ -600,8 +600,7 @@ class TestGatewayMonitoring:
     def test_monitor_disabled_404(self, fitted):
         service = ValidationService(capacity=2, monitor_window=0)
         service.add("demo", fitted)
-        with AsyncGateway(service, port=0) as gateway:
-            client = Client(port=gateway.port)
+        with AsyncGateway(service, port=0) as gateway, Client(port=gateway.port) as client:
             with pytest.raises(GatewayError, match="no drift monitor"):
                 client.monitor("demo")
         service.close()
@@ -609,8 +608,7 @@ class TestGatewayMonitoring:
     def test_streamed_chunks_feed_the_monitor(self, fitted):
         service = ValidationService(capacity=2)
         service.add("demo", fitted)
-        with AsyncGateway(service, port=0) as gateway:
-            client = Client(port=gateway.port)
+        with AsyncGateway(service, port=0) as gateway, Client(port=gateway.port) as client:
             chunks = [make_table(128, seed=320 + i) for i in range(3)]
             client.validate_stream("demo", chunks)
             snapshot = client.monitor("demo")

@@ -3,8 +3,8 @@
 Covers :class:`repro.data.plan.TransformPlan` edge cases (all-missing
 columns, unknown-only categoricals, degenerate constant numerics, empty
 chunks), the zero-copy :meth:`Table.slice_rows` view, the vectorized
-:meth:`LabelEncoder.inverse_transform`, :meth:`Workspace.acquire`
-freshness semantics, and the engine's encoder-side constant folding.
+:meth:`LabelEncoder.inverse_transform`, :class:`Workspace` placement by
+liveness, and the engine's encoder-side constant folding.
 The scenario-scale bit-identity sweep lives in ``test_differential.py``.
 """
 
@@ -18,6 +18,7 @@ from repro.data import ColumnKind, ColumnSpec, LabelEncoder, Table, TableSchema
 from repro.data.preprocess import TablePreprocessor
 from repro.exceptions import SchemaError
 from repro.nn.kernels import Workspace
+from repro.nn.layers import Linear
 
 
 def make_schema() -> TableSchema:
@@ -241,24 +242,47 @@ class TestInverseTransform:
 
 
 # ---------------------------------------------------------------------------
-# Workspace.acquire + node-input slab caching
+# Workspace placement by liveness
 # ---------------------------------------------------------------------------
-class TestWorkspaceAcquire:
-    def test_fresh_flag(self):
-        ws = Workspace()
-        first, fresh = ws.acquire("k", (4, 3))
-        assert fresh
-        first.fill(7.0)
-        again, fresh = ws.acquire("k", (4, 3))
-        assert not fresh and (again == 7.0).all()
-        smaller, fresh = ws.acquire("k", (2, 3))
-        assert not fresh and (smaller == 7.0).all()
-        _, fresh = ws.acquire("k", (8, 3))
-        assert fresh  # grew → reallocated
-
+class TestWorkspace:
     def test_get_still_returns_array(self):
         ws = Workspace()
         assert ws.get("k", (2, 2)).shape == (2, 2)
+
+    def test_held_kernel_result_survives_a_second_call(self):
+        kernel = Linear(3, 4, rng=0).export_kernel()
+        ws = Workspace()
+        x = np.arange(6.0).reshape(2, 3)
+        first = kernel(x, ws)
+        expected = first.copy()
+        second = kernel(x + 1.0, ws)
+        np.testing.assert_array_equal(first, expected)
+        assert not np.shares_memory(first, second)
+
+    def test_get_never_hands_out_memory_a_live_array_sees(self):
+        ws = Workspace()
+        shapes = [(4, 3), (4, 3), (4, 1, 3), (4, 3), (2, 3), (12,), (1,)]
+        held = [
+            ws.get("k", shapes[0])[1:, ::2],  # slice
+            ws.get("k", shapes[1]).reshape(2, 6),  # reshape
+            np.squeeze(ws.get("k", shapes[2]), axis=1),  # squeeze
+        ]
+        for shape in shapes[3:]:
+            handed = ws.get("k", shape)
+            assert not any(np.shares_memory(handed, view) for view in held)
+            held.append(handed)
+        blocks = [id(block) for block in ws._blocks]
+        del handed
+        held.clear()  # every block is free again: the same shapes fit without allocating
+        held = [ws.get("k", shape) for shape in shapes]
+        assert [id(block) for block in ws._blocks] == blocks
+
+    def test_too_small_free_block_is_replaced(self):
+        ws = Workspace()
+        small = ws.get("k", (2,))
+        del small
+        big = ws.get("k", (8,))
+        assert len(ws._blocks) == 1 and ws.nbytes() == big.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +308,9 @@ class TestEncoderFolding:
         )
 
     def test_slab_reuse_across_mixed_batch_sizes(self):
-        """The non-folded slab path caches the constant embedding region
-        per workspace buffer; shrinking and re-growing batches must not
-        corrupt results."""
+        """The non-folded slab path writes the constant embedding region
+        into recycled workspace blocks on every chunk; shrinking and
+        re-growing batches must not corrupt results."""
         config = DQuaGConfig(architecture="graphsage", hidden_dim=16, epochs=3, batch_size=32)
         pipeline = DQuaG(config).fit(make_clean(128, seed=1), rng=0)
         engine = pipeline.engine

@@ -686,7 +686,8 @@ class TestGateway:
 
     @pytest.fixture(scope="class")
     def client(self, gateway):
-        return Client(port=gateway.port)
+        with Client(port=gateway.port) as client:
+            yield client
 
     @pytest.fixture(autouse=True)
     def detach_rules(self, gateway):
@@ -719,9 +720,8 @@ class TestGateway:
         via_json = client.validate("demo", table, include_errors=True)
         assert via_json.rule_report is not None
         assert via_json.rule_report.to_dict() == reference.rule_report.to_dict()
-        framed = Client(port=gateway.port, wire="frame").validate(
-            "demo", table, include_errors=True
-        )
+        with Client(port=gateway.port, wire="frame") as frame_client:
+            framed = frame_client.validate("demo", table, include_errors=True)
         assert framed.rule_report is not None
         assert framed.rule_report.to_dict() == reference.rule_report.to_dict()
 

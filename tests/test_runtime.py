@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import DQuaG, DQuaGConfig
+from repro.core import DQuaG, DQuaGConfig, DQuaGModel
 from repro.data import ColumnKind, ColumnSpec, Table, TableSchema, read_csv_chunks, write_csv
 from repro.data.preprocess import TablePreprocessor
 from repro.errors import NumericAnomalyInjector
@@ -22,9 +22,11 @@ from repro.exceptions import (
     SerializationError,
 )
 from repro.gnn import ENCODER_ARCHITECTURES
+from repro.graph import FeatureGraph
 from repro.nn.kernels import Workspace
 from repro.nn.serialization import load_state, save_state
 from repro.runtime import InferenceEngine, PartialReport, StreamingValidator, ValidationService
+from repro.runtime import engine as engine_module
 from repro.runtime.engine import cache_sized_chunk
 from repro.runtime.streaming import StreamSummary
 
@@ -264,10 +266,54 @@ class TestEngineParity:
     def test_workspace_buffers_are_reused(self):
         ws = Workspace()
         a = ws.get("k", (4, 3))
-        b = ws.get("k", (2, 3))  # smaller request: view of same capacity
-        assert b.base is a.base or b.base is a
-        c = ws.get("k", (8, 3))  # larger request: regrown
-        assert c.shape == (8, 3)
+        block = id(a.base)
+        b = ws.get("k", (4, 3))  # a is alive: same key, new block
+        assert id(b.base) != block
+        del a
+        c = ws.get("other", (2, 3))  # a's block is free: it serves any key and smaller shape
+        assert id(c.base) == block
+        d = ws.get("k", (8, 3))  # every block is in use or too small: a new one
+        assert d.shape == (8, 3) and len(ws._blocks) == 3
+
+    def test_workspace_blocks_settle_after_the_first_call(self, fitted, monkeypatch):
+        """Repeated multi-chunk validates allocate no further block on any
+        thread once the first call has run, at width 1 and at width 2."""
+        made = []
+
+        class Recorded(Workspace):
+            def __init__(self) -> None:
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(engine_module, "Workspace", Recorded)
+        pipeline, holdout = fitted
+        matrix = pipeline.preprocessor.transform(holdout)[: 64 * 12]
+        for width in (1, 2):
+            made.clear()
+            engine = InferenceEngine(pipeline.model, chunk_size=64, width=width)
+            expected = engine.reconstruction_errors(matrix)
+            # A fan-out thread that ran no chunk yet has no blocks to pin.
+            settled = {id(ws): [id(block) for block in ws._blocks] for ws in made if ws._blocks}
+            for _ in range(3):
+                np.testing.assert_array_equal(engine.reconstruction_errors(matrix), expected)
+            assert 1 <= len(made) <= width and settled
+            for ws in made:
+                if id(ws) in settled:
+                    assert [id(block) for block in ws._blocks] == settled[id(ws)]
+
+    def test_paper_sized_scratch_stays_within_five_activations(self):
+        """A thread's scratch is the few blocks one chunk holds at once:
+        at most five of the widest (rows, F, hidden) activation, about
+        5 MiB on a 12-feature, hidden-64 model."""
+        features = [f"f{i}" for i in range(12)]
+        graph = FeatureGraph(features, list(zip(features, features[1:])))
+        engine = InferenceEngine(DQuaGModel(graph, DQuaGConfig(hidden_dim=64), rng=0), width=1)
+        matrix = np.random.default_rng(0).uniform(size=(3 * engine.chunk_size + 7, 12))
+        engine.reconstruction_errors(matrix)
+        engine.repair_values(matrix)
+        engine.forward(matrix)
+        widest = engine.chunk_size * 12 * 64 * 8
+        assert engine._workspace().nbytes() <= 5 * widest
 
 
 # ---------------------------------------------------------------------------

@@ -108,8 +108,8 @@ def served():
     pipeline = fit_demo_pipeline()
     service = ValidationService(capacity=2)
     service.add("demo", pipeline)
-    with AsyncGateway(service, port=0) as gateway:
-        yield pipeline, gateway, Client(port=gateway.port)
+    with AsyncGateway(service, port=0) as gateway, Client(port=gateway.port) as client:
+        yield pipeline, gateway, client
     service.close()
 
 
@@ -337,7 +337,8 @@ class TestBodyLimits:
         service = ValidationService(capacity=1)
         service.add("demo", pipeline)
         with AsyncGateway(service, port=0, max_body_bytes=4096) as gateway:
-            yield pipeline, gateway, Client(port=gateway.port)
+            with Client(port=gateway.port) as client:
+                yield pipeline, gateway, client
         service.close()
 
     def test_small_requests_still_pass(self, small_gateway):
