@@ -116,7 +116,9 @@ SCHEMA_VERSION = 1
 #:     the threshold, dataset rule, feature names and rule set its
 #:     partials were judged with (``rules`` omitted when rules are off),
 #:     instead of a stream summary.
-CODEC_REVISION = 6
+#: 7 — validate_request drops ``workers``: a value an older client
+#:     sends, malformed or not, is ignored like any unknown field.
+CODEC_REVISION = 7
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,7 @@ def _integer_of(payload: dict, name: str, default: int | None = None) -> int | N
     value = payload.get(name)
     if value is None:
         return default
-    # Strictly integral: 2.9 (or True) must not silently become a count
-    # — the ``?workers=`` query-param path rejects such values too.
+    # Strictly integral: 2.9 (or True) must not silently become a count.
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ProtocolError(f"{name!r} must be an integer, got {value!r}")
     try:
@@ -58,25 +57,13 @@ class ValidateRequest:
     include_errors:
         Return dense per-row/per-cell error matrices instead of the
         sparse flagged-only encoding.
-    workers:
-        Optional parallelism hint, validated (an integer >= 1) and kept
-        on the wire for compatibility. The gateway answers every request
-        the same way — the engine already fans each call out over every
-        CPU the process may use — so the report never depends on it.
     """
 
     records: list[dict] = field(default_factory=list)
     pipeline: str | None = None
     include_errors: bool = False
-    workers: int | None = None
 
     kind = "validate_request"
-
-    def __post_init__(self) -> None:
-        if self.workers is not None:
-            self.workers = _integer_of({"workers": self.workers}, "workers")
-            if self.workers < 1:
-                raise ProtocolError(f"workers must be >= 1, got {self.workers}")
 
     def to_dict(self) -> dict:
         payload = envelope(self.kind)
@@ -84,7 +71,6 @@ class ValidateRequest:
             pipeline=self.pipeline,
             records=jsonable(self.records),
             include_errors=bool(self.include_errors),
-            workers=None if self.workers is None else int(self.workers),
         )
         return payload
 
@@ -95,7 +81,6 @@ class ValidateRequest:
             records=_records_of(payload),
             pipeline=payload.get("pipeline"),
             include_errors=bool(payload.get("include_errors", False)),
-            workers=_integer_of(payload, "workers"),
         )
 
     @classmethod
@@ -110,7 +95,6 @@ class ValidateRequest:
                 records=_records_of(payload),
                 pipeline=payload.get("pipeline"),
                 include_errors=bool(payload.get("include_errors", False)),
-                workers=_integer_of(payload, "workers"),
             )
         if request.pipeline is None:
             request.pipeline = pipeline
@@ -122,8 +106,8 @@ class ValidateRequest:
 
         The rows travel as the frame's column payloads, so ``records``
         is absent by design; everything else (``pipeline``,
-        ``include_errors``, ``workers``) is validated exactly as in the
-        JSON tier. An envelope, when present, is gated strictly.
+        ``include_errors``) is read exactly as in the JSON tier. An
+        envelope, when present, is gated strictly.
         """
         if not isinstance(payload, dict):
             raise ProtocolError(f"expected a JSON object, got {type(payload).__name__}")
@@ -133,7 +117,6 @@ class ValidateRequest:
             records=[],
             pipeline=payload.get("pipeline"),
             include_errors=bool(payload.get("include_errors", False)),
-            workers=_integer_of(payload, "workers"),
         )
         if request.pipeline is None:
             request.pipeline = pipeline

@@ -164,7 +164,7 @@ def _render_scheduler(writer: _Writer, sched) -> None:
         )
     writer.sample(
         "repro_scheduler_in_flight_batches", sched.in_flight,
-        "Coalesced batches currently executing on the slab pool.", "gauge",
+        "Coalesced batches and jobs on the compute pool, not yet finished.", "gauge",
     )
     writer.sample(
         "repro_scheduler_requests_submitted_total", sched.submitted,

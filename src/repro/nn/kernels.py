@@ -17,8 +17,8 @@ archive, as a serving replica does, a 10k-row engine validate took
 287 ms with it against 214 ms in recycled scratch (221 ms keyed), as
 every fresh 1 MiB block is faulted in again: 71k page faults per
 validate against none (medians of 36 interleaved runs, one BLAS thread,
-2-vCPU x86 host). The engine keeps one workspace per thread: the
-caller's and each fan-out thread's (``InferenceEngine.width``).
+2-vCPU x86 host). The engine keeps one workspace per thread, shared
+by every engine in the process (``runtime.engine.thread_workspace``).
 
 Kernels accept ``ws=None`` and then fall back to plain ``np.empty``, so
 exported kernels remain self-contained callables.
@@ -45,7 +45,7 @@ class Workspace:
     and squeeze of it that is still alive. The key only labels the
     request (perfbench's composed path still passes one). Not
     thread-safe — use one workspace per thread (the inference engine
-    keeps them thread-local).
+    keeps one per thread).
     """
 
     def __init__(self) -> None:

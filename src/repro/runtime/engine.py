@@ -15,10 +15,10 @@ validate path through it. It runs Phase 2 with:
 
 * zero ``Tensor`` bookkeeping (plain arrays end to end),
 * one shared encoder pass feeding both decoders (``forward``),
-* thread-local :class:`~repro.nn.kernels.Workspace` scratch — a few
-  blocks per thread, faulted in once and handed out again as soon as no
-  live array references them, so a thread holds only what one chunk
-  needs at once and a single engine can serve concurrent requests,
+* per-thread :class:`~repro.nn.kernels.Workspace` scratch shared by
+  every engine — a few blocks, faulted in once and handed out again as
+  soon as no live array references them, so a thread holds only what one
+  chunk needs at once and a single engine can serve concurrent requests,
 * constant folding: the per-feature identity embeddings are baked into
   the decoder's first affine layer — and, where the first encoder layer
   allows it (GCN, GAT, graph2vec — every paper architecture), into the
@@ -36,13 +36,13 @@ validate path through it. It runs Phase 2 with:
   within 3% of the best, 256 rows 1.10x slower and the former fixed 512
   rows — 3 MiB slabs — 1.24x slower,
 * row-parallel calls: an input of two or more chunks runs on ``width``
-  threads, the caller plus an engine-owned pool. ``width`` is derived,
-  not tuned: the CPUs the process may run on (:func:`usable_cpus`),
-  capped per call at the chunk count, so one-chunk calls (small online
-  requests) and 1-CPU processes keep the plain serial loop and start no
-  thread. NumPy releases the GIL inside the kernels, so the threads run
-  on separate cores, each in its own workspace. They claim chunks one at
-  a time from a shared cursor instead of taking fixed shares, because a
+  threads, the caller plus helpers on the :func:`compute_pool`. ``width``
+  is derived, not tuned: the CPUs the process may run on
+  (:func:`usable_cpus`), capped per call at the chunk count, so one-chunk
+  calls (small online requests) and 1-CPU processes keep the plain serial
+  loop. NumPy releases the GIL inside the kernels, so the threads run on
+  separate cores, each in its own workspace. They claim chunks one at a
+  time from a shared cursor instead of taking fixed shares, because a
   VM's cores do not run at a steady speed and a thread done with its
   share early would idle. Measured through ``ValidationService``
   (validate + repair of 10k-row hotel tables, one BLAS thread, 2-vCPU
@@ -95,6 +95,30 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_local = threading.local()
+
+
+def compute_pool() -> ThreadPoolExecutor:
+    """The process's one pool of :func:`usable_cpus` threads, started on
+    first use and never shut down. A job on it must not wait on another
+    job, except as the fan-out does: by cancelling helpers not started."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(usable_cpus(), thread_name_prefix="repro-compute")
+        return _pool
+
+
+def thread_workspace() -> Workspace:
+    """The running thread's scratch, shared by every engine it runs."""
+    ws = getattr(_local, "workspace", None)
+    if ws is None:
+        ws = _local.workspace = Workspace()
+    return ws
 
 
 class InferenceEngine:
@@ -162,15 +186,6 @@ class InferenceEngine:
         self.feature_scales: np.ndarray | None = None
         self.feature_thresholds: np.ndarray | None = None
 
-        # Workspaces are kept thread-local: one engine may serve
-        # concurrent validations from a thread pool, and each fan-out
-        # thread runs its chunks in its own.
-        self._local = threading.local()
-        # Fan-out helpers (width - 1 threads), started on the first
-        # multi-chunk call.
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-
     # -- kernel compilation ------------------------------------------------
     def _compile_decoder(self, mlp: MLP):
         """Compile ``[Z ⊕ E] → MLP → (B, F)`` with the constant identity
@@ -221,13 +236,6 @@ class InferenceEngine:
         return kernel
 
     # -- kernel plumbing --------------------------------------------------
-    def _workspace(self) -> Workspace:
-        ws = getattr(self._local, "workspace", None)
-        if ws is None:
-            ws = Workspace()
-            self._local.workspace = ws
-        return ws
-
     def _node_inputs(self, chunk: np.ndarray, ws: Workspace) -> np.ndarray:
         """(b, F) value chunk → (b, F, 1+e) node inputs, buffer-backed."""
         view = ws.get("node_inputs", (chunk.shape[0], self.n_features, 1 + self.embed_dim))
@@ -257,17 +265,17 @@ class InferenceEngine:
         ``rows`` is the chunk's row slice and ``ws`` the running thread's
         workspace, so ``run`` may only write its own rows of the output.
         A single chunk (or ``width`` 1) runs on the calling thread. Wider
-        inputs fan out: the caller and up to ``width - 1`` pool threads
-        claim chunks from one cursor until none remain. Helpers still
-        queued behind other callers' work are cancelled once the cursor
-        runs dry, so a call never waits on them, and every exception
-        reaches the caller.
+        inputs fan out: the caller and up to ``width - 1`` helpers on the
+        compute pool claim chunks from one cursor until none remain.
+        Helpers still queued behind other work (the caller's own, on a
+        busy pool) are cancelled once the cursor runs dry, so a call
+        never waits on them, and every exception reaches the caller.
         """
         size = self.chunk_size
         n_chunks = -(-matrix.shape[0] // size)
         width = min(self.width, n_chunks)
         if width < 2:
-            ws = self._workspace()
+            ws = thread_workspace()
             for start in range(0, matrix.shape[0], size):
                 rows = slice(start, start + size)
                 run(matrix[rows], rows, ws)
@@ -278,7 +286,7 @@ class InferenceEngine:
 
         def claim() -> None:
             nonlocal cursor
-            ws = self._workspace()
+            ws = thread_workspace()
             try:
                 while True:
                     with lock:
@@ -292,16 +300,10 @@ class InferenceEngine:
                     cursor = n_chunks  # nobody claims another chunk
                 raise
 
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.width - 1, thread_name_prefix="repro-engine"
-                )
-            pool = self._pool
         helpers = []
         try:
             for _ in range(width - 1):
-                helpers.append(pool.submit(claim))
+                helpers.append(compute_pool().submit(claim))
         except RuntimeError:
             pass  # interpreter shutdown: the caller claims what helpers would have
         try:

@@ -48,12 +48,11 @@ when ``Accept-Encoding: gzip`` is present, and gzipped request bodies
 (``Content-Encoding: gzip``) are accepted with ``max_body_bytes``
 enforced on the *decompressed* size.
 
-Parallelism: a ``workers`` field on the validate request (or a
-``?workers=N`` query parameter on either POST endpoint) is accepted —
-a malformed value is a 400 — and answered like any other request, with
-the same report: the engine already runs each call's row chunks on
-every CPU the process may use, and a router fleet spreads streams over
-hosts.
+Parallelism: a gateway's scheduler admits every engine call (so
+``/repair`` and streams answer 429 like ``/validate``), which then runs
+on one pool of threads, one per CPU the process may use; a router fleet
+spreads streams over hosts. A ``workers`` body field or query parameter
+that an older client sends is ignored.
 
 Errors come back as ``{"kind": "error", ...}`` envelopes with
 conventional status codes (:func:`failure_status`): 400 malformed, 404
@@ -84,7 +83,6 @@ __all__ = [
     "format_retry_after",
     "health_payload",
     "parse_query_flag",
-    "parse_query_workers",
 ]
 
 _ROUTE = re.compile(r"^/v1/pipelines/(?P<name>[^/]+)/(?P<action>validate|repair|validate_stream)$")
@@ -104,20 +102,6 @@ def _error_payload(status: int, message: str) -> dict:
     payload = envelope("error")
     payload.update(status=status, error=message)
     return payload
-
-
-def parse_query_workers(query: str) -> int | None:
-    """Parse a ``?workers=N`` query parameter."""
-    values = parse_qs(query).get("workers")
-    if not values:
-        return None
-    try:
-        workers = int(values[-1])
-    except ValueError:
-        raise _RequestError(400, f"'workers' must be an integer, got {values[-1]!r}") from None
-    if workers < 1:
-        raise _RequestError(400, f"'workers' must be >= 1, got {workers}")
-    return workers
 
 
 def parse_query_flag(query: str, name: str) -> bool:

@@ -52,7 +52,7 @@ All of its socket I/O runs on that front's event loop: an upstream call
 is a coroutine over asyncio streams that reuses the replica's idle
 keep-alive connections, the prober is a task that probes every replica
 at once, and a scatter's chunk ranges are gathered there. Only CPU work,
-parsing a range's partials and the fold, goes to the front's executor.
+parsing a range's partials and the fold, goes to the compute pool.
 The router's state is touched on the loop alone, so it takes no lock.
 The scatter path buffers one request's chunk list in router memory
 (unlike a single gateway, which streams).
@@ -72,7 +72,7 @@ from urllib.parse import quote, unquote
 import repro
 from repro.api import framing
 from repro.api.protocol import envelope, fold_context_from_dict
-from repro.exceptions import TransientServiceError
+from repro.exceptions import AdmissionError, TransientServiceError
 from repro.monitor.export import PROMETHEUS_CONTENT_TYPE
 from repro.runtime.streaming import EMPTY_STREAM_MESSAGE, PartialReport, fold_partials
 from repro.serve.gateway import (
@@ -81,7 +81,6 @@ from repro.serve.gateway import (
     _RULES_ROUTE,
     _RequestError,
     parse_query_flag,
-    parse_query_workers,
 )
 from repro.serve.transport import _MAX_LINE, _HTTPFront, _iter_lines, _read_headers
 from repro.utils.logging import get_logger
@@ -429,7 +428,7 @@ class RouterGateway(_HTTPFront):
         Returns the decoded partials in global chunk order, offsets
         re-globalized, and the fold context every range was judged with.
         Each chunk range is one upstream POST; the ranges are gathered
-        here on the event loop, and only their parses use the executor.
+        here on the event loop, and only their parses use the compute pool.
         """
         order = self.scatter_order(name)
         if not order:
@@ -480,7 +479,7 @@ class RouterGateway(_HTTPFront):
         it). A 5xx may be the request's own doing, so the range moves on
         but the replica stays in the ring; when every replica answered
         5xx, the last answer is relayed. A 4xx is the client's and is
-        relayed at once.
+        relayed at once; a 429 keeps the replica's ``Retry-After``.
         """
         tried: set = set()
         replica = first_replica
@@ -488,7 +487,7 @@ class RouterGateway(_HTTPFront):
         answer: "tuple[int, str] | None" = None  # last 5xx (status, message)
         while replica is not None:
             try:
-                status, _, raw = await self._request(
+                status, answer_headers, raw = await self._request(
                     self.targets[replica], "POST", path, body, headers
                 )
             except _UPSTREAM_ERRORS as exc:
@@ -506,6 +505,12 @@ class RouterGateway(_HTTPFront):
                         f"replica {replica} returned {len(partials)} partial(s) "
                         f"for {n_chunks} chunk(s)"
                         + ("" if context is not None else " without a fold context")
+                    )
+                elif status == 429:  # the replica's queue is full: relay its hint
+                    hint = answer_headers.get("retry-after", "")
+                    raise AdmissionError(
+                        self._error_message(raw, status),
+                        retry_after=float(hint) if hint.isdigit() else 1.0,
                     )
                 elif 400 <= status < 500:
                     # Client-caused (malformed chunk, schema mismatch, …):
@@ -766,9 +771,6 @@ class RouterGateway(_HTTPFront):
 
     async def _route_stream(self, writer, request, body, name: str) -> bool:
         """The scatter path: split, scatter, fold, answer like one gateway."""
-        # A malformed ``?workers=`` is a 400 here as on a gateway; a
-        # well-formed one scatters like any other stream.
-        parse_query_workers(request.query)
         if (
             parse_query_flag(request.query, "partials")  # the caller is itself a merger
             or len(self.scatter_order(name)) < 2          # nothing to scatter across

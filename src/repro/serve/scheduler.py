@@ -25,11 +25,13 @@ differential suite pins).
   and a batch closes early at ``max_batch_rows``;
 * pipelines compete by **QoS weight** (weighted-by-waiting-time: a
   weight-2 pipeline is served like one that has waited twice as long);
-* fused slabs execute on a small thread pool, so batches for different
-  pipelines overlap; within a slab of two or more row chunks, the
-  engine's own fan-out already uses every CPU the process may use;
+* fused slabs execute on the process's
+  :func:`~repro.runtime.engine.compute_pool`, so batches for different
+  pipelines overlap, and the engine's fan-out claims its idle threads;
+* calls that never coalesce (a repair, a stream chunk) are admitted by
+  :meth:`submit_job` and go to the pool at once, with no window;
 * :meth:`close` **drains**: pending requests are dispatched immediately
-  (no window wait) and in-flight batches complete before shutdown.
+  (no window wait) and in-flight batches and jobs complete first.
 
 A single-request batch is the core's one-shot case, exactly what
 :meth:`~repro.runtime.service.ValidationService.validate` runs — under
@@ -42,16 +44,16 @@ and the service it runs on dispatches nothing itself.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import Counter, deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from repro.core.validator import ValidationReport
 from repro.data.table import Table
 from repro.exceptions import AdmissionError, ReproError
+from repro.runtime.engine import compute_pool
 from repro.utils.logging import get_logger
 
 __all__ = ["BATCH_SIZE_BUCKETS", "RequestScheduler", "SchedulerStats"]
@@ -67,17 +69,17 @@ BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 class SchedulerStats:
     """Point-in-time scheduler counters + gauges (see ``/v1/metrics``)."""
 
-    #: pending requests, per pipeline and summed
+    #: pending requests (jobs until they start), per pipeline and summed
     queue_depths: dict[str, int] = field(default_factory=dict)
     queue_depth: int = 0
-    #: batches currently executing on the slab pool
+    #: batches dispatched to the compute pool and jobs admitted to it
     in_flight: int = 0
     #: lifetime request counters
     submitted: int = 0
     rejected: int = 0
     completed: int = 0
     failed: int = 0
-    #: lifetime batch counters
+    #: lifetime batch counters (a job is a batch of one)
     batches: int = 0
     rows: int = 0
     #: cumulative batch-size histogram, bucket upper bound → batches with
@@ -154,7 +156,7 @@ class RequestScheduler:
         dispatches, alone).
     max_queue_depth:
         Admission bound, in pending requests per pipeline; beyond it
-        :meth:`submit` raises :class:`AdmissionError`.
+        :meth:`submit` and :meth:`submit_job` raise :class:`AdmissionError`.
     qos_weights:
         Pipeline name → weight. When several pipelines have dispatchable
         batches, the one with the highest ``weight × effective-wait``
@@ -189,6 +191,8 @@ class RequestScheduler:
         self._clock = clock
         self._cv = threading.Condition()
         self._queues: "dict[str, deque[_Pending]]" = {}
+        #: per pipeline: jobs admitted to the pool that have not started
+        self._waiting: "Counter[str]" = Counter()
         self._closed = False
         # -- counters (all guarded by _cv) --
         self._in_flight = 0
@@ -199,9 +203,6 @@ class RequestScheduler:
         self._batches = 0
         self._rows = 0
         self._hist = [0] * (len(BATCH_SIZE_BUCKETS) + 1)
-        self._executor = ThreadPoolExecutor(
-            min(4, os.cpu_count() or 1), thread_name_prefix="repro-slab"
-        )
         self._dispatcher = threading.Thread(
             target=self._run, name="repro-scheduler", daemon=True
         )
@@ -217,29 +218,44 @@ class RequestScheduler:
         """
         future: "Future[ValidationReport]" = Future()
         with self._cv:
-            if self._closed:
-                raise ReproError("request scheduler is closed")
-            queue = self._queues.setdefault(name, deque())
-            if len(queue) >= self.max_queue_depth:
-                self._rejected += 1
-                raise AdmissionError(
-                    f"pipeline {name!r} has {len(queue)} requests queued "
-                    f"(limit {self.max_queue_depth}); retry after the queue drains",
-                    retry_after=self._retry_after_locked(),
-                )
-            queue.append(_Pending(table, future, self._clock()))
-            self._submitted += 1
+            self._admit_locked(name)
+            self._queues.setdefault(name, deque()).append(_Pending(table, future, self._clock()))
             self._cv.notify()
         return future
 
+    def submit_job(self, name: str, n_rows: int, fn, *args) -> Future:
+        """Run ``fn(*args)`` on the pool now, admitted like :meth:`submit`:
+        it is pending until it starts and a batch of ``n_rows`` once run."""
+        future: Future = Future()
+        with self._cv:
+            self._admit_locked(name)
+            # Under the lock: the job's start (which takes it) sees it counted.
+            compute_pool().submit(self._run_job, name, n_rows, future, fn, args)
+            self._waiting[name] += 1
+            self._in_flight += 1
+        return future
+
+    def _admit_locked(self, name: str) -> None:
+        if self._closed:
+            raise ReproError("request scheduler is closed")
+        depth = len(self._queues.get(name, ())) + self._waiting[name]
+        if depth >= self.max_queue_depth:
+            self._rejected += 1
+            raise AdmissionError(
+                f"pipeline {name!r} has {depth} requests queued "
+                f"(limit {self.max_queue_depth}); retry after the queue drains",
+                retry_after=self._retry_after_locked(),
+            )
+        self._submitted += 1
+
     def _retry_after_locked(self) -> float:
-        # A conservative drain hint: every queued slab's worth of rows
-        # costs at least one window, and batches already dispatched to
-        # slab threads occupy workers ahead of the queue — a retry
-        # cannot land before they finish, so in-flight slabs count
-        # toward the estimate too. Transports round this up to RFC
-        # whole seconds for the Retry-After header.
-        backlog = sum(len(q) for q in self._queues.values())
+        # A conservative drain hint: every queued slab's worth of
+        # requests costs at least one window, and batches and jobs on
+        # the pool occupy its threads ahead of the queue — a retry
+        # cannot land before they finish, so they count toward the
+        # estimate too. Transports round this up to RFC whole seconds
+        # for the Retry-After header.
+        backlog = sum(len(q) for q in self._queues.values()) + sum(self._waiting.values())
         slabs = max(1, backlog // max(1, self.max_queue_depth // 4)) + self._in_flight
         return max(self.batch_window, 0.05) * slabs
 
@@ -257,7 +273,7 @@ class RequestScheduler:
                         self._in_flight += 1
                         break
                     self._cv.wait(self._next_deadline_locked(now))
-            self._executor.submit(self._run_batch, name, batch)
+            compute_pool().submit(self._run_batch, name, batch)
 
     def _select_ready(self, now: float) -> str | None:
         """The highest-QoS-score pipeline whose batch should dispatch now.
@@ -337,20 +353,34 @@ class RequestScheduler:
                     failed += 1
                     pending.future.set_exception(exc)
         finally:
-            with self._cv:
-                self._in_flight -= 1
-                self._batches += 1
-                self._rows += sum(p.n_rows for p in batch)
-                self._failed += failed
-                self._completed += len(batch) - failed
-                self._observe_batch_size(len(batch))
-                self._cv.notify_all()
+            self._finish(len(batch), sum(p.n_rows for p in batch), failed)
 
-    def _observe_batch_size(self, size: int) -> None:
-        for i, bound in enumerate(BATCH_SIZE_BUCKETS):
-            if size <= bound:
-                self._hist[i] += 1
-        self._hist[-1] += 1  # +Inf
+    def _run_job(self, name: str, n_rows: int, future: Future, fn, args) -> None:
+        with self._cv:
+            self._waiting[name] -= 1
+        failed = 0
+        try:
+            if future.set_running_or_notify_cancel():  # False: its caller left
+                future.set_result(fn(*args))
+        except Exception as exc:
+            failed = 1
+            future.set_exception(exc)
+        finally:
+            self._finish(1, n_rows, failed)
+
+    def _finish(self, size: int, n_rows: int, failed: int) -> None:
+        """Count one batch of ``size`` requests that left the pool."""
+        with self._cv:
+            self._in_flight -= 1
+            self._batches += 1
+            self._rows += n_rows
+            self._failed += failed
+            self._completed += size - failed
+            for i, bound in enumerate(BATCH_SIZE_BUCKETS):
+                if size <= bound:
+                    self._hist[i] += 1
+            self._hist[-1] += 1  # +Inf
+            self._cv.notify_all()
 
     def _validate_batch(self, name: str, batch: "list[_Pending]") -> "list[ValidationReport]":
         """Run one coalesced batch; returns per-request reports in order.
@@ -374,9 +404,11 @@ class RequestScheduler:
             hist = {
                 bound: self._hist[i] for i, bound in enumerate(BATCH_SIZE_BUCKETS)
             }
+            # Counter addition keeps the positive depths only.
+            depths = Counter({n: len(q) for n, q in self._queues.items()}) + self._waiting
             return SchedulerStats(
-                queue_depths={n: len(q) for n, q in self._queues.items() if q},
-                queue_depth=sum(len(q) for q in self._queues.values()),
+                queue_depths=dict(depths),
+                queue_depth=sum(depths.values()),
                 in_flight=self._in_flight,
                 submitted=self._submitted,
                 rejected=self._rejected,
@@ -395,32 +427,29 @@ class RequestScheduler:
         """Stop accepting work and shut the dispatcher down.
 
         With ``drain=True`` (default) every queued request is dispatched
-        immediately — the batch window no longer applies — and in-flight
-        slabs run to completion, so every previously-returned future
-        resolves. ``drain=False`` fails queued requests with
-        :class:`ReproError` instead (in-flight slabs still complete).
+        immediately — the batch window no longer applies — so every
+        previously-returned future resolves; ``drain=False`` fails queued
+        requests with :class:`ReproError` instead. Either way it returns
+        once every in-flight slab and job has finished.
         """
         with self._cv:
             if self._closed:
-                drained_already = True
-            else:
-                drained_already = False
-                self._closed = True
-                if not drain:
-                    for queue in self._queues.values():
-                        while queue:
-                            pending = queue.popleft()
-                            self._failed += 1
-                            pending.future.set_exception(
-                                ReproError("request scheduler closed before dispatch")
-                            )
-                self._cv.notify_all()
-        if drained_already:
-            return
+                return
+            self._closed = True
+            if not drain:
+                for queue in self._queues.values():
+                    while queue:
+                        pending = queue.popleft()
+                        self._failed += 1
+                        pending.future.set_exception(
+                            ReproError("request scheduler closed before dispatch")
+                        )
+            self._cv.notify_all()
         self._dispatcher.join(timeout)
         if self._dispatcher.is_alive():  # pragma: no cover - defensive
             logger.warning("scheduler dispatcher did not drain within %ss", timeout)
-        self._executor.shutdown(wait=True)
+        with self._cv:
+            self._cv.wait_for(lambda: not self._in_flight)
 
     def __enter__(self) -> "RequestScheduler":
         return self

@@ -4,10 +4,10 @@
 close with drain, one keep-alive connection loop, request-head parsing,
 incremental body reading (Content-Length or chunked, gzip, the
 ``max_body_bytes`` bounds, the interim ``100 Continue`` a client may ask
-for), blocking work on a bounded executor, and the response writers. No
-thread per connection: a single ``asyncio`` event loop parses HTTP and
-hands compute off elsewhere. Two servers subclass it, and each supplies
-only its ``_route``:
+for), blocking work on the process's compute pool, and the response
+writers. No thread per connection: a single ``asyncio`` event loop
+parses HTTP and hands compute off to the pool. Two servers subclass it,
+and each supplies only its ``_route``:
 
 * :class:`AsyncGateway` (here) answers every ``/v1`` route — health,
   pipeline stats, metrics, monitor, rules, validate, repair,
@@ -16,28 +16,25 @@ only its ``_route``:
 * :class:`~repro.serve.router.RouterGateway` answers the same routes
   from a fleet of worker replicas.
 
-In the gateway the event loop itself never blocks:
+In the gateway the event loop itself never blocks, and every engine
+call is admitted by the :class:`~repro.serve.scheduler.RequestScheduler`
+(the fat half): a full queue surfaces as HTTP 429 + ``Retry-After`` —
+admission control instead of unbounded latency.
 
-* **validate** requests go to the
-  :class:`~repro.serve.scheduler.RequestScheduler` (the fat half),
-  which coalesces concurrent small requests for the same pipeline into
-  one fused engine slab and resolves each request's future with its own
-  bit-identical report. A full queue surfaces as HTTP 429 +
-  ``Retry-After`` — admission control instead of unbounded latency.
-  A ``workers`` request (body field or ``?workers=N``) takes the same
-  path with the same report: the engine already runs each slab's row
-  chunks on every CPU the process may use;
-* **repair** and other engine work run on the executor
-  (``loop.run_in_executor``) — the NumPy kernels release the GIL, so
-  slabs overlap while the loop keeps accepting connections;
-* **validate_stream** bodies (NDJSON lines or back-to-back frames) are
-  split incrementally on the loop and validated chunk-by-chunk on the
-  executor, so memory stays O(chunk) regardless of stream length.
+* **validate** requests are coalesced: concurrent small requests for
+  the same pipeline become one fused engine slab, and each request's
+  future resolves with its own bit-identical report;
+* **repair** (its validate and its repair, as one call) and each chunk
+  of a **validate_stream** body (NDJSON lines or back-to-back frames,
+  split incrementally on the loop, so memory stays O(chunk)) are jobs
+  that go to the compute pool at once — the NumPy kernels release the
+  GIL, so they overlap while the loop keeps accepting connections.
+  Decodes and encodes (:meth:`_HTTPFront._run`) share the pool.
 
 ``close()`` drains: the listener stops, in-flight requests get
 ``drain_timeout`` seconds to finish, idle keep-alive connections are
-cancelled, the executor finishes its work, and only then does the
-gateway release its scheduler.
+cancelled, the work the front put on the pool finishes, and only then
+does the gateway release its scheduler.
 
 Errors map to statuses through the shared contract,
 :func:`repro.serve.gateway.failure_status`.
@@ -48,10 +45,9 @@ from __future__ import annotations
 import asyncio
 import gzip
 import json
-import os
 import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, wait
 from http import HTTPStatus
 from typing import AsyncIterator
 from urllib.parse import SplitResult, unquote, urlsplit
@@ -62,6 +58,7 @@ from repro.api.requests import RepairRequest, ValidateRequest, _records_of
 from repro.data.table import Table
 from repro.exceptions import SchemaError, ValidationError
 from repro.monitor.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
+from repro.runtime.engine import compute_pool
 from repro.runtime.streaming import EMPTY_STREAM_MESSAGE
 from repro.serve.gateway import (
     _MONITOR_ROUTE,
@@ -74,7 +71,6 @@ from repro.serve.gateway import (
     format_retry_after,
     health_payload,
     parse_query_flag,
-    parse_query_workers,
 )
 from repro.serve.scheduler import RequestScheduler
 from repro.utils.logging import get_logger
@@ -302,11 +298,11 @@ class _HTTPFront:
     buffered endpoints, each transfer chunk, NDJSON line or binary frame
     for streaming uploads — whose *total* length stays unbounded by
     design. For gzipped bodies the bound applies to the decompressed
-    size. Blocking work runs on an executor of ``max(8, min(32, 4 ×
-    CPUs))`` threads, started as needed: the gateway's decodes and
-    engine work, but never a socket call (the router's upstream I/O is
-    on the loop too). A subclass implements :meth:`_route` and may
-    override :meth:`_release`.
+    size. Blocking work (:meth:`_run`) goes to the process's compute
+    pool: decodes, encodes and the router's range parses and folds, but
+    never a socket call (the router's upstream I/O is on the loop too).
+    A subclass implements :meth:`_route` and may override
+    :meth:`_release`.
     """
 
     #: default request-body ceiling: 64 MiB
@@ -315,7 +311,7 @@ class _HTTPFront:
     #: how long close() waits for in-flight requests
     DEFAULT_DRAIN_TIMEOUT = 10.0
 
-    #: name of the serving thread and prefix of the executor's threads
+    #: name of the serving thread
     _thread_name = "repro-aserve"
 
     def __init__(self, host: str, port: int, max_body_bytes: int | None) -> None:
@@ -327,10 +323,8 @@ class _HTTPFront:
         )
         if self.max_body_bytes < 1:
             raise ValueError(f"max_body_bytes must be positive, got {max_body_bytes}")
-        cpus = os.cpu_count() or 4
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(8, min(32, cpus * 4)), thread_name_prefix=self._thread_name
-        )
+        #: what :meth:`_run` put on the compute pool and is not done yet
+        self._jobs: "set[Future]" = set()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._thread: threading.Thread | None = None
@@ -437,7 +431,7 @@ class _HTTPFront:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-        self._executor.shutdown(wait=True)
+        wait(self._jobs.copy())  # this front's work only: the pool is shared
         self._release()
 
     def _release(self) -> None:
@@ -538,9 +532,11 @@ class _HTTPFront:
         raise NotImplementedError
 
     async def _run(self, fn, *args):
-        """Run blocking work on the executor, off the event loop."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._executor, lambda: fn(*args))
+        """Run blocking work on the compute pool, off the event loop."""
+        future = compute_pool().submit(fn, *args)
+        self._jobs.add(future)
+        future.add_done_callback(self._jobs.discard)
+        return await asyncio.wrap_future(future)
 
     # -- response writing --------------------------------------------------
     async def _send_json(
@@ -614,8 +610,8 @@ class AsyncGateway(_HTTPFront):
     shared front's (:class:`_HTTPFront`). The scheduler knobs
     (``batch_window_ms``, ``max_batch_rows``, ``max_queue_depth``,
     ``qos_weights``) configure the gateway's own
-    :class:`RequestScheduler`, the one queue its validate requests
-    take; :meth:`close` drains it after the front stops.
+    :class:`RequestScheduler`, the one queue its engine calls take;
+    :meth:`close` drains it after the front stops.
     """
 
     def __init__(
@@ -702,9 +698,6 @@ class AsyncGateway(_HTTPFront):
                 raise _RequestError(404, f"no such route: POST {path}")
             name = unquote(match["name"])
             self._require_pipeline(name)
-            # Still part of the contract: a malformed ``?workers=`` is a
-            # 400, a well-formed one changes nothing (see the docstring).
-            parse_query_workers(request.query)
             action = match["action"]
             if action == "validate":
                 await self._handle_validate(writer, request, body, name)
@@ -797,7 +790,7 @@ class AsyncGateway(_HTTPFront):
         vreq, table = await self._read_request(request, body, name, ValidateRequest)
         # The coalescing path: submit() is just an enqueue (raises
         # AdmissionError → 429 when the queue is full); the concurrent
-        # future resolves on a slab thread and wrap_future bridges it
+        # future resolves on a pool thread and wrap_future bridges it
         # back to the loop without blocking it.
         report = await asyncio.wrap_future(self.scheduler.submit(name, table))
         errors = "dense" if vreq.include_errors else "sparse"
@@ -811,12 +804,14 @@ class AsyncGateway(_HTTPFront):
         self, writer, request: _Request, body: _BodyReader, name: str
     ) -> None:
         rreq, table = await self._read_request(request, body, name, RepairRequest)
-        report = await self._run(self.service.validate, name, table)
 
-        def run_repair():
-            return self.service.repair(name, table, report=report, iterations=rreq.iterations)
+        def validate_and_repair():
+            report = self.service.validate(name, table)
+            return report, self.service.repair(name, table, report, rreq.iterations)
 
-        repaired, summary = await self._run(run_repair)
+        report, (repaired, summary) = await asyncio.wrap_future(
+            self.scheduler.submit_job(name, table.n_rows, validate_and_repair)
+        )
         errors = "dense" if rreq.include_errors else "sparse"
         if self._accepts_frame(request):
             # The repaired rows travel as binary columns; the summary and
@@ -846,7 +841,7 @@ class AsyncGateway(_HTTPFront):
         ``FrameFileWriter`` produces), one chunk per frame; frames are
         self-delimiting and ``max_body_bytes`` bounds each one, never
         the stream total. An NDJSON body carries one record list per
-        line. Each chunk decodes on the executor, as a ``/validate``
+        line. Each chunk decodes on the compute pool, as a ``/validate``
         body does, so a large chunk never stalls the gateway's other
         connections.
         """
@@ -887,7 +882,10 @@ class AsyncGateway(_HTTPFront):
         partials = []
         offset = 0
         async for table in self._iter_stream_tables(body, schema, framed):
-            partial = await self._run(validator.validate_chunk, table, offset)
+            job = self.scheduler.submit_job(
+                name, table.n_rows, validator.validate_chunk, table, offset
+            )
+            partial = await asyncio.wrap_future(job)
             offset += partial.n_rows
             if emit_partials:
                 # ``?partials=1`` (the router's scatter path): each ack

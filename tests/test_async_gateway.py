@@ -6,15 +6,17 @@ over actual sockets via the stdlib client. The acceptance bar mirrors
 ``test_serve``: every report obtained over HTTP — JSON tier or binary
 frame tier, coalesced or solo — must be bit-identical to the in-process
 result. On top of that: admission control surfaces as 429 +
-``Retry-After`` (which the client honors), shutdown drains in-flight
-work, ``/v1/metrics`` exports the scheduler gauges, ``Expect:
-100-continue`` uploads get their interim response, and a
-100-concurrent-client stress run produces no 5xx with bounded tail
-latency.
+``Retry-After`` (which the client honors) on validate, repair and
+stream alike, shutdown drains in-flight work, ``/v1/metrics`` exports
+the scheduler gauges, ``Expect: 100-continue`` uploads get their
+interim response, a 100-concurrent-client stress run produces no 5xx
+with bounded tail latency, and a mixed load leaves the process with one
+compute pool: no thread and no workspace beyond one per usable CPU.
 """
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import socket
@@ -29,7 +31,9 @@ from repro.api import framing
 from repro.api.requests import ValidateRequest
 from repro.core.validator import ValidationReport
 from repro.exceptions import GatewayError
+from repro.nn.kernels import Workspace
 from repro.runtime import ValidationService
+from repro.runtime.engine import usable_cpus
 from repro.serve import AsyncGateway, Client, RouterGateway
 from repro.serve.cli import DEMO_RECORD, fit_demo_pipeline
 from tests.test_serve import make_batch
@@ -87,10 +91,7 @@ class TestEndpoints:
         pipeline, _, client = served
         batch = make_batch(pipeline, 600, seed=7, corrupt=80)
         local = pipeline.validate(batch)
-        # The field is sent raw: the wire still accepts ``workers``.
-        request = ValidateRequest(
-            records=batch.to_records(), pipeline="demo", include_errors=True, workers=2
-        )
+        request = ValidateRequest(records=batch.to_records(), pipeline="demo", include_errors=True)
         remote = ValidationReport.from_dict(
             client._request("POST", "/v1/pipelines/demo/validate", request.to_dict())
         )
@@ -125,7 +126,7 @@ class TestEndpoints:
 
     def test_stream_chunks_decode_off_the_loop(self, served, monkeypatch):
         # A large chunk must not stall the gateway's other connections:
-        # both stream decoders run on the executor, as /validate's do.
+        # both stream decoders run on the compute pool, as /validate's do.
         pipeline, gateway, client = served
         seen: "dict[str, list[int]]" = {"frame": [], "ndjson": []}
 
@@ -251,7 +252,10 @@ class TestCoalescing:
 
 
 class TestAdmissionControl:
-    def test_full_queue_yields_429_with_retry_after(self):
+    @pytest.mark.parametrize("endpoint", ["validate", "repair", "validate_stream"])
+    def test_full_queue_yields_429_with_retry_after(self, endpoint):
+        """One validate parked in a 1-deep queue refuses the next engine
+        call of the pipeline, whichever endpoint it comes from."""
         pipeline = fit_demo_pipeline()
         service = ValidationService(capacity=2)
         service.add("demo", pipeline)
@@ -289,8 +293,12 @@ class TestAdmissionControl:
             connection = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=30)
             try:
                 connection.request(
-                    "POST", "/v1/pipelines/demo/validate", body=payload,
-                    headers={"Content-Type": "application/json"},
+                    "POST", f"/v1/pipelines/demo/{endpoint}",
+                    body=payload + b"\n" if endpoint == "validate_stream" else payload,
+                    headers={
+                        "Content-Type": "application/x-ndjson"
+                        if endpoint == "validate_stream" else "application/json"
+                    },
                 )
                 response = connection.getresponse()
                 response.read()
@@ -397,6 +405,58 @@ class TestShutdown:
         service.close()
         assert "error" not in result, result.get("error")
         assert result["report"].row_flags.shape == (batch.n_rows,)
+
+    def test_close_waits_for_an_in_flight_repair(self):
+        """A repair is a job on the shared compute pool, which close()
+        must not shut down: it waits for the job and its response."""
+        pipeline = fit_demo_pipeline()
+        service = ValidationService(capacity=2)
+        service.add("demo", pipeline)
+        gateway = AsyncGateway(service, port=0, batch_window_ms=0.0)
+        gateway.start()
+        batch = make_batch(pipeline, 20_000, seed=2, corrupt=500)
+        result: dict = {}
+
+        def request():
+            try:
+                with Client(port=gateway.port, timeout=60, wire="frame") as client:
+                    result["repair"] = client.repair("demo", batch, as_table=True)
+            except Exception as exc:  # pragma: no cover - failure detail
+                result["error"] = exc
+
+        worker = threading.Thread(target=request)
+        worker.start()
+        deadline = time.monotonic() + 30
+        while gateway._active == 0 and worker.is_alive() and time.monotonic() < deadline:
+            time.sleep(0.002)
+        gateway.close()
+        worker.join(timeout=60)
+        service.close()
+        assert "error" not in result, result.get("error")
+        repaired, summary, report = result["repair"]
+        local_report = pipeline.validate(batch)
+        local_repaired, local_summary = pipeline.repair(batch, report=local_report)
+        assert repaired.to_records() == local_repaired.to_records()
+        assert summary.n_cells_repaired == local_summary.n_cells_repaired > 0
+
+    def test_gateway_started_after_another_closed_serves(self):
+        """The compute pool outlives each front: a second gateway in the
+        same process validates, repairs and streams after the first one
+        closed."""
+        pipeline = fit_demo_pipeline()
+        service = ValidationService(capacity=2)
+        service.add("demo", pipeline)
+        batch = make_batch(pipeline, 300, seed=3, corrupt=30)
+        local = pipeline.validate(batch)
+        chunks = [batch.slice_rows(0, 150), batch.slice_rows(150, 300)]
+        for _ in range(2):
+            with AsyncGateway(service, port=0) as gateway, Client(port=gateway.port) as client:
+                remote = client.validate("demo", batch, include_errors=True)
+                assert_reports_identical(local, remote, dense=True)
+                _, _, report = client.repair("demo", batch)
+                np.testing.assert_array_equal(report.row_flags, local.row_flags)
+                assert client.validate_stream("demo", chunks).n_flagged == local.n_flagged
+        service.close()
 
 
 class TestClientPooling:
@@ -647,3 +707,37 @@ class TestStress:
         stats = gateway.scheduler.stats_snapshot()
         assert stats.failed == 0
         assert stats.mean_batch_size > 1.0  # the stampede actually coalesced
+
+
+class TestOneComputeLane:
+    def test_mixed_load_stays_on_one_pool(self, served, monkeypatch):
+        """Validates, repairs and streams from 8 callers leave the process
+        with the main thread, the gateway's loop and dispatcher, and at
+        most one compute-pool thread per usable CPU; only those threads
+        (and the main thread's fits) hold workspace blocks."""
+        pipeline, gateway, _ = served
+        # Small chunks: every call below spans several, so each fans out.
+        monkeypatch.setattr(pipeline.engine, "chunk_size", 64)
+        batch = make_batch(pipeline, 400, seed=50, corrupt=40)
+        local = pipeline.validate(batch)
+        chunks = [batch.slice_rows(start, start + 200) for start in (0, 200)]
+
+        def caller(_):
+            with Client(port=gateway.port) as client:
+                remote = client.validate("demo", batch, include_errors=True)
+                assert_reports_identical(local, remote, dense=True)
+                _, _, report = client.repair("demo", batch)
+                np.testing.assert_array_equal(report.row_flags, local.row_flags)
+                assert client.validate_stream("demo", chunks).n_flagged == local.n_flagged
+
+        with ThreadPoolExecutor(8) as callers:
+            list(callers.map(caller, range(16)))
+        names = sorted(thread.name for thread in threading.enumerate())
+        pool = [name for name in names if name.startswith("repro-compute")]
+        assert 1 <= len(pool) <= usable_cpus(), names
+        assert [n for n in names if n not in pool] == [
+            "MainThread", "repro-aserve", "repro-scheduler"
+        ], names
+        gc.collect()
+        holding = [o for o in gc.get_objects() if isinstance(o, Workspace) and o._blocks]
+        assert len(holding) <= usable_cpus() + 1

@@ -286,7 +286,6 @@ def build_cases() -> dict:
                 records=[{"a": 0.5, "b": "lo"}, {"a": None, "b": "hi"}],
                 pipeline="hotel",
                 include_errors=True,
-                workers=4,
             ).to_dict(),
             lambda p: ValidateRequest.from_dict(p).to_dict(),
         ),

@@ -304,19 +304,43 @@ class TestParity:
         assert stream_lines(cluster.router.port, chunks, "?workers=2") == plain
         assert cluster.router._counters["streams_scattered"] == before + 1
 
-    def test_bad_workers_query_rejected_by_router(self, cluster):
-        connection = HTTPConnection("127.0.0.1", cluster.router.port, timeout=30)
-        try:
-            connection.request(
-                "POST",
-                "/v1/pipelines/demo/validate_stream?workers=banana",
-                body=json.dumps({"records": make_scenario(0).slice_rows(0, 4).to_records()})
-                + "\n",
-                headers={"Content-Type": "application/x-ndjson"},
-            )
-            assert connection.getresponse().status == 400
-        finally:
-            connection.close()
+    @pytest.mark.parametrize("front", ["gateway", "router"])
+    @pytest.mark.parametrize(
+        "field, query",
+        [(0, ""), ("lots", ""), (None, "?workers=banana")],
+        ids=["zero-field", "lots-field", "banana-query"],
+    )
+    def test_workers_from_older_clients_are_ignored(self, cluster, front, field, query):
+        """A ``workers`` body field or ``?workers=`` parameter, well-formed
+        or not, answers exactly like the request without it: a validate
+        byte for byte, and a stream scattered through the router too."""
+        port = (cluster.gateways[0] if front == "gateway" else cluster.router).port
+        table = make_scenario(3)
+
+        def validate(payload: dict, suffix: str = "") -> "tuple[int, bytes]":
+            connection = HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                connection.request(
+                    "POST", "/v1/pipelines/demo/validate" + suffix, body=json.dumps(payload),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                return response.status, response.read()
+            finally:
+                connection.close()
+
+        plain = validate({"records": table.to_records()})
+        assert plain[0] == 200
+        older = {"records": table.to_records()}
+        if field is not None:
+            older["workers"] = field
+        assert validate(older, query) == plain
+        if query:
+            chunks = [
+                table.slice_rows(start, start + CHUNK_SIZE)
+                for start in range(0, table.n_rows, CHUNK_SIZE)
+            ]
+            assert stream_lines(port, chunks, query) == stream_lines(port, chunks)
 
     def test_malformed_stream_line_is_400_and_evicts_nobody(self, cluster):
         # A replica refusing a client's range with a 400 is propagated,
@@ -576,13 +600,19 @@ class TestMembership:
         finally:
             router.close()
 
-    def test_upstream_io_starts_no_thread(self, cluster):
+    def test_upstream_io_starts_no_thread(self, cluster, monkeypatch):
         """Proxied calls and rule fan-outs run on the router's loop, and
-        so does the prober: no prober thread, no executor thread."""
+        so does the prober: no prober thread, no job on the compute pool."""
         router = RouterGateway(
             [(f"replica-{i}", "127.0.0.1", port) for i, port in enumerate(cluster.replica_ports)],
             port=0, health_interval=0.05,
         ).start()
+        jobs = []
+
+        async def recorded(fn, *args):
+            jobs.append(fn)
+
+        monkeypatch.setattr(router, "_run", recorded)  # the router's only way to the pool
         table = make_clean(32, seed=7)
         reference = cluster.single.validate("demo", table, include_errors=True)
 
@@ -590,6 +620,12 @@ class TestMembership:
             with Client(port=router.port) as client:
                 return client.validate("demo", table, include_errors=True)
 
+        # The replicas share this process's compute pool: their threads
+        # may start meanwhile; the router's own must not.
+        def others():
+            return {t for t in threading.enumerate() if not t.name.startswith("repro-compute")}
+
+        before = others()
         try:
             with ThreadPoolExecutor(8) as pool:
                 for routed in pool.map(validate, range(16)):
@@ -598,8 +634,8 @@ class TestMembership:
                 client.set_rules("demo", RULES_DOC)
                 assert client.get_rules("demo").name == RULES_DOC["name"]
             time.sleep(0.2)  # a few probe rounds
-            assert "repro-router-health" not in [thread.name for thread in threading.enumerate()]
-            assert not router._executor._threads
+            assert others() <= before
+            assert not jobs
         finally:
             router.close()
             cluster.routed.delete_rules("demo")
@@ -694,6 +730,68 @@ class TestFailover:
         assert router._counters["evictions"] == before["evictions"]
         assert router.alive_names() == {"replica-0", "replica-1"}
         assert router.check_workers() == {"replica-0": True, "replica-1": True}
+
+    def test_full_replica_queue_relays_its_429_and_retry_after(self, archive):
+        """A replica may refuse a scatter range once its queue is full:
+        the stream answers 429 with that replica's ``Retry-After``, evicts
+        nobody, and returns no partial fold."""
+        services = [ValidationService(capacity=2) for _ in range(2)]
+        for service in services:
+            service.register("demo", archive)
+        # A 60 s window parks a validate on replica-0 and fills its
+        # 1-deep queue; its hint is then one window.
+        gateways = [
+            AsyncGateway(service, port=0, batch_window_ms=60_000.0, max_queue_depth=depth).start()
+            for service, depth in zip(services, (1, 1024))
+        ]
+        router = RouterGateway(
+            [(f"replica-{i}", "127.0.0.1", gw.port) for i, gw in enumerate(gateways)],
+            port=0, health_interval=0,
+        ).start()
+        table = make_scenario(5)
+        body = b"".join(
+            json.dumps({"records": table.slice_rows(start, start + CHUNK_SIZE).to_records()})
+            .encode() + b"\n"
+            for start in range(0, table.n_rows, CHUNK_SIZE)
+        )
+
+        def park():
+            try:
+                post_raw(gateways[0].port, "/v1/pipelines/demo/validate",
+                         json.dumps({"records": table.to_records()[:4]}).encode(),
+                         "application/json")
+            except (OSError, http.client.HTTPException):
+                pass  # hung up by the gateway's close below
+
+        parked = threading.Thread(target=park, daemon=True)
+        try:
+            parked.start()
+            deadline = time.monotonic() + 10
+            while gateways[0].scheduler.stats_snapshot().queue_depth < 1:
+                assert time.monotonic() < deadline, "the parked validate never queued"
+                time.sleep(0.01)
+            connection = HTTPConnection("127.0.0.1", router.port, timeout=30)
+            try:
+                connection.request(
+                    "POST", "/v1/pipelines/demo/validate_stream", body=body,
+                    headers={"Content-Type": "application/x-ndjson"},
+                )
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+            finally:
+                connection.close()
+            assert response.status == 429, payload
+            assert response.getheader("Retry-After") == "60"
+            assert payload["kind"] == "error"
+            assert router._counters["evictions"] == 0
+            assert router.alive_names() == {"replica-0", "replica-1"}
+        finally:
+            router.close()
+            for gateway in gateways:
+                gateway.close(drain_timeout=0.5)
+            parked.join(timeout=10)
+            for service in services:
+                service.close()
 
     def test_response_cut_mid_body_is_sent_once(self):
         # The replica may have run a request whose response it cut (its

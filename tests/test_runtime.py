@@ -243,23 +243,27 @@ class TestEngineParity:
         np.testing.assert_array_equal(engine.reconstruction_errors(matrix), expected)
         # A pool that refuses work (as every executor does once the
         # interpreter starts shutting down) leaves the chunks to the caller.
-        engine._pool.shutdown()
+        refusing = ThreadPoolExecutor(1)
+        refusing.shutdown()
+        monkeypatch.setattr(engine_module, "compute_pool", lambda: refusing)
         np.testing.assert_array_equal(engine.reconstruction_errors(matrix), expected)
 
-    def test_width_follows_the_cpus_the_process_may_use(self, fitted):
+    def test_width_follows_the_cpus_the_process_may_use(self, fitted, monkeypatch):
         import os
 
         pipeline, holdout = fitted
         matrix = pipeline.preprocessor.transform(holdout)
         if not hasattr(os, "sched_setaffinity"):
             pytest.skip("os.sched_setaffinity is unavailable on this platform")
+        jobs = []
+        monkeypatch.setattr(engine_module, "compute_pool", lambda: jobs.append(1))
         previous = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {min(previous)})
         try:
             engine = InferenceEngine(pipeline.model, chunk_size=64)
             assert engine.width == 1
             engine.reconstruction_errors(matrix)
-            assert engine._pool is None
+            assert not jobs  # no job reached the pool
         finally:
             os.sched_setaffinity(0, previous)
 
@@ -291,11 +295,26 @@ class TestEngineParity:
         for width in (1, 2):
             made.clear()
             engine = InferenceEngine(pipeline.model, chunk_size=64, width=width)
-            expected = engine.reconstruction_errors(matrix)
-            # A fan-out thread that ran no chunk yet has no blocks to pin.
-            settled = {id(ws): [id(block) for block in ws._blocks] for ws in made if ws._blocks}
-            for _ in range(3):
-                np.testing.assert_array_equal(engine.reconstruction_errors(matrix), expected)
+
+            def calls():
+                # Fresh threads, caller and helper alike: a thread's
+                # workspace serves every engine in the process, so one
+                # that ran another engine already holds blocks.
+                with ThreadPoolExecutor(1) as pool:
+                    monkeypatch.setattr(engine_module, "compute_pool", lambda: pool)
+                    expected = engine.reconstruction_errors(matrix)
+                    # A fan-out thread that ran no chunk yet has no blocks to pin.
+                    settled = {
+                        id(ws): [id(block) for block in ws._blocks] for ws in made if ws._blocks
+                    }
+                    for _ in range(3):
+                        np.testing.assert_array_equal(
+                            engine.reconstruction_errors(matrix), expected
+                        )
+                    return settled
+
+            with ThreadPoolExecutor(1) as caller:
+                settled = caller.submit(calls).result()
             assert 1 <= len(made) <= width and settled
             for ws in made:
                 if id(ws) in settled:
@@ -309,11 +328,19 @@ class TestEngineParity:
         graph = FeatureGraph(features, list(zip(features, features[1:])))
         engine = InferenceEngine(DQuaGModel(graph, DQuaGConfig(hidden_dim=64), rng=0), width=1)
         matrix = np.random.default_rng(0).uniform(size=(3 * engine.chunk_size + 7, 12))
-        engine.reconstruction_errors(matrix)
-        engine.repair_values(matrix)
-        engine.forward(matrix)
+
+        def scratch() -> int:
+            # On a fresh thread: a thread's workspace serves every engine
+            # in the process, and this one must hold this engine's only.
+            engine.reconstruction_errors(matrix)
+            engine.repair_values(matrix)
+            engine.forward(matrix)
+            return engine_module.thread_workspace().nbytes()
+
+        with ThreadPoolExecutor(1) as pool:
+            nbytes = pool.submit(scratch).result()
         widest = engine.chunk_size * 12 * 64 * 8
-        assert engine._workspace().nbytes() <= 5 * widest
+        assert nbytes <= 5 * widest
 
 
 # ---------------------------------------------------------------------------

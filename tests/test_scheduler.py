@@ -156,7 +156,7 @@ class TestAdmission:
             future.result(timeout=5)
 
     def test_retry_after_counts_in_flight_slabs(self, demo):
-        """Bugfix pin: batches already on slab threads occupy workers
+        """Bugfix pin: batches already on the compute pool occupy workers
         ahead of the queue, so the Retry-After hint must grow with
         ``_in_flight`` — a retry cannot land before they finish."""
         pipeline, service = demo
@@ -311,3 +311,43 @@ class TestServiceIntegration:
                 t.join(timeout=60)
         for a, b in zip(solo, results):
             assert_reports_identical(a, b)
+
+    def test_jobs_beside_validates_leave_no_count_behind(self, demo):
+        """Jobs and coalesced validates from more threads than CPUs, with
+        a switch interval short enough to interleave every count update:
+        each resolves to its solo report, and close() finds nothing
+        pending or in flight (a lost update would hang it)."""
+        import sys
+
+        pipeline, service = demo
+        tables = [make_batch(pipeline, 8, seed=i) for i in range(24)]
+        solo = [service.validate("demo", t) for t in tables]
+        results: "list" = [None] * len(tables)
+        sched = RequestScheduler(service, batch_window_ms=1.0)
+
+        def worker(i):
+            if i % 2:
+                job = sched.submit_job("demo", 8, service.validate, "demo", tables[i])
+            else:
+                job = sched.submit("demo", tables[i])
+            results[i] = job.result(timeout=30)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(tables))]
+            threads.append(threading.Thread(target=sched.close))
+            for t in threads[:-1]:
+                t.start()
+            for t in threads[:-1]:
+                t.join(timeout=60)
+            threads[-1].start()
+            threads[-1].join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        for a, b in zip(solo, results):
+            assert_reports_identical(a, b)
+        stats = sched.stats_snapshot()
+        assert (stats.queue_depth, stats.in_flight, stats.failed) == (0, 0, 0)
+        assert stats.completed == len(tables)

@@ -204,28 +204,16 @@ class TestShardedOverHTTP:
         pipeline, _, client = served
         batch = make_batch(pipeline, 400, seed=21, corrupt=50)
         local = pipeline.validate(batch)
-        # The field is sent raw: the wire still accepts ``workers``.
-        request = ValidateRequest(records=batch.to_records(), pipeline="demo", workers=2)
+        # An older client's ``workers`` field is ignored.
+        payload = ValidateRequest(records=batch.to_records(), pipeline="demo").to_dict()
+        payload["workers"] = 2
         remote = ValidationReport.from_dict(
-            client._request("POST", "/v1/pipelines/demo/validate", request.to_dict())
+            client._request("POST", "/v1/pipelines/demo/validate", payload)
         )
         np.testing.assert_array_equal(remote.row_flags, local.row_flags)
         np.testing.assert_array_equal(remote.cell_flags, local.cell_flags)
         assert remote.threshold == local.threshold
         assert remote.is_problematic == local.is_problematic
-
-    def test_workers_field_round_trips_on_requests(self):
-        from repro.exceptions import ProtocolError
-
-        request = ValidateRequest(records=[DEMO_RECORD], pipeline="demo", workers=4)
-        clone = ValidateRequest.from_dict(json.loads(json.dumps(request.to_dict())))
-        assert clone.workers == 4
-        assert ValidateRequest.from_payload({"records": [DEMO_RECORD]}).workers is None
-        assert ValidateRequest.from_payload({"records": [DEMO_RECORD], "workers": 2}).workers == 2
-        with pytest.raises(ProtocolError):
-            ValidateRequest(records=[DEMO_RECORD], workers=0)
-        with pytest.raises(ProtocolError):
-            ValidateRequest.from_payload({"records": [DEMO_RECORD], "workers": "lots"})
 
     def test_stream_with_workers_matches_local_flags(self, served):
         pipeline, _, client = served
@@ -235,7 +223,7 @@ class TestShardedOverHTTP:
             batch.take(np.arange(i, min(i + 100, batch.n_rows)))
             for i in range(0, batch.n_rows, 100)
         ]
-        # The parameter is sent raw: the wire still accepts ``?workers=``.
+        # An older client's ``?workers=`` is ignored.
         lines = stream_lines(client.port, chunks, "?workers=2")
         summary = StreamSummary.from_dict(json.loads(lines[-1]))
         assert summary.n_rows == batch.n_rows
@@ -252,34 +240,6 @@ class TestShardedOverHTTP:
         # Per-chunk acks in the caller's chunking, then the summary.
         assert len(plain) == len(chunks) + 1
         assert json.loads(plain[-1])["n_chunks"] == len(chunks)
-
-    def test_zero_workers_field_rejected(self, served):
-        _, gateway, _ = served
-        connection = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=30)
-        try:
-            connection.request(
-                "POST",
-                "/v1/pipelines/demo/validate",
-                body=json.dumps({"records": [DEMO_RECORD], "workers": 0}),
-                headers={"Content-Type": "application/json"},
-            )
-            assert connection.getresponse().status == 400
-        finally:
-            connection.close()
-
-    def test_bad_workers_query_rejected(self, served):
-        pipeline, gateway, _ = served
-        connection = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=30)
-        try:
-            connection.request(
-                "POST",
-                "/v1/pipelines/demo/validate_stream?workers=banana",
-                body=json.dumps({"records": [DEMO_RECORD]}) + "\n",
-                headers={"Content-Type": "application/x-ndjson"},
-            )
-            assert connection.getresponse().status == 400
-        finally:
-            connection.close()
 
 
 class TestClientFromUrl:
@@ -517,7 +477,7 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("iterations", ["banana", [1], 2.9, True])
     def test_malformed_repair_iterations_rejected(self, served, iterations):
-        # Read like ``workers``: strictly an integer, on both wire tiers.
+        # Strictly an integer, on both wire tiers.
         pipeline, gateway, _ = served
         batch = make_batch(pipeline, 4, seed=31)
         bodies = [
